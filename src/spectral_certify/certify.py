@@ -41,7 +41,6 @@ from .geometry import (
 from .spectra import Spectrum
 
 GEOMETRY_RTOL = 1e-9
-FEM_RTOL = 1e-2
 
 # every cell of a Voronoi partition of a 2R-separated, R-covering net lies
 # in a ball of radius (2 + sqrt(2)) R about its site
@@ -304,9 +303,8 @@ def verify_certificate(
     """Recompute and check every link of a certificate.
 
     rtol is the tolerance for the final comparison against the reference
-    eigenvalue: keep the geometric default for closed-form references and
-    use FEM_RTOL for finite-element references.  All other checks run at
-    the geometric tolerance regardless.
+    eigenvalue; all other checks run at the geometric tolerance
+    regardless.
     """
     links = []
     geo = GEOMETRY_RTOL
@@ -454,16 +452,31 @@ class SweepTable:
     spectrum_source: str
 
 
-def quadratic_ratio_sweep(P: ConvexPolygon, k_max: int, levels: int = 5) -> SweepTable:
-    """Tabulate the measured constant in mu_k <= C (k/l)^2 mu_l for all
-    1 <= l <= k <= k_max; closed form on rectangles, FEM otherwise."""
-    if not isinstance(k_max, (int, np.integer)) or k_max < 1:
-        raise CertificationError("k_max must be an integer >= 1")
+def reference_spectrum(P: ConvexPolygon, m: int, levels: int) -> Spectrum:
+    """First m Neumann eigenvalues of P: closed form on rectangles, FEM at
+    the given refinement level otherwise."""
     rect = rectangle_from_polygon(P)
     if rect is not None:
-        spec = rectangle_spectrum(rect.half_width_a, rect.half_width_b, k_max + 1)
-    else:
-        spec = neumann_spectrum(P, k_max + 1, levels)
+        return rectangle_spectrum(rect.half_width_a, rect.half_width_b, m)
+    return neumann_spectrum(P, m, levels)
+
+
+def quadratic_ratio_sweep(
+    P: ConvexPolygon,
+    k_max: int,
+    levels: int = 5,
+    domain_spectrum: Spectrum | None = None,
+) -> SweepTable:
+    """Tabulate the measured constant in mu_k <= C (k/l)^2 mu_l for all
+    1 <= l <= k <= k_max, from domain_spectrum when given and from
+    reference_spectrum otherwise."""
+    if not isinstance(k_max, (int, np.integer)) or k_max < 1:
+        raise CertificationError("k_max must be an integer >= 1")
+    spec = domain_spectrum
+    if spec is None:
+        spec = reference_spectrum(P, k_max + 1, levels)
+    if len(spec) < k_max + 1:
+        raise CertificationError("domain spectrum too short for the requested k_max")
     entries = []
     worst = 0.0
     for k in range(1, k_max + 1):
@@ -493,14 +506,8 @@ def weak_chain_report(
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise CertificationError("k must be an integer >= 1")
-    rect = rectangle_from_polygon(P)
     if domain_spectrum is None:
-        if rect is not None:
-            domain_spectrum = rectangle_spectrum(
-                rect.half_width_a, rect.half_width_b, k + 2
-            )
-        else:
-            domain_spectrum = neumann_spectrum(P, k + 2, levels)
+        domain_spectrum = reference_spectrum(P, k + 2, levels)
     if len(domain_spectrum) < k + 2:
         raise CertificationError("domain spectrum too short for the requested k")
     sandwich = rectangle_sandwich(P)

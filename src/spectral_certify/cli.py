@@ -13,9 +13,7 @@ certification failure.  Reports go to stdout as JSON (default) or CSV;
 timing blocks are the only non-reproducible report fields.
 
 The environment variable SPECTRAL_CERTIFY_NUMBA selects the compiled or
-plain kernel path; SPECTRAL_CERTIFY_SEED is reserved for future
-randomized features and is currently ignored (all solvers are
-internally seeded).
+plain kernel path.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from .certify import (
     construct_partition,
     minimal_constant,
     quadratic_ratio_sweep,
+    reference_spectrum,
     weak_chain_report,
 )
 from .fem import EigensolverError, neumann_spectrum
@@ -193,6 +192,14 @@ def _merge_config(args: argparse.Namespace, keys: dict) -> dict:
     return merged
 
 
+def _refinement_levels(cfg: dict) -> int:
+    """The --levels setting, checked before any mesh is built."""
+    levels = int(cfg["levels"])
+    if not (0 <= levels <= 12):
+        raise UsageError("--levels must lie in [0, 12]")
+    return levels
+
+
 def _spectrum_rows(P: ConvexPolygon, spec, rect: Rectangle | None):
     """Per-index table entries: FEM value, closed form on rectangles,
     diameter and area upper bounds, first-eigenvalue lower bound."""
@@ -231,11 +238,9 @@ def cmd_spectrum(args) -> int:
     )
     spec_dom = parse_domain(str(cfg["domain"]))
     m = int(cfg["m"])
-    levels = int(cfg["levels"])
+    levels = _refinement_levels(cfg)
     if m < 1:
         raise UsageError("--m must be >= 1")
-    if not (0 <= levels <= 12):
-        raise UsageError("--levels must lie in [0, 12]")
     P = spec_dom.build()
     rect = rectangle_from_polygon(P)
     report = _report_skeleton("spectrum", {**cfg, "domain": spec_dom.name})
@@ -369,14 +374,9 @@ def cmd_certify(args) -> int:
 def _sweep_single(spec_dom: DomainSpec, k_max: int, levels: int, ratio_cap: float) -> dict:
     P = spec_dom.build()
     t0 = time.perf_counter()
-    table = quadratic_ratio_sweep(P, k_max, levels)
-    rect = rectangle_from_polygon(P)
-    if rect is not None:
-        domain_spectrum = rectangle_spectrum(
-            rect.half_width_a, rect.half_width_b, k_max + 2
-        )
-    else:
-        domain_spectrum = neumann_spectrum(P, k_max + 2, levels)
+    # one solve serves the sweep table and every chain (they need k_max + 2)
+    domain_spectrum = reference_spectrum(P, k_max + 2, levels)
+    table = quadratic_ratio_sweep(P, k_max, levels, domain_spectrum=domain_spectrum)
     chains = {}
     for k in range(1, min(k_max, 10) + 1):
         chains[k] = weak_chain_report(
@@ -417,7 +417,7 @@ def cmd_sweep(args) -> int:
         },
     )
     k_max = int(cfg["k_max"])
-    levels = int(cfg["levels"])
+    levels = _refinement_levels(cfg)
     jobs = int(cfg["jobs"])
     ratio_cap = float(cfg["ratio_cap"])
     if k_max < 1:
@@ -461,8 +461,8 @@ def cmd_sweep(args) -> int:
     cap_ok = bool(good) and overall <= ratio_cap
     if not cap_ok and failure_code == EXIT_OK:
         failure_code = EXIT_CERTIFY
-    for o in outcomes:
-        o.pop("elapsed_s", None)
+    # per-domain times are kept out of results, which must stay byte-stable
+    report["timings"]["domains"] = {o["domain"]: o.pop("elapsed_s") for o in good}
     report["results"] = {
         "k_max": k_max,
         "domains": outcomes,

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from spectral_certify import fem
 from spectral_certify.cli import (
     EXIT_CERTIFY,
     EXIT_OK,
@@ -82,6 +83,11 @@ class TestExitCodes:
     def test_bad_levels(self, capsys):
         code, _, err = run(capsys, "spectrum", "--levels", "99")
         assert code == EXIT_USAGE
+
+    def test_sweep_bad_levels(self, capsys):
+        code, _, err = run(capsys, "sweep", "--domain", "regular:5", "--levels", "13")
+        assert code == EXIT_USAGE
+        assert "--levels" in err
 
 
 class TestSpectrumCommand:
@@ -244,13 +250,29 @@ class TestSweepCommand:
             == threaded["results"]["overall_max_ratio"]
         )
 
+    def test_solves_each_domain_once(self, capsys, monkeypatch):
+        # counted at the eigensolver, whichever module asks for the spectrum
+        calls = []
+        solve = fem.solve_smallest
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "solve_smallest", counting)
+        report = run_json(capsys, "sweep", "--domain", "regular:6", "--k-max", "4")
+        assert calls == [6]
+        assert report["results"]["domains"][0]["spectrum_source"] == "fem(4)"
+
     def test_byte_stability_outside_timings(self, capsys):
-        args = ["sweep", "--domain", "square", "--k-max", "6"]
-        first = run_json(capsys, *args)
-        second = run_json(capsys, *args)
-        first.pop("timings")
-        second.pop("timings")
-        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+        for domain, name in (("square", "square"), ("regular:6", "regular_6")):
+            args = ["sweep", "--domain", domain, "--k-max", "6"]
+            first = run_json(capsys, *args)
+            second = run_json(capsys, *args)
+            # per-domain times live in timings, never in results
+            assert list(first.pop("timings")["domains"]) == [name]
+            second.pop("timings")
+            assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
 class TestConfigFile:

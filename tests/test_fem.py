@@ -149,6 +149,21 @@ class TestEigensolver:
         assert err.value.best_residual is not None
         assert err.value.best_residual > 0.0
 
+    def test_reports_arpack_stall(self):
+        # one restart is too few for six pairs: the error names the limit,
+        # the converged count and the residual of the converged pairs
+        mesh = mesh_polygon(regular_polygon(6), 3)
+        stiffness, mass = assemble(mesh)
+        with pytest.raises(EigensolverError, match=r"within 1 iterations: \d/6 eigenpairs") as err:
+            solve_smallest(stiffness, mass, 6, max_sweeps=1)
+        assert 0.0 < err.value.best_residual < math.inf
+
+    def test_repeated_solves_bitwise_equal(self):
+        first = neumann_spectrum(regular_polygon(6), 8, 4)
+        second = neumann_spectrum(regular_polygon(6), 8, 4)
+        assert np.array_equal(first.values, second.values)
+        assert first.solver_residual == second.solver_residual
+
     def test_dense_guard(self):
         big = SparseSymmetricMatrix.from_coo(
             2001, np.arange(2001), np.arange(2001), np.ones(2001)
