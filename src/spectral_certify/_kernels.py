@@ -1,31 +1,27 @@
-"""Hot numeric loops, compiled with numba when available.
+"""Hot numeric loops: P1 element matrices, the greedy net scan and
+half-plane membership.
 
-Every kernel has a pure-numpy twin with identical floating-point semantics.
-The active implementation is chosen once at import time: set
-``SPECTRAL_CERTIFY_NUMBA=0`` (or ``off``/``false``/``no``) to force the
-numpy path, e.g. on platforms where numba is unavailable or while
-debugging.  ``benchmarks/bench_kernels.py`` times the two paths against
-each other.
+Callers look these up as module attributes (``_kernels.greedy_net``), so a
+profiler can wrap them in place.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
+# read by the end-to-end benchmark's environment block; every kernel is numpy
+NUMBA_ENABLED = False
 
-def numba_requested() -> bool:
-    val = os.environ.get("SPECTRAL_CERTIFY_NUMBA", "1").strip().lower()
-    return val not in ("0", "off", "false", "no")
+# candidates become Python floats a chunk at a time: a 410k-point fine grid
+# as one list of pairs takes ~60 MiB
+_SCAN_CHUNK = 4096
+# own bucket first: it is the likeliest to hold a rejecting point
+_NEIGHBOURS = [(0, 0)] + [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]
 
 
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-
-
-def p1_element_matrices_numpy(coords):
+def p1_element_matrices(coords):
     """Per-triangle area, stiffness block and consistent mass block.
 
     coords has shape (m, 3, 2); returns (areas, kloc, mloc) with shapes
@@ -48,178 +44,49 @@ def p1_element_matrices_numpy(coords):
     return areas, kloc, mloc
 
 
-def min_site_distance_numpy(points, sites):
-    """For each point the distance to the nearest site.  Shapes (n,2),(m,2)->(n,)."""
-    n = points.shape[0]
-    out = np.empty(n)
-    chunk = 4096
-    for start in range(0, n, chunk):
-        block = points[start : start + chunk]
-        d2 = ((block[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + chunk] = np.sqrt(d2.min(axis=1))
-    return out
-
-
-def greedy_net_numpy(candidates, existing, sep, strict):
+def greedy_net(candidates, existing, sep, strict):
     """Scan candidates in order, keeping those far enough from all kept points.
 
-    A candidate is rejected when its distance to an already kept point is
-    < sep (strict=False) or <= sep (strict=True).  Returns existing with
-    the accepted candidates appended, in scan order.
+    A candidate is rejected when its distance sqrt(dx^2 + dy^2) to an already
+    kept point is < sep (strict=False) or <= sep (strict=True); sep > 0.
+    Returns existing with the accepted candidates appended, in scan order.
+
+    Kept points are bucketed in squares a little wider than sep, so only the
+    3x3 buckets around a candidate can hold a point that rejects it.
     """
-    cap = candidates.shape[0] + existing.shape[0]
-    kept = np.empty((cap, 2))
-    count = existing.shape[0]
-    kept[:count] = existing
-    for i in range(candidates.shape[0]):
-        p = candidates[i]
-        if count > 0:
-            d = np.sqrt(((kept[:count] - p) ** 2).sum(axis=1)).min()
-            if (d <= sep) if strict else (d < sep):
-                continue
-        kept[count] = p
-        count += 1
-    return kept[:count].copy()
+    if candidates.shape[0] == 0:
+        return existing.copy()
+    points = np.concatenate([candidates, existing])
+    # keys relative to the lower-left corner keep the rounding of
+    # (x - x0) / width small; the margin covers it for any point spread
+    x0, y0 = points.min(axis=0).tolist()
+    span = float((points.max(axis=0) - (x0, y0)).max())
+    width = sep * (1.0 + 1e-9) + span * 1e-15
+    buckets = {}
+
+    def key(x, y):
+        return math.floor((x - x0) / width), math.floor((y - y0) / width)
+
+    def rejected(x, y, bx, by):
+        for i, j in _NEIGHBOURS:
+            for qx, qy in buckets.get((bx + i, by + j), ()):
+                d = math.sqrt((x - qx) * (x - qx) + (y - qy) * (y - qy))
+                if (d <= sep) if strict else (d < sep):
+                    return True
+        return False
+
+    for x, y in existing.tolist():
+        buckets.setdefault(key(x, y), []).append((x, y))
+    accepted = []
+    for start in range(0, candidates.shape[0], _SCAN_CHUNK):
+        for x, y in candidates[start : start + _SCAN_CHUNK].tolist():
+            bx, by = key(x, y)
+            if not rejected(x, y, bx, by):
+                buckets.setdefault((bx, by), []).append((x, y))
+                accepted.append((x, y))
+    return np.concatenate([existing, np.array(accepted, dtype=float).reshape(-1, 2)])
 
 
-def points_in_halfplanes_numpy(points, normals, offsets, tol):
+def points_in_halfplanes(points, normals, offsets, tol):
     """Mask of points satisfying normals @ p <= offsets + tol for every row."""
     return (points @ normals.T <= offsets[None, :] + tol).all(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-
-NUMBA_ENABLED = False
-
-if numba_requested():
-    try:
-        import numba as nb
-    except ImportError:
-        nb = None
-    if nb is not None:
-        NUMBA_ENABLED = True
-
-        @nb.njit(cache=True)
-        def _p1_element_matrices_nb(coords, areas, kloc, mloc):
-            m = coords.shape[0]
-            for t in range(m):
-                x0 = coords[t, 0, 0]
-                y0 = coords[t, 0, 1]
-                x1 = coords[t, 1, 0]
-                y1 = coords[t, 1, 1]
-                x2 = coords[t, 2, 0]
-                y2 = coords[t, 2, 1]
-                b0 = y1 - y2
-                b1 = y2 - y0
-                b2 = y0 - y1
-                c0 = x2 - x1
-                c1 = x0 - x2
-                c2 = x1 - x0
-                two_a = x0 * b0 + x1 * b1 + x2 * b2
-                areas[t] = 0.5 * two_a
-                bb = (b0, b1, b2)
-                cc = (c0, c1, c2)
-                for i in range(3):
-                    for j in range(3):
-                        kloc[t, i, j] = (bb[i] * bb[j] + cc[i] * cc[j]) / (2.0 * two_a)
-                        mloc[t, i, j] = (areas[t] / 12.0) * (2.0 if i == j else 1.0)
-
-        def p1_element_matrices_numba(coords):
-            m = coords.shape[0]
-            areas = np.empty(m)
-            kloc = np.empty((m, 3, 3))
-            mloc = np.empty((m, 3, 3))
-            _p1_element_matrices_nb(
-                np.ascontiguousarray(coords), areas, kloc, mloc
-            )
-            return areas, kloc, mloc
-
-        @nb.njit(cache=True)
-        def _min_site_distance_nb(points, sites):
-            n = points.shape[0]
-            m = sites.shape[0]
-            out = np.empty(n)
-            for i in range(n):
-                best = np.inf
-                for j in range(m):
-                    dx = points[i, 0] - sites[j, 0]
-                    dy = points[i, 1] - sites[j, 1]
-                    d2 = dx * dx + dy * dy
-                    if d2 < best:
-                        best = d2
-                out[i] = math.sqrt(best)
-            return out
-
-        def min_site_distance_numba(points, sites):
-            return _min_site_distance_nb(
-                np.ascontiguousarray(points), np.ascontiguousarray(sites)
-            )
-
-        @nb.njit(cache=True)
-        def _greedy_net_nb(candidates, existing, sep, strict):
-            cap = candidates.shape[0] + existing.shape[0]
-            kept = np.empty((cap, 2))
-            count = existing.shape[0]
-            for j in range(count):
-                kept[j, 0] = existing[j, 0]
-                kept[j, 1] = existing[j, 1]
-            for i in range(candidates.shape[0]):
-                px = candidates[i, 0]
-                py = candidates[i, 1]
-                ok = True
-                for j in range(count):
-                    dx = px - kept[j, 0]
-                    dy = py - kept[j, 1]
-                    d = math.sqrt(dx * dx + dy * dy)
-                    if (d <= sep) if strict else (d < sep):
-                        ok = False
-                        break
-                if ok:
-                    kept[count, 0] = px
-                    kept[count, 1] = py
-                    count += 1
-            return kept[:count].copy()
-
-        def greedy_net_numba(candidates, existing, sep, strict):
-            return _greedy_net_nb(
-                np.ascontiguousarray(candidates),
-                np.ascontiguousarray(existing),
-                float(sep),
-                bool(strict),
-            )
-
-        @nb.njit(cache=True)
-        def _points_in_halfplanes_nb(points, normals, offsets, tol):
-            n = points.shape[0]
-            m = normals.shape[0]
-            out = np.empty(n, dtype=np.bool_)
-            for i in range(n):
-                inside = True
-                for j in range(m):
-                    s = normals[j, 0] * points[i, 0] + normals[j, 1] * points[i, 1]
-                    if s > offsets[j] + tol:
-                        inside = False
-                        break
-                out[i] = inside
-            return out
-
-        def points_in_halfplanes_numba(points, normals, offsets, tol):
-            return _points_in_halfplanes_nb(
-                np.ascontiguousarray(points),
-                np.ascontiguousarray(normals),
-                np.ascontiguousarray(offsets),
-                float(tol),
-            )
-
-
-if NUMBA_ENABLED:
-    p1_element_matrices = p1_element_matrices_numba
-    min_site_distance = min_site_distance_numba
-    greedy_net = greedy_net_numba
-    points_in_halfplanes = points_in_halfplanes_numba
-else:
-    p1_element_matrices = p1_element_matrices_numpy
-    min_site_distance = min_site_distance_numpy
-    greedy_net = greedy_net_numpy
-    points_in_halfplanes = points_in_halfplanes_numpy

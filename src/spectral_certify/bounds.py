@@ -113,7 +113,9 @@ def _product_spectrum(base_x: float, base_y: float, count: int, signed: bool) ->
     if count < 1:
         raise ValueError("count must be >= 1")
     small = min(base_x, base_y)
-    cutoff = small * max(1.0, float(count)) ** 2
+    # Weyl's law: the count-th value grows linearly in count; doubling
+    # below widens the cutoff when the lattice falls short
+    cutoff = small * float(count)
     while True:
         pmax = int(math.floor(math.sqrt(cutoff / base_x)))
         qmax = int(math.floor(math.sqrt(cutoff / base_y)))

@@ -11,15 +11,11 @@ Subcommands:
 Exit codes: 0 success, 2 usage error, 3 eigensolver failure, 4
 certification failure.  Reports go to stdout as JSON (default) or CSV;
 timing blocks are the only non-reproducible report fields.
-
-The environment variable SPECTRAL_CERTIFY_NUMBA selects the compiled or
-plain kernel path.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
@@ -328,8 +324,8 @@ def cmd_certify(args) -> int:
         searched = True
     else:
         c_value = float(cfg["C"])
-        if c_value <= 0:
-            raise UsageError("--C must be positive")
+        if not (math.isfinite(c_value) and c_value > 0):
+            raise UsageError("--C must be positive and finite")
     cert = construct_partition(rect, k, l, c_value, mu_k)
     chain, cert = certified_chain(cert, mu_l)
     report["timings"]["certify_s"] = time.perf_counter() - t0
@@ -411,19 +407,15 @@ def cmd_sweep(args) -> int:
             "k_max": 12,
             "levels": 4,
             "format": "json",
-            "jobs": 1,
             "plot_dir": None,
             "ratio_cap": 100.0,
         },
     )
     k_max = int(cfg["k_max"])
     levels = _refinement_levels(cfg)
-    jobs = int(cfg["jobs"])
     ratio_cap = float(cfg["ratio_cap"])
     if k_max < 1:
         raise UsageError("--k-max must be >= 1")
-    if jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     if not (ratio_cap > 0):
         raise UsageError("--ratio-cap must be positive")
     if cfg["domain"]:
@@ -436,25 +428,12 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     outcomes = []
     failure_code = EXIT_OK
-    if jobs == 1:
-        for dom in gallery:
-            try:
-                outcomes.append(_sweep_single(dom, k_max, levels, ratio_cap))
-            except EigensolverError as exc:
-                outcomes.append({"domain": dom.name, "error": str(exc)})
-                failure_code = EXIT_SOLVER
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_sweep_single, dom, k_max, levels, ratio_cap)
-                for dom in gallery
-            ]
-            for dom, fut in zip(gallery, futures):
-                try:
-                    outcomes.append(fut.result())
-                except EigensolverError as exc:
-                    outcomes.append({"domain": dom.name, "error": str(exc)})
-                    failure_code = EXIT_SOLVER
+    for dom in gallery:
+        try:
+            outcomes.append(_sweep_single(dom, k_max, levels, ratio_cap))
+        except EigensolverError as exc:
+            outcomes.append({"domain": dom.name, "error": str(exc)})
+            failure_code = EXIT_SOLVER
     report["timings"]["total_s"] = time.perf_counter() - t0
     good = [o for o in outcomes if "error" not in o]
     overall = max((o["max_ratio"] for o in good), default=math.nan)
@@ -533,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--k-max", dest="k_max", type=int, help="largest index (default 12)")
     p_sweep.add_argument("--levels", type=int, help="uniform refinements (default 4)")
-    p_sweep.add_argument("--jobs", type=int, help="parallel domain workers (default 1)")
     p_sweep.add_argument("--plot-dir", dest="plot_dir", help="directory for ratio plot CSV files")
     p_sweep.add_argument(
         "--ratio-cap",

@@ -176,6 +176,13 @@ class TestRectangleSpectrum:
         assert vals[0] == 0.0
         assert (np.diff(vals) >= -1e-12).all()
 
+    def test_large_count_stays_small(self):
+        # the lattice is sized by Weyl's law, not by count**2 points
+        vals = rectangle_spectrum(0.5, 0.5, 100_000).values
+        assert vals.shape == (100_000,)
+        assert (np.diff(vals) >= 0).all()
+        assert np.array_equal(vals[:25], rectangle_spectrum(0.5, 0.5, 25).values)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             rectangle_spectrum(0.0, 1.0, 3)
