@@ -1,5 +1,5 @@
 """Hot numeric loops: P1 element matrices, the greedy net scan and
-half-plane membership.
+half-plane membership, and the k-d tree the net and Voronoi code share.
 
 Callers look these up as module attributes (``_kernels.greedy_net``), so a
 profiler can wrap them in place.
@@ -51,9 +51,15 @@ def greedy_net(candidates, existing, sep, strict):
     kept point is < sep (strict=False) or <= sep (strict=True); sep > 0.
     Returns existing with the accepted candidates appended, in scan order.
 
-    Kept points are bucketed in squares a little wider than sep, so only the
-    3x3 buckets around a candidate can hold a point that rejects it.
+    Candidates that their nearest point of existing rejects are dropped first,
+    on arrays (a k-d tree proposes that point, the rule above decides).  The
+    rest are scanned with kept points bucketed in squares a little wider than
+    sep, so only the 3x3 buckets around a candidate can hold a rejecting point.
     """
+    if existing.shape[0] > 0 and candidates.shape[0] > 0:
+        d = candidates - existing[kdtree(existing).query(candidates)[1]]
+        dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        candidates = candidates[(dist > sep) if strict else (dist >= sep)]
     if candidates.shape[0] == 0:
         return existing.copy()
     points = np.concatenate([candidates, existing])
@@ -85,6 +91,14 @@ def greedy_net(candidates, existing, sep, strict):
                 buckets.setdefault((bx, by), []).append((x, y))
                 accepted.append((x, y))
     return np.concatenate([existing, np.array(accepted, dtype=float).reshape(-1, 2)])
+
+
+def kdtree(points):
+    """scipy's k-d tree over the points; scipy.spatial is imported on first
+    use, because it adds ~0.1 s to the package import."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
 
 
 def points_in_halfplanes(points, normals, offsets, tol):

@@ -66,22 +66,22 @@ class ConvexPolygon:
         scale = float(np.abs(verts).max())
         scale = max(scale, 1e-300)
         tol = EPS_REL * scale
-        # drop consecutive duplicates (closed chain, so compare to the roll)
-        diffs = verts - np.roll(verts, 1, axis=0)
+        # drop consecutive duplicates (closed chain, so compare to the previous)
+        diffs = verts - np.concatenate((verts[-1:], verts[:-1]))
         keep = np.hypot(diffs[:, 0], diffs[:, 1]) > tol
         verts = verts[keep]
         if verts.shape[0] < 3:
             raise GeometryError("polygon degenerates to fewer than 3 distinct vertices")
-        e = np.roll(verts, -1, axis=0) - verts
-        cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+        nxt = np.concatenate((verts[1:], verts[:1]))
+        e = nxt - verts
+        e_nxt = np.concatenate((e[1:], e[:1]))
+        cross = e[:, 0] * e_nxt[:, 1] - e[:, 1] * e_nxt[:, 0]
         tol_cross = EPS_REL * scale * scale
         if (cross < -tol_cross).any():
             raise GeometryError("vertices are not in convex counterclockwise order")
         if (cross > tol_cross).sum() < 3:
             raise GeometryError("polygon is degenerate (fewer than 3 strict corners)")
-        area2 = float(
-            np.sum(verts[:, 0] * np.roll(verts[:, 1], -1) - np.roll(verts[:, 0], -1) * verts[:, 1])
-        )
+        area2 = float(np.sum(verts[:, 0] * nxt[:, 1] - nxt[:, 0] * verts[:, 1]))
         if area2 <= 2.0 * tol_cross:
             raise GeometryError("polygon area is not positive")
         self.vertices = verts
@@ -104,7 +104,7 @@ class ConvexPolygon:
     @property
     def centroid(self) -> np.ndarray:
         v = self.vertices
-        w = np.roll(v, -1, axis=0)
+        w = np.concatenate((v[1:], v[:1]))
         cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
         return (v + w).T @ cross / (6.0 * self._area)
 
@@ -116,7 +116,7 @@ class ConvexPolygon:
     def edge_halfplanes(self):
         """Outward unit normals and offsets: inside iff n . p <= c for all edges."""
         v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
+        e = np.concatenate((v[1:], v[:1])) - v
         lengths = np.hypot(e[:, 0], e[:, 1])
         normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lengths[:, None]
         offsets = (normals * v).sum(axis=1)
@@ -153,42 +153,23 @@ def diameter(P: ConvexPolygon) -> float:
     return float(np.sqrt(d2.max()))
 
 
-def _clip_halfplane(verts: np.ndarray, a: float, b: float, c: float, tol: float):
-    """Clip a vertex loop against a x + b y <= c.  Returns the kept loop."""
-    n = verts.shape[0]
-    vals = a * verts[:, 0] + b * verts[:, 1] - c
+def _clip_halfplane(verts, a: float, b: float, c: float, tol: float):
+    """Clip a loop of (x, y) floats to a x + b y <= c; verts itself if none is cut."""
+    vals = [a * x + b * y - c for x, y in verts]
+    if max(vals) <= tol:
+        return verts
     out = []
+    n = len(verts)
     for i in range(n):
         j = (i + 1) % n
-        vi, vj = verts[i], verts[j]
         di, dj = vals[i], vals[j]
         if di <= tol:
-            out.append(vi)
+            out.append(verts[i])
         if (di <= tol) != (dj <= tol):
             t = di / (di - dj)
-            out.append(vi + t * (vj - vi))
-    return np.array(out) if out else np.empty((0, 2))
-
-
-def clip_polygon(P: ConvexPolygon, halfplanes) -> ConvexPolygon | None:
-    """Intersect P with half-planes given as (a, b, c) rows, a x + b y <= c.
-
-    Returns None when the intersection has collapsed to an empty set, a
-    point, or a segment.
-    """
-    verts = np.array(P.vertices)
-    tol = EPS_REL * P.scale
-    for a, b, c in halfplanes:
-        norm = math.hypot(a, b)
-        if norm == 0.0:
-            raise GeometryError("half-plane normal must be nonzero")
-        verts = _clip_halfplane(verts, a, b, c, tol * norm)
-        if verts.shape[0] < 3:
-            return None
-    try:
-        return ConvexPolygon(verts)
-    except GeometryError:
-        return None
+            (xi, yi), (xj, yj) = verts[i], verts[j]
+            out.append((xi + t * (xj - xi), yi + t * (yj - yi)))
+    return out
 
 
 def inner_offset(P: ConvexPolygon, r: float) -> ConvexPolygon | None:
@@ -200,8 +181,24 @@ def inner_offset(P: ConvexPolygon, r: float) -> ConvexPolygon | None:
     if not (r > 0.0) or not math.isfinite(r):
         raise GeometryError("offset distance must be positive and finite")
     normals, offsets = P.edge_halfplanes()
-    planes = [(nx, ny, c - r) for (nx, ny), c in zip(normals, offsets)]
-    return clip_polygon(P, planes)
+    verts = P.vertices.tolist()
+    tol = EPS_REL * P.scale
+    for (a, b), c in zip(normals.tolist(), offsets.tolist()):
+        verts = _clip_halfplane(verts, a, b, c - r, tol * math.hypot(a, b))
+        if len(verts) < 3:
+            return None
+    try:
+        return ConvexPolygon(verts)
+    except GeometryError:
+        return None
+
+
+# Building a grid of n sample points over a polygon with E edges holds at most
+# the meshgrid pair, their stacked copy and the sorted inside points (48 bytes
+# a point) and the n x E half-plane product with its boolean mask (9E bytes a
+# point).  Both grids of a net are charged up front: over a rectangle (E = 4)
+# this admits ~3.2M points; a 2487-cell net on rect:10:10 needs 0.78M.
+NET_GRID_BYTES = 256 * 2**20
 
 
 def maximal_separated_net(P: ConvexPolygon, sep: float) -> np.ndarray:
@@ -219,12 +216,15 @@ def maximal_separated_net(P: ConvexPolygon, sep: float) -> np.ndarray:
         raise GeometryError("separation must be positive and finite")
     (x0, y0), (x1, y1) = P.bounding_box
     tol = EPS_REL * P.scale
+    # points of both grids, at most; Python floats, so a tiny sep gives inf
+    w, h = float(x1 - x0), float(y1 - y0)
+    points = sum((w / p + 1.0) * (h / p + 1.0) for p in (sep / 8.0, sep / 16.0))
+    if points * (48 + 9 * P.n) > NET_GRID_BYTES:
+        raise GeometryError(f"separation {sep:.6g} is too small: net grids of {points:.3g} points")
 
     def grid_inside(pitch):
-        nx = int(math.floor((x1 - x0) / pitch)) + 1
-        ny = int(math.floor((y1 - y0) / pitch)) + 1
-        if nx * ny > 50_000_000:
-            raise GeometryError("separation is too small relative to the domain")
+        nx = int(math.floor(w / pitch)) + 1
+        ny = int(math.floor(h / pitch)) + 1
         xs = x0 + pitch * np.arange(nx)
         ys = y0 + pitch * np.arange(ny)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -271,53 +271,85 @@ class VoronoiPartition:
                 raise GeometryError(f"cell {i} does not contain its site")
 
 
+def _min_pair_d2(pts: np.ndarray) -> float:
+    """Smallest dx^2 + dy^2 over pairs of distinct indices (inf below 2 points):
+    the tree proposes the closest distance, and every pair within a hair of
+    it is measured again with that formula."""
+    if pts.shape[0] < 2:
+        return math.inf
+    tree = _kernels.kdtree(pts)
+    reach = float(tree.query(pts, k=2)[0][:, 1].min()) * (1.0 + 1e-9)
+    i, j = tree.query_pairs(reach, output_type="ndarray").T
+    d = pts[i] - pts[j]
+    return float((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]).min())
+
+
+def _d2(p, x: float, y: float) -> float:
+    """Squared distance from (x, y) to the pair p, as numpy's dx**2 + dy**2."""
+    return (p[0] - x) * (p[0] - x) + (p[1] - y) * (p[1] - y)
+
+
+def _by_distance(tree, coords, i: int, reach: float):
+    """Yield (d2, j) over all sites in the order of a stable argsort of d2 to
+    site i, from tree balls about site i of doubling radius."""
+    x, y = coords[i]
+    visited = 0
+    while True:
+        near = tree.query_ball_point((x, y), reach)
+        # every site at d2 < limit is in the ball, whatever the rounding of
+        # the tree's own distances
+        limit = math.inf if len(near) == len(coords) else reach * reach * (1.0 - 1e-9)
+        for d2, j in sorted((_d2(coords[j], x, y), j) for j in near)[visited:]:
+            if d2 >= limit:
+                break
+            visited += 1
+            yield d2, j
+        if limit == math.inf:
+            return
+        reach *= 2.0
+
+
 def voronoi_partition(P: ConvexPolygon, sites) -> VoronoiPartition:
     """Clip the Voronoi diagram of the sites to P.
 
     Sites must be pairwise distinct and lie in P.  Each cell is cut by the
     bisectors nearest its site first; a bisector to a site at least twice
     the current cell outradius away contains the whole cell, so clipping
-    stops there and the per-cell work stays proportional to the number of
-    Voronoi neighbours rather than the number of sites.
+    stops there, and with sites drawn from k-d tree balls the per-cell work
+    stays proportional to the number of Voronoi neighbours.
     """
     pts = _as_points(sites)
     m = pts.shape[0]
     if m == 0:
         raise GeometryError("at least one site required")
     tol = EPS_REL * P.scale
-    if m > 1:
-        # chunked so the pairwise distance block stays O(chunk * m)
-        chunk = 512
-        min_d2 = math.inf
-        for start in range(0, m, chunk):
-            idx = np.arange(start, min(start + chunk, m))
-            d2 = ((pts[idx, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            d2[idx - start, idx] = np.inf
-            min_d2 = min(min_d2, float(d2.min()))
-        if min_d2 <= tol * tol:
-            raise GeometryError("sites must be pairwise distinct")
+    if _min_pair_d2(pts) <= tol * tol:
+        raise GeometryError("sites must be pairwise distinct")
     if not P.contains_points(pts, tol).all():
         raise GeometryError("every site must lie in the domain")
+    tree = _kernels.kdtree(pts)
+    coords = pts.tolist()
+    norms = (pts**2).sum(axis=1).tolist()
+    # first ball radius: a few typical site spacings
+    reach = 4.0 * math.sqrt(P.area / m)
     cells = []
-    norms = (pts**2).sum(axis=1)
-    for i in range(m):
-        d2i = ((pts - pts[i]) ** 2).sum(axis=1)
-        order = np.argsort(d2i, kind="stable")
-        verts = np.array(P.vertices)
-        for j in order:
+    for i, (xi, yi) in enumerate(coords):
+        verts = P.vertices.tolist()
+        r_max = math.sqrt(max(_d2(v, xi, yi) for v in verts))
+        for d2j, j in _by_distance(tree, coords, i, reach):
             if j == i:
                 continue
-            r_max = math.sqrt(float(((verts - pts[i]) ** 2).sum(axis=1).max()))
-            dj = math.sqrt(float(d2i[j]))
-            # sites are visited nearest first, so no later bisector can cut
-            if dj > 2.0 * r_max * (1.0 + 1e-9):
+            # sites come nearest first, so no later bisector can cut
+            if math.sqrt(d2j) > 2.0 * r_max * (1.0 + 1e-9):
                 break
-            a = 2.0 * (pts[j, 0] - pts[i, 0])
-            b = 2.0 * (pts[j, 1] - pts[i, 1])
-            c = norms[j] - norms[i]
-            verts = _clip_halfplane(verts, a, b, c, tol * math.hypot(a, b))
-            if verts.shape[0] < 3:
+            a = 2.0 * (coords[j][0] - xi)
+            b = 2.0 * (coords[j][1] - yi)
+            clipped = _clip_halfplane(verts, a, b, norms[j] - norms[i], tol * math.hypot(a, b))
+            if len(clipped) < 3:
                 raise GeometryError(f"Voronoi cell {i} degenerated during clipping")
+            if clipped is not verts:
+                verts = clipped
+                r_max = math.sqrt(max(_d2(v, xi, yi) for v in verts))
         try:
             cells.append(ConvexPolygon(verts))
         except GeometryError:
@@ -429,14 +461,6 @@ class Ellipse:
         u = rel[:, 0] * ca + rel[:, 1] * sa
         v = -rel[:, 0] * sa + rel[:, 1] * ca
         return (u / self.semi_axis_a) ** 2 + (v / self.semi_axis_b) ** 2
-
-    def scaled(self, factor: float) -> "Ellipse":
-        return Ellipse(
-            self.center,
-            factor * self.semi_axis_a,
-            factor * self.semi_axis_b,
-            self.rotation,
-        )
 
 
 def mvee(points, tol: float = 1e-7, max_iter: int = 100000) -> Ellipse:
@@ -587,11 +611,8 @@ def ball_packing_count(P: ConvexPolygon, centers, r: float) -> PackingCheck:
     if not (r > 0):
         raise GeometryError("ball radius must be positive")
     m = pts.shape[0]
-    if m > 1:
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        d2[np.arange(m), np.arange(m)] = np.inf
-        if math.sqrt(d2.min()) < 2.0 * r:
-            raise GeometryError("ball centers closer than 2r: balls overlap")
+    if math.sqrt(_min_pair_d2(pts)) < 2.0 * r:
+        raise GeometryError("ball centers closer than 2r: balls overlap")
     total = m * math.pi * r * r
     return PackingCheck(
         count=m,

@@ -5,9 +5,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
+import numpy as np
 import pytest
 
+import spectral_certify
 from spectral_certify import fem
 from spectral_certify.cli import (
     EXIT_CERTIFY,
@@ -95,6 +101,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "sweep", "--domain", "regular:5", "--levels", "13")
         assert code == EXIT_USAGE
         assert "--levels" in err
+
+    def test_certify_net_grids_over_budget(self, capsys, monkeypatch):
+        # the coarse grid alone has ~10M points and the fine one ~41M: the
+        # net must be refused before any grid is built
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a net grid was built")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "certify", "--domain", "rect:10:10", "--k", "40", "--l", "40", "--C", "0.025"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "separation" in err
+        assert time.perf_counter() - start < 10.0
 
 
 class TestSpectrumCommand:
@@ -300,6 +322,19 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         code, _, err = run(capsys, "bounds", "--config", str(cfg))
         assert code == EXIT_USAGE
+
+
+class TestImport:
+    def test_scipy_spatial_not_imported(self):
+        # the k-d tree is imported on first use: scipy.spatial adds ~0.1 s
+        # to every start of the command
+        src = os.path.dirname(os.path.dirname(spectral_certify.__file__))
+        code = "import sys, spectral_certify.cli; print('scipy.spatial' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestReportSkeleton:

@@ -181,6 +181,12 @@ class TestNet:
         net = maximal_separated_net(sq, 10.0)
         assert len(net) == 1
 
+    @pytest.mark.parametrize("sep", [1e-3, 1e-300])
+    def test_grids_over_budget_rejected(self, sep):
+        sq = ConvexPolygon([[0, 0], [10, 0], [10, 10], [0, 10]])
+        with pytest.raises(GeometryError, match="too small"):
+            maximal_separated_net(sq, sep)
+
     def test_rejects_bad_separation(self):
         sq = ConvexPolygon(UNIT_SQUARE)
         with pytest.raises(GeometryError):
@@ -230,6 +236,88 @@ class TestVoronoi:
         sq = ConvexPolygon(UNIT_SQUARE)
         with pytest.raises(GeometryError):
             voronoi_partition(sq, [[0.0, 0.0], [2.0, 0.0]])
+
+
+def _numpy_clip(verts, a, b, c, tol):
+    n = verts.shape[0]
+    vals = a * verts[:, 0] + b * verts[:, 1] - c
+    out = []
+    for i in range(n):
+        j = (i + 1) % n
+        vi, vj = verts[i], verts[j]
+        di, dj = vals[i], vals[j]
+        if di <= tol:
+            out.append(vi)
+        if (di <= tol) != (dj <= tol):
+            t = di / (di - dj)
+            out.append(vi + t * (vj - vi))
+    return np.array(out) if out else np.empty((0, 2))
+
+
+def argsort_voronoi_cells(P, sites):
+    """Reference cells: every site is argsorted by distance for every cell,
+    and the bisectors are clipped nearest first on numpy arrays."""
+    pts = np.asarray(sites, dtype=float)
+    tol = 1e-12 * P.scale
+    norms = (pts**2).sum(axis=1)
+    cells = []
+    for i in range(pts.shape[0]):
+        d2i = ((pts - pts[i]) ** 2).sum(axis=1)
+        verts = np.array(P.vertices)
+        for j in np.argsort(d2i, kind="stable"):
+            if j == i:
+                continue
+            r_max = math.sqrt(float(((verts - pts[i]) ** 2).sum(axis=1).max()))
+            if math.sqrt(float(d2i[j])) > 2.0 * r_max * (1.0 + 1e-9):
+                break
+            a = 2.0 * (pts[j, 0] - pts[i, 0])
+            b = 2.0 * (pts[j, 1] - pts[i, 1])
+            c = norms[j] - norms[i]
+            verts = _numpy_clip(verts, a, b, c, tol * math.hypot(a, b))
+        cells.append(ConvexPolygon(verts).vertices)
+    return cells
+
+
+def voronoi_oracle_cases():
+    """(domain, sites) pairs: lattice nets with exact distance ties, random
+    sites, moved rectangles, and one or two sites."""
+    rng = np.random.default_rng(21)
+    square = Rectangle(Point2(0.0, 0.0), 2.0, 2.0, 0.0).polygon()
+    idx = np.array([(i, j) for i in range(-15, 16) for j in range(-15, 16)], dtype=float)
+    lone = [[1.9, 1.9], [1.8, -1.7], [-1.6, 1.5]]
+    cases = [
+        (square, 0.125 * idx),
+        (square, _kernels.greedy_net(0.125 * idx, np.empty((0, 2)), 0.5, False)),
+        (square, _kernels.greedy_net(0.125 * idx, np.empty((0, 2)), 0.5, True)),
+        (square, rng.uniform(-2.0, 2.0, size=(300, 2))),
+        # a dense cluster and three lone sites: their cells reach far
+        # beyond the first tree ball
+        (square, np.concatenate([rng.uniform(-1.9, -1.5, (200, 2)), lone])),
+        (square, [[0.3, -0.7]]),
+        (square, [[-1.0, 0.0], [1.0, 0.0]]),
+    ]
+    for rotation, center, seed in ((0.7371, (3.5, -1.25), 1), (math.pi / 2, (-2.0, 7.0), 2)):
+        rect = Rectangle(Point2(*center), 1.5, 3.0, rotation)
+        shrunk = inner_offset(rect.polygon(), 0.2)
+        cases.append((rect.polygon(), maximal_separated_net(shrunk, 0.4)))
+        local = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(80, 2))
+        u, v = rect.axes
+        inside = rect.center.array + 1.4 * local[:, :1] * u + 2.9 * local[:, 1:] * v
+        cases.append((rect.polygon(), inside))
+    return cases
+
+
+class TestVoronoiOracle:
+    """The tree-neighbour partition gives exactly the argsort reference cells."""
+
+    @pytest.mark.parametrize("case", range(len(voronoi_oracle_cases())))
+    def test_cells_equal(self, case):
+        P, sites = voronoi_oracle_cases()[case]
+        part = voronoi_partition(P, sites)
+        want = argsort_voronoi_cells(P, sites)
+        assert len(part.cells) == len(want)
+        for cell, ref in zip(part.cells, want):
+            assert np.array_equal(cell.vertices, ref)
 
 
 class TestRectangle:
@@ -338,6 +426,17 @@ class TestPacking:
         check = ball_packing_count(sq, [[1.0, 1.0], [3.0, 1.0]], 1.0)
         assert check.count == 2
 
+    def test_tangent_lattice_exact(self):
+        # 1600 centers, every neighbour pair tangent; moving one center a
+        # single ulp towards its neighbour makes two balls overlap
+        sq = ConvexPolygon([[0, 0], [20, 0], [20, 20], [0, 20]])
+        idx = np.array([(i, j) for i in range(40) for j in range(40)], dtype=float)
+        centers = 0.25 + 0.5 * idx
+        assert ball_packing_count(sq, centers, 0.25).count == 1600
+        centers[777, 0] = np.nextafter(centers[777, 0], np.inf)
+        with pytest.raises(GeometryError):
+            ball_packing_count(sq, centers, 0.25)
+
 
 def brute_force_greedy_net(candidates, existing, sep, strict):
     """Reference scan: every candidate is compared with every kept point."""
@@ -371,6 +470,39 @@ class TestGreedyNetOracle:
                 got = _kernels.greedy_net(cands, existing, sep, strict)
                 want = brute_force_greedy_net(cands, existing, sep, strict)
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e5])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_existing_at_exact_separation(self, offset, strict):
+        # pitch sep/8 = 1/32 keeps every lattice coordinate exact at both
+        # offsets, so many candidates lie at distance exactly sep from an
+        # existing point and only the strict rule tells them apart
+        sep = 0.25
+        idx = np.array([(i, j) for i in range(-24, 25) for j in range(-24, 25)])
+        lattice = offset + (sep / 8.0) * idx.astype(float)
+        # existing points at exactly sep from lattice points, and others one
+        # ulp further out, just beyond sep
+        existing = np.concatenate(
+            [
+                lattice[::97] + np.array([sep, 0.0]),
+                np.nextafter(lattice[48::97] + np.array([0.0, sep]), np.inf),
+            ]
+        )
+        d = lattice[:, None, :] - existing[None, :, :]
+        dist = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+        assert (dist == sep).sum() > 20
+        assert ((dist > sep) & (dist < sep * (1.0 + 1e-9))).sum() > 20
+        shuffled = lattice[np.random.default_rng(15).permutation(len(lattice))]
+        # sparse: each existing point has one candidate at exactly sep and
+        # one just beyond it, and nothing else nearby
+        sparse = lattice[::50] * 20.0 - 19.0 * offset
+        lone = np.concatenate(
+            [sparse + np.array([sep, 0.0]), np.nextafter(sparse + np.array([0.0, sep]), np.inf)]
+        )
+        for cands, near in ((lattice, existing), (shuffled, existing), (lone, sparse)):
+            got = _kernels.greedy_net(cands, near, sep, strict)
+            want = brute_force_greedy_net(cands, near, sep, strict)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("offset", [0.0, -7.3, 1e5])
     def test_random_points(self, offset):
