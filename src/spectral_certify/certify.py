@@ -147,30 +147,46 @@ class PartitionCertificate:
 
     @classmethod
     def from_dict(cls, obj) -> "PartitionCertificate":
-        if obj.get("schema") != CERTIFICATE_SCHEMA:
+        """Load a certificate; a missing or malformed field raises
+        CertificationError naming it."""
+        if not isinstance(obj, dict) or obj.get("schema") != CERTIFICATE_SCHEMA:
             raise CertificationError("unknown certificate schema")
-        dom = obj["domain"]
+
+        def get(path, convert):
+            value = obj
+            try:
+                for key in path.split("."):
+                    value = value[key]
+            except (KeyError, TypeError):
+                raise CertificationError(f"certificate field {path!r} is missing") from None
+            try:
+                return convert(value)
+            except (TypeError, ValueError) as exc:
+                raise CertificationError(
+                    f"certificate field {path!r} is malformed: {exc}"
+                ) from None
+
         rect = Rectangle(
-            geometry.Point2(*dom["center"]),
-            dom["half_width_a"],
-            dom["half_width_b"],
-            dom["rotation"],
+            get("domain.center", _point),
+            get("domain.half_width_a", float),
+            get("domain.half_width_b", float),
+            get("domain.rotation", float),
         )
         return cls(
             domain=rect,
-            k=int(obj["k"]),
-            l=int(obj["l"]),
-            C=float(obj["C"]),
-            mu_k_estimate=float(obj["mu_k_estimate"]),
-            mu_source=str(obj["mu_source"]),
-            R=float(obj["R"]),
-            case_tag=str(obj["case_tag"]),
-            cells=[ConvexPolygon(v) for v in obj["cells"]],
-            cell_diameters=[float(d) for d in obj["cell_diameters"]],
-            diameter_bound=float(obj["diameter_bound"]),
-            l_prime=int(obj["l_prime"]),
-            lower_bound=float(obj["lower_bound"]),
-            chain_ok=bool(obj["chain_ok"]),
+            k=get("k", int),
+            l=get("l", int),
+            C=get("C", float),
+            mu_k_estimate=get("mu_k_estimate", float),
+            mu_source=get("mu_source", str),
+            R=get("R", float),
+            case_tag=get("case_tag", str),
+            cells=get("cells", lambda v: [ConvexPolygon(c) for c in _listed(v)]),
+            cell_diameters=get("cell_diameters", lambda v: [float(d) for d in _listed(v)]),
+            diameter_bound=get("diameter_bound", float),
+            l_prime=get("l_prime", int),
+            lower_bound=get("lower_bound", float),
+            chain_ok=get("chain_ok", bool),
             notes=str(obj.get("notes", "")),
         )
 
@@ -180,6 +196,17 @@ class PartitionCertificate:
     @classmethod
     def from_json(cls, text: str) -> "PartitionCertificate":
         return cls.from_dict(json.loads(text))
+
+
+def _listed(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _point(value) -> geometry.Point2:
+    x, y = _listed(value)
+    return geometry.Point2(float(x), float(y))
 
 
 def partition_radius(k: int, l: int, C: float, mu_k: float) -> float:

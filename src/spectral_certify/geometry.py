@@ -50,6 +50,14 @@ def _as_points(points) -> np.ndarray:
     return arr
 
 
+def _halfplanes(v: np.ndarray, w: np.ndarray):
+    """Unit normals n to the right of the edges v -> w and offsets c = n . v."""
+    e = w - v
+    lengths = np.hypot(e[:, 0], e[:, 1])
+    normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lengths[:, None]
+    return normals, (normals * v).sum(axis=1)
+
+
 class ConvexPolygon:
     """Closed convex region given by counterclockwise vertices.
 
@@ -116,11 +124,7 @@ class ConvexPolygon:
     def edge_halfplanes(self):
         """Outward unit normals and offsets: inside iff n . p <= c for all edges."""
         v = self.vertices
-        e = np.concatenate((v[1:], v[:1])) - v
-        lengths = np.hypot(e[:, 0], e[:, 1])
-        normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lengths[:, None]
-        offsets = (normals * v).sum(axis=1)
-        return normals, offsets
+        return _halfplanes(v, np.concatenate((v[1:], v[:1])))
 
     def contains_points(self, points, tol=None):
         pts = _as_points(points)
@@ -266,9 +270,19 @@ class VoronoiPartition:
             raise GeometryError(
                 f"cell areas sum to {total!r}, domain area is {self.domain.area!r}"
             )
-        for i, cell in enumerate(self.cells):
-            if not cell.contains_points(self.sites[i : i + 1])[0]:
-                raise GeometryError(f"cell {i} does not contain its site")
+        # each site against its own cell's edge half-planes, all cells at once,
+        # as ConvexPolygon.contains_points tests them and with its tolerance
+        sizes = np.array([c.n for c in self.cells])
+        ends = np.cumsum(sizes)
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        v = np.concatenate([c.vertices for c in self.cells])
+        nxt = np.arange(1, ends[-1] + 1)
+        nxt[ends - 1] = ends - sizes
+        normals, offsets = _halfplanes(v, v[nxt])
+        tol = EPS_REL * np.array([c.scale for c in self.cells])[owner]
+        outside = (normals * self.sites[owner]).sum(axis=1) > offsets + tol
+        if outside.any():
+            raise GeometryError(f"cell {owner[outside].min()} does not contain its site")
 
 
 def _min_pair_d2(pts: np.ndarray) -> float:

@@ -20,6 +20,12 @@ class MeshError(ValueError):
     pass
 
 
+# A P1 spectrum peaks under 1700 bytes a triangle (mesh, assembly arrays and LU
+# factor of K + M; rect:10:1 at level 8: 262,144 triangles, 478 MiB peak RSS),
+# so the budget admits ~630k triangles: level 8 of a quadrilateral, 5 of a 256-gon.
+MESH_BYTES = 2**30
+
+
 @dataclass
 class TriangleMesh:
     """Conforming triangulation: vertices (V, 2), positively oriented
@@ -86,13 +92,16 @@ class TriangleMesh:
 
 
 def _edge_counts(triangles: np.ndarray):
-    """Occurrence count of each undirected edge over the triangle list."""
-    edges = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    )
-    edges.sort(axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return uniq, counts
+    """Undirected edges (E, 2) in lexicographic order, how many triangles
+    share each, and the edge of every triangle side as a (3, T) array whose
+    rows are the sides (0, 1), (1, 2) and (2, 0)."""
+    a = triangles.T
+    b = a[[1, 2, 0]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # with every index below v, lo * v + hi sorts exactly like the pair (lo, hi)
+    v = int(triangles.max()) + 1
+    keys, sides, counts = np.unique(lo * v + hi, return_inverse=True, return_counts=True)
+    return np.stack([keys // v, keys % v], axis=1), counts, sides.reshape(3, -1)
 
 
 def triangulate(P: ConvexPolygon) -> TriangleMesh:
@@ -119,28 +128,15 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
     """Uniform refinement: each triangle splits into four via edge
     midpoints.  Children are similar to their parents, so the minimal
     angle is preserved and h_max halves exactly."""
-    tris = mesh.triangles
-    uniq, counts = _edge_counts(tris)
-    edge_index = {(int(a), int(b)): i for i, (a, b) in enumerate(uniq)}
+    uniq, counts, sides = _edge_counts(mesh.triangles)
     mid_coords = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
-    nv = mesh.num_vertices
     verts = np.vstack([mesh.vertices, mid_coords])
     # a midpoint is on the boundary iff its edge belongs to one triangle only
     boundary = np.concatenate([mesh.boundary, counts == 1])
-
-    def midpoint(a, b):
-        return nv + edge_index[(a, b) if a < b else (b, a)]
-
-    children = np.empty((4 * mesh.num_triangles, 3), dtype=np.int64)
-    for t, (i, j, k) in enumerate(tris):
-        i, j, k = int(i), int(j), int(k)
-        mij = midpoint(i, j)
-        mjk = midpoint(j, k)
-        mki = midpoint(k, i)
-        children[4 * t + 0] = (i, mij, mki)
-        children[4 * t + 1] = (mij, j, mjk)
-        children[4 * t + 2] = (mki, mjk, k)
-        children[4 * t + 3] = (mij, mjk, mki)
+    # columns i, j, k, mij, mjk, mki; children (i, mij, mki), (mij, j, mjk),
+    # (mki, mjk, k), (mij, mjk, mki) of each parent in turn
+    corners = np.concatenate([mesh.triangles, mesh.num_vertices + sides.T], axis=1)
+    children = corners[:, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]].reshape(-1, 3)
     return TriangleMesh(
         vertices=verts,
         triangles=children,
@@ -151,9 +147,13 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
 
 
 def mesh_polygon(P: ConvexPolygon, levels: int) -> TriangleMesh:
-    """Fan triangulation refined the given number of times."""
+    """Fan triangulation refined the given number of times; a mesh over the
+    MESH_BYTES budget is refused before it is built."""
     if not isinstance(levels, (int, np.integer)) or levels < 0:
         raise MeshError("refinement level must be an integer >= 0")
+    triangles = P.n * 4 ** min(int(levels), 32)  # past level 32 every mesh is over budget
+    if triangles * 1700 > MESH_BYTES:
+        raise MeshError(f"refinement level {levels} gives {triangles:.3g} triangles, over budget")
     mesh = triangulate(P)
     for _ in range(levels):
         mesh = refine(mesh)
@@ -171,7 +171,7 @@ def check_conforming(mesh: TriangleMesh, domain: ConvexPolygon | None = None) ->
     areas = mesh.signed_areas()
     if (areas <= 0).any():
         raise MeshError("mesh contains a non-positively-oriented triangle")
-    uniq, counts = _edge_counts(mesh.triangles)
+    uniq, counts, _ = _edge_counts(mesh.triangles)
     if ((counts < 1) | (counts > 2)).any():
         raise MeshError("an edge belongs to more than two triangles")
     boundary_edges = uniq[counts == 1]

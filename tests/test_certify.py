@@ -153,6 +153,23 @@ class TestVerificationChain:
             PartitionCertificate.from_dict(obj)
 
     @pytest.mark.parametrize(
+        "field,mutate",
+        [
+            ("'l_prime' is missing", lambda d: d.pop("l_prime")),
+            ("'domain.rotation' is missing", lambda d: d["domain"].pop("rotation")),
+            ("'cells' is malformed", lambda d: d.__setitem__("cells", {"0": d["cells"][0]})),
+            ("'domain.center' is malformed", lambda d: d["domain"].__setitem__("center", [0.0])),
+            ("'domain.center' is malformed", lambda d: d["domain"].__setitem__("center", 0.0)),
+        ],
+    )
+    def test_malformed_field_named(self, field, mutate):
+        cert, _ = self.verifying_certificate()
+        obj = json.loads(cert.to_json())
+        mutate(obj)
+        with pytest.raises(CertificationError, match=field):
+            PartitionCertificate.from_dict(obj)
+
+    @pytest.mark.parametrize(
         "name,mutate",
         [
             ("R", lambda d: d.__setitem__("R", d["R"] * 1.01)),

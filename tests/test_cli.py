@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spectral_certify
-from spectral_certify import fem
+from spectral_certify import fem, mesh
 from spectral_certify.cli import (
     EXIT_CERTIFY,
     EXIT_OK,
@@ -117,6 +117,20 @@ class TestExitCodes:
         assert out == ""
         assert "separation" in err
         assert time.perf_counter() - start < 10.0
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_meshes_over_budget(self, capsys, monkeypatch, command):
+        # level 12 of a 256-gon is 4.3e9 triangles: refused before refining
+        def no_refine(*args, **kwargs):
+            raise AssertionError("a mesh was refined")
+
+        monkeypatch.setattr(mesh, "refine", no_refine)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--domain", "regular:256", "--levels", "12")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "4.29e+09 triangles" in err
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSpectrumCommand:

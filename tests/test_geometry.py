@@ -13,6 +13,7 @@ from spectral_certify.geometry import (
     GeometryError,
     Point2,
     Rectangle,
+    VoronoiPartition,
     ball_packing_count,
     diameter,
     inner_offset,
@@ -236,6 +237,23 @@ class TestVoronoi:
         sq = ConvexPolygon(UNIT_SQUARE)
         with pytest.raises(GeometryError):
             voronoi_partition(sq, [[0.0, 0.0], [2.0, 0.0]])
+
+    @pytest.mark.parametrize("moved", [0, 4, 8])
+    def test_rejects_site_outside_its_cell(self, moved):
+        sq = ConvexPolygon(UNIT_SQUARE)
+        g = np.linspace(-1.0 / 3.0, 1.0 / 3.0, 3)
+        part = voronoi_partition(sq, np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2))
+        corner = part.cells[moved].vertices[0]
+        sites = part.sites.copy()
+        # a site on a corner of its own cell is inside it
+        sites[moved] = corner
+        VoronoiPartition(sq, sites, part.cells)
+        sites[moved] = corner + 1e-6 * (corner - part.sites[moved])
+        with pytest.raises(GeometryError, match=f"cell {moved} does not contain its site"):
+            VoronoiPartition(sq, sites, part.cells)
+        sites[moved] = part.sites[(moved + 1) % 9]
+        with pytest.raises(GeometryError, match=f"cell {moved} does not contain its site"):
+            VoronoiPartition(sq, sites, part.cells)
 
 
 def _numpy_clip(verts, a, b, c, tol):
