@@ -7,6 +7,7 @@ profiler can wrap them in place.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -44,18 +45,23 @@ def p1_element_matrices(coords):
     return areas, kloc, mloc
 
 
-def greedy_net(candidates, existing, sep, strict):
+def greedy_net(candidates, existing, sep, strict, *, limit=None):
     """Scan candidates in order, keeping those far enough from all kept points.
 
     A candidate is rejected when its distance sqrt(dx^2 + dy^2) to an already
     kept point is < sep (strict=False) or <= sep (strict=True); sep > 0.
     Returns existing with the accepted candidates appended, in scan order.
+    With a limit, the scan stops once limit + 1 rows are kept, and the
+    result is the first limit + 1 rows of the unlimited one (all of it
+    when that is shorter).
 
     Candidates that their nearest point of existing rejects are dropped first,
     on arrays (a k-d tree proposes that point, the rule above decides).  The
     rest are scanned with kept points bucketed in squares a little wider than
     sep, so only the 3x3 buckets around a candidate can hold a rejecting point.
     """
+    if limit is not None and existing.shape[0] > limit:
+        return existing[: limit + 1].copy()
     if existing.shape[0] > 0 and candidates.shape[0] > 0:
         d = candidates - existing[kdtree(existing).query(candidates)[1]]
         dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
@@ -83,13 +89,19 @@ def greedy_net(candidates, existing, sep, strict):
 
     for x, y in existing.tolist():
         buckets.setdefault(key(x, y), []).append((x, y))
+    room = math.inf if limit is None else limit + 1 - existing.shape[0]
     accepted = []
-    for start in range(0, candidates.shape[0], _SCAN_CHUNK):
-        for x, y in candidates[start : start + _SCAN_CHUNK].tolist():
-            bx, by = key(x, y)
-            if not rejected(x, y, bx, by):
-                buckets.setdefault((bx, by), []).append((x, y))
-                accepted.append((x, y))
+    chunks = (
+        candidates[start : start + _SCAN_CHUNK].tolist()
+        for start in range(0, candidates.shape[0], _SCAN_CHUNK)
+    )
+    for x, y in itertools.chain.from_iterable(chunks):
+        bx, by = key(x, y)
+        if not rejected(x, y, bx, by):
+            buckets.setdefault((bx, by), []).append((x, y))
+            accepted.append((x, y))
+            if len(accepted) == room:
+                break
     return np.concatenate([existing, np.array(accepted, dtype=float).reshape(-1, 2)])
 
 

@@ -247,7 +247,9 @@ def construct_partition(
     C: float,
     mu_k: float,
     mu_source: str = "closed_form",
-) -> PartitionCertificate:
+    *,
+    max_pieces: int | None = None,
+) -> PartitionCertificate | None:
     """Build the partition certificate for the quadratic bound on a rectangle.
 
     Strip case (short half-width a <= 2R): cross-axis strips of height
@@ -256,6 +258,9 @@ def construct_partition(
     R-inner parallel body; each cell then lies within (2 + sqrt(2)) R of
     its site.  The chain_ok flag records the structural checks only; run
     verify_certificate against a reference mu_l to validate the full chain.
+
+    With max_pieces, a partition of more pieces is not built: the net scan
+    stops at max_pieces + 1 sites and None is returned.
     """
     R = partition_radius(k, l, C, mu_k)
     a, b = domain.half_width_a, domain.half_width_b
@@ -263,6 +268,8 @@ def construct_partition(
     if a <= 2.0 * R:
         case_tag = "Strip"
         count = max(1, math.ceil(2.0 * b / R))
+        if max_pieces is not None and count > max_pieces:
+            return None
         cells, height = _strip_cells(domain, count)
         bound = math.hypot(2.0 * a, height)
         notes.append(
@@ -277,7 +284,9 @@ def construct_partition(
                 "inner parallel body vanished in the net case; cannot happen "
                 "for a rectangle with a > 2R"
             )
-        net = maximal_separated_net(shrunk, 2.0 * R)
+        net = maximal_separated_net(shrunk, 2.0 * R, limit=max_pieces)
+        if max_pieces is not None and len(net) > max_pieces:
+            return None
         part = voronoi_partition(domain.polygon(), net)
         cells = part.cells
         bound = NET_DIAMETER_FACTOR * R
@@ -435,8 +444,9 @@ def minimal_constant(domain: Rectangle, k: int, l: int) -> float:
         raise CertificationError("mu_k must be positive to define the scale R")
 
     def verifies(c: float) -> bool:
-        cert = construct_partition(domain, k, l, c, mu_k)
-        return verify_certificate(cert, mu_l).holds_all
+        # more than l pieces fails piece_count, so such a probe stops there
+        cert = construct_partition(domain, k, l, c, mu_k, max_pieces=l)
+        return cert is not None and verify_certificate(cert, mu_l).holds_all
 
     c = _C_FLOOR
     found = None

@@ -42,7 +42,10 @@ class Point2:
 
 
 def _as_points(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"expected an (n, 2) point array: {exc}") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise GeometryError(f"expected an (n, 2) point array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -205,7 +208,7 @@ def inner_offset(P: ConvexPolygon, r: float) -> ConvexPolygon | None:
 NET_GRID_BYTES = 256 * 2**20
 
 
-def maximal_separated_net(P: ConvexPolygon, sep: float) -> np.ndarray:
+def maximal_separated_net(P: ConvexPolygon, sep: float, *, limit: int | None = None) -> np.ndarray:
     """Deterministic point net in P: pairwise distances >= sep, and every
     point of P (checked on a grid of pitch sep/16) lies within sep of a
     net point.
@@ -213,6 +216,8 @@ def maximal_separated_net(P: ConvexPolygon, sep: float) -> np.ndarray:
     A greedy pass over a grid of pitch sep/8 builds a maximal separated
     set; a second pass over the finer grid adds any sample farther than
     sep from the net, which preserves separation and enforces covering.
+    With a limit, the passes stop once the net has limit + 1 points, and
+    what they return is the first limit + 1 points of the full net.
     """
     if P is None:
         raise GeometryError("cannot build a net over an empty region")
@@ -242,10 +247,12 @@ def maximal_separated_net(P: ConvexPolygon, sep: float) -> np.ndarray:
     if coarse.shape[0] == 0:
         net = P.centroid[None, :]
     else:
-        net = _kernels.greedy_net(coarse, empty, float(sep), False)
+        net = _kernels.greedy_net(coarse, empty, float(sep), False, limit=limit)
+    if limit is not None and net.shape[0] > limit:
+        return net
     fine = grid_inside(sep / 16.0)
     if fine.shape[0] > 0:
-        net = _kernels.greedy_net(fine, net, float(sep), True)
+        net = _kernels.greedy_net(fine, net, float(sep), True, limit=limit)
     return net
 
 
@@ -648,8 +655,8 @@ def polygon_to_json(P: ConvexPolygon) -> dict:
 def polygon_from_json(obj) -> ConvexPolygon:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    if "vertices" not in obj:
-        raise GeometryError("polygon JSON needs a 'vertices' key")
+    if not isinstance(obj, dict) or "vertices" not in obj:
+        raise GeometryError("polygon JSON must be an object with a 'vertices' key")
     return ConvexPolygon(obj["vertices"])
 
 

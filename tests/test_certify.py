@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from spectral_certify import certify
 from spectral_certify.bounds import rectangle_spectrum
 from spectral_certify.certify import (
     CertificationError,
@@ -262,6 +263,114 @@ class TestMinimalConstant:
     def test_rejects_bad_indices(self):
         with pytest.raises(CertificationError):
             minimal_constant(UNIT_SQUARE, 1, 2)
+
+
+def uncapped_minimal_constant(domain, k, l):
+    """Reference search: minimal_constant's doubling and bisection, with
+    every probe's partition built and verified in full.  Returns the
+    constant and the (C, verdict) of each probe in order."""
+    spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
+    mu_k, mu_l = spec[k], spec[l]
+    probes = []
+
+    def verifies(c):
+        ok = verify_certificate(construct_partition(domain, k, l, c, mu_k), mu_l).holds_all
+        probes.append((c, ok))
+        return ok
+
+    c = certify._C_FLOOR
+    while not verifies(c):
+        c *= 2.0
+        assert c <= certify._C_CEIL
+    if c == certify._C_FLOOR:
+        return c, probes
+    lo, hi = c / 2.0, c
+    while hi / lo > certify._C_FACTOR:
+        mid = math.sqrt(lo * hi)
+        if verifies(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, probes
+
+
+def traced_search(monkeypatch, domain, k, l):
+    """minimal_constant with the (C, verdict) of each probe recorded; a
+    probe stopped at the piece cap is never verified, so it reads False."""
+    construct, verify = certify.construct_partition, certify.verify_certificate
+    probes = []
+
+    def constructed(dom, k, l, c, *args, **kwargs):
+        probes.append((c, False))
+        return construct(dom, k, l, c, *args, **kwargs)
+
+    def verified(cert, *args, **kwargs):
+        report = verify(cert, *args, **kwargs)
+        probes[-1] = (probes[-1][0], report.holds_all)
+        return report
+
+    monkeypatch.setattr(certify, "construct_partition", constructed)
+    monkeypatch.setattr(certify, "verify_certificate", verified)
+    return minimal_constant(domain, k, l), probes
+
+
+# square k=l=24, rect:10:10 k=l=40, rect:3:1 k=30 l=12, a 10:1 rectangle,
+# and two rotated, translated rectangles
+SEARCH_CASES = [
+    (UNIT_SQUARE, 24, 24),
+    (Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0), 40, 40),
+    (Rectangle(Point2(0.0, 0.0), 0.5, 1.5, 0.0), 30, 12),
+    (Rectangle(Point2(0.0, 0.0), 0.5, 5.0, 0.0), 20, 10),
+    (Rectangle(Point2(1.3, -0.7), 0.8, 2.1, 0.6), 24, 8),
+    (Rectangle(Point2(-3.0, 2.0), 2.0, 2.5, 2.2), 30, 30),
+]
+
+
+class TestSearchOracle:
+    """The capped search returns the constant and the probe verdicts of
+    the search that builds every partition in full."""
+
+    @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
+    def test_same_constant_and_verdicts(self, case, monkeypatch):
+        domain, k, l = SEARCH_CASES[case]
+        want_c, want = uncapped_minimal_constant(domain, k, l)
+        got_c, got = traced_search(monkeypatch, domain, k, l)
+        assert got_c == want_c
+        assert got == want
+
+
+class TestProbeCap:
+    @pytest.mark.parametrize("C, case", [(0.5, "Net"), (6.0, "Strip")])
+    def test_cap_at_piece_count(self, C, case):
+        domain = SEARCH_CASES[1][0]
+        mu_k = rectangle_spectrum(5.0, 5.0, 41)[40]
+        full = construct_partition(domain, 40, 40, C, mu_k)
+        assert full.case_tag == case
+        assert construct_partition(domain, 40, 40, C, mu_k, max_pieces=full.l_prime - 1) is None
+        capped = construct_partition(domain, 40, 40, C, mu_k, max_pieces=full.l_prime)
+        assert capped.to_json() == full.to_json()
+
+    def test_search_partitions_no_net_over_l(self, monkeypatch):
+        net, partition = certify.maximal_separated_net, certify.voronoi_partition
+        net_sizes, site_counts = [], []
+
+        def recorded_net(*args, **kwargs):
+            sites = net(*args, **kwargs)
+            net_sizes.append(len(sites))
+            return sites
+
+        def counted_partition(P, sites):
+            site_counts.append(len(sites))
+            return partition(P, sites)
+
+        monkeypatch.setattr(certify, "maximal_separated_net", recorded_net)
+        monkeypatch.setattr(certify, "voronoi_partition", counted_partition)
+        minimal_constant(SEARCH_CASES[1][0], 40, 40)
+        # probes met nets over the cap, stopped at 41 sites, and only the
+        # nets within it were partitioned
+        assert max(net_sizes) == 41
+        assert site_counts == [n for n in net_sizes if n <= 40]
+        assert site_counts
 
 
 class TestQuadraticRatioSweep:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spectral_certify
-from spectral_certify import fem, mesh
+from spectral_certify import certify, fem, mesh
 from spectral_certify.cli import (
     EXIT_CERTIFY,
     EXIT_OK,
@@ -117,6 +117,33 @@ class TestExitCodes:
         assert out == ""
         assert "separation" in err
         assert time.perf_counter() - start < 10.0
+
+    @pytest.mark.parametrize("text", ["3", "null", '{"vertices": {"x": 1}}'])
+    def test_domain_file_not_a_polygon_object(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "spectrum", "--domain", f"file:{path}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("invalid input:")
+
+    def test_certify_given_constant_builds_every_cell(self, capsys, monkeypatch):
+        # only the search caps its probes: the failing net certificate of a
+        # given constant is built and emitted whole
+        partition = certify.voronoi_partition
+        site_counts = []
+
+        def counted(P, sites):
+            site_counts.append(len(sites))
+            return partition(P, sites)
+
+        monkeypatch.setattr(certify, "voronoi_partition", counted)
+        code, out, _ = run(
+            capsys, "certify", "--domain", "rect:10:10", "--k", "40", "--l", "40", "--C", "0.5"
+        )
+        assert code == EXIT_CERTIFY
+        cert = json.loads(out)["results"]["certificate"]
+        assert site_counts == [cert["l_prime"]] == [len(cert["cells"])] == [394]
 
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_meshes_over_budget(self, capsys, monkeypatch, command):

@@ -86,6 +86,14 @@ class TestConvexPolygon:
         q = polygon_from_json(polygon_to_json(p))
         assert np.array_equal(p.vertices, q.vertices)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["3", "null", '"square"', "[[0, 0], [1, 0], [0, 1]]", "{}", '{"vertices": {"x": 1}}'],
+    )
+    def test_json_not_a_polygon_object(self, text):
+        with pytest.raises(GeometryError):
+            polygon_from_json(text)
+
 
 class TestInnerOffset:
     def test_square_offset_is_smaller_square(self):
@@ -187,6 +195,36 @@ class TestNet:
         sq = ConvexPolygon([[0, 0], [10, 0], [10, 10], [0, 10]])
         with pytest.raises(GeometryError, match="too small"):
             maximal_separated_net(sq, sep)
+
+    def test_limited_grids_over_budget_rejected(self, monkeypatch):
+        # a limit stops the scans early, but the grid budget is still
+        # checked before any grid is built
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a net grid was built")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        sq = ConvexPolygon([[0, 0], [10, 0], [10, 10], [0, 10]])
+        with pytest.raises(GeometryError, match="too small"):
+            maximal_separated_net(sq, 1e-3, limit=40)
+
+    @pytest.mark.parametrize("limit", [0, 1, 22, 23, 24, 25, 26, 100])
+    def test_limit_gives_a_prefix(self, limit, monkeypatch):
+        # the 12-gon's sep=0.37 net has 26 points, 24 of them from the
+        # coarse pass: the limits stop each pass, or neither
+        scan = _kernels.greedy_net
+        sizes = []
+
+        def counted(*args, **kwargs):
+            net = scan(*args, **kwargs)
+            sizes.append(len(net))
+            return net
+
+        monkeypatch.setattr(_kernels, "greedy_net", counted)
+        poly = regular_polygon(12)
+        full = maximal_separated_net(poly, 0.37)
+        assert sizes == [24, 26]
+        got = maximal_separated_net(poly, 0.37, limit=limit)
+        assert np.array_equal(got, full[: limit + 1])
 
     def test_rejects_bad_separation(self):
         sq = ConvexPolygon(UNIT_SQUARE)
@@ -531,6 +569,22 @@ class TestGreedyNetOracle:
             got = _kernels.greedy_net(cands, existing, 0.3, strict)
             want = brute_force_greedy_net(cands, existing, 0.3, strict)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_limit_keeps_a_prefix(self, strict):
+        # a limit stops the scan after limit + 1 rows, existing ones counted;
+        # what it returns is the head of the unlimited result
+        sep = 0.3
+        idx = np.array([(i, j) for i in range(-24, 25) for j in range(-24, 25)])
+        lattice = (sep / 8.0) * idx.astype(float)
+        shuffled = lattice[np.random.default_rng(16).permutation(len(lattice))]
+        for cands in (lattice, shuffled):
+            for existing in (np.empty((0, 2)), cands[:3] + sep / 16.0):
+                full = _kernels.greedy_net(cands, existing, sep, strict)
+                n = len(full)
+                for limit in (0, 1, 2, 3, 4, 10, n - 2, n - 1, n, n + 5):
+                    got = _kernels.greedy_net(cands, existing, sep, strict, limit=limit)
+                    assert np.array_equal(got, full[: limit + 1])
 
 
 class TestSvg:
