@@ -20,6 +20,7 @@ from .bounds import (
     unit_ball_volume,
 )
 from .certify import (
+    CertificateFormatError,
     CertificationError,
     ChainLink,
     ChainReport,

@@ -1,5 +1,6 @@
-"""Hot numeric loops: P1 element matrices, the greedy net scan and
-half-plane membership, and the k-d tree the net and Voronoi code share.
+"""Hot numeric loops: P1 element matrices, the greedy net scan, half-plane
+membership, and the bucket grid that is the proximity index of the net
+scan, the Voronoi clip and the pair tests.
 
 Callers look these up as module attributes (``_kernels.greedy_net``), so a
 profiler can wrap them in place.
@@ -7,7 +8,6 @@ profiler can wrap them in place.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -15,9 +15,13 @@ import numpy as np
 # read by the end-to-end benchmark's environment block; every kernel is numpy
 NUMBA_ENABLED = False
 
-# candidates become Python floats a chunk at a time: a 410k-point fine grid
-# as one list of pairs takes ~60 MiB
-_SCAN_CHUNK = 4096
+# grid queries take this many query points at a time and hand back index
+# pairs in chunks of about this many, so memory stays bounded
+_QUERY_CHUNK = 4096
+_PAIR_CHUNK = 1 << 16
+# a scan batch is a run of candidates sharing one x coordinate (a lattice
+# column), joined with the following runs while it is shorter than this
+_MIN_RUN = 16
 # own bucket first: it is the likeliest to hold a rejecting point
 _NEIGHBOURS = [(0, 0)] + [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]
 
@@ -45,6 +49,100 @@ def p1_element_matrices(coords):
     return areas, kloc, mloc
 
 
+def bucket_frame(points, radius):
+    """Origin and bucket width of a grid over points queried at distance radius.
+
+    Keys are floor((p - origin) / width) with the origin at the lower-left
+    corner of points, which keeps the rounding of the quotient small.  The
+    width exceeds radius by a margin that covers that rounding for any
+    spread, so two points within radius * r of each other always have keys
+    at most r apart along each axis, and keys stay below ~1e15.
+    """
+    origin = points.min(axis=0)
+    span = float((points.max(axis=0) - origin).max())
+    return origin, radius * (1.0 + 1e-9) + span * 1e-15
+
+
+def _spans(lo, hi):
+    """Owner index and value of every member of the ranges [lo[k], hi[k])."""
+    counts = hi - lo
+    owner = np.arange(counts.size).repeat(counts)
+    shift = (lo - counts.cumsum() + counts).repeat(counts)
+    return owner, np.arange(owner.size) + shift
+
+
+class BucketGrid:
+    """Points in square buckets, keyed from a common origin (bucket_frame).
+
+    Buckets are numbered row-major over the bucket columns and rows that
+    hold a point, so their numbers stay below n^2 whatever the keys, and
+    the points of consecutive buckets of one column form one slice of the
+    sorted order.
+    """
+
+    def __init__(self, points, origin, width):
+        self.points = points
+        self.origin = origin
+        self.width = width
+        kx, ky = self.keys(points)
+        self._cols, col = np.unique(kx, return_inverse=True)
+        self._rows, row = np.unique(ky, return_inverse=True)
+        cell = col * self._rows.size + row
+        self._order = np.argsort(cell, kind="stable")
+        self._cells = cell[self._order]
+
+    def keys(self, pts):
+        """Column and row keys of the rows of pts."""
+        k = np.floor((pts - self.origin) / self.width).astype(np.int64)
+        return k[:, 0], k[:, 1]
+
+    def pairs(self, queries, reach=1):
+        """Yield index arrays (i, j) that pair query i with every point j
+        whose key is at most reach from the query's along each axis, a
+        bounded number of pairs at a time."""
+        cols, rows, cells = self._cols, self._rows, self._cells
+        for start in range(0, queries.shape[0], _QUERY_CHUNK):
+            qkx, qky = self.keys(queries[start : start + _QUERY_CHUNK])
+            # the bucket columns within reach that hold points, and in each
+            # of them the slice of rows within reach
+            q, col = _spans(cols.searchsorted(qkx - reach), cols.searchsorted(qkx + reach, "right"))
+            base = col * rows.size
+            lo = cells.searchsorted(base + rows.searchsorted(qky - reach)[q])
+            hi = cells.searchsorted(base + rows.searchsorted(qky + reach, "right")[q])
+            ends = (hi - lo).cumsum()
+            total = ends[-1] if ends.size else 0
+            cuts = ends.searchsorted(np.arange(_PAIR_CHUNK, total, _PAIR_CHUNK))
+            for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), ends.size]):
+                owner, j = _spans(lo[a:b], hi[a:b])
+                yield q[a:b][owner] + start, self._order[j]
+
+
+def _runs(candidates):
+    """Consecutive slices of candidates that share one x coordinate; shorter
+    ones are joined with what follows up to _MIN_RUN rows, and longer ones
+    are cut at _QUERY_CHUNK rows (a chunk of Python floats at a time)."""
+    n = candidates.shape[0]
+    start = 0
+    for stop in [*(np.flatnonzero(candidates[1:, 0] != candidates[:-1, 0]) + 1).tolist(), n]:
+        if stop - start >= _MIN_RUN or stop == n:
+            for lo in range(start, stop, _QUERY_CHUNK):
+                yield candidates[lo : min(lo + _QUERY_CHUNK, stop)]
+            start = stop
+
+
+def _far(grid, pts, sep, strict, reach=1):
+    """Mask of the rows of pts that no point of the grid within reach
+    buckets rejects (distance < sep, or <= sep when strict)."""
+    near = np.zeros(pts.shape[0], dtype=bool)
+    gx, gy = grid.points.T
+    for i, j in grid.pairs(pts, reach):
+        dx = pts[i, 0] - gx[j]
+        dy = pts[i, 1] - gy[j]
+        dist = np.sqrt(dx * dx + dy * dy)
+        near[i[(dist <= sep) if strict else (dist < sep)]] = True
+    return ~near
+
+
 def greedy_net(candidates, existing, sep, strict, *, limit=None):
     """Scan candidates in order, keeping those far enough from all kept points.
 
@@ -55,25 +153,28 @@ def greedy_net(candidates, existing, sep, strict, *, limit=None):
     result is the first limit + 1 rows of the unlimited one (all of it
     when that is shorter).
 
-    Candidates that their nearest point of existing rejects are dropped first,
-    on arrays (a k-d tree proposes that point, the rule above decides).  The
-    rest are scanned with kept points bucketed in squares a little wider than
-    sep, so only the 3x3 buckets around a candidate can hold a rejecting point.
+    Rejection is final, so a candidate may be dropped early, on arrays, by
+    any point kept before it; bucket grids (keys as bucket_frame gives
+    them) propose the points to measure.  First every candidate is checked
+    against existing, in its own bucket and then in the 3 x 3 around it.
+    The rest are scanned by runs that share one x coordinate (the columns
+    of a lattice): a run is checked against the points accepted before it,
+    and what is left is scanned one by one against the kept points in the
+    3 x 3 buckets around it, so a point accepted within the run counts at
+    once.
     """
     if limit is not None and existing.shape[0] > limit:
         return existing[: limit + 1].copy()
-    if existing.shape[0] > 0 and candidates.shape[0] > 0:
-        d = candidates - existing[kdtree(existing).query(candidates)[1]]
-        dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-        candidates = candidates[(dist > sep) if strict else (dist >= sep)]
     if candidates.shape[0] == 0:
         return existing.copy()
-    points = np.concatenate([candidates, existing])
-    # keys relative to the lower-left corner keep the rounding of
-    # (x - x0) / width small; the margin covers it for any point spread
-    x0, y0 = points.min(axis=0).tolist()
-    span = float((points.max(axis=0) - (x0, y0)).max())
-    width = sep * (1.0 + 1e-9) + span * 1e-15
+    origin, width = bucket_frame(np.concatenate([candidates, existing]), sep)
+    if existing.shape[0] > 0:
+        grid = BucketGrid(existing, origin, width)
+        # the own bucket settles most candidates (93% of a fine pass over a
+        # net), so only the rest meet the whole 3 x 3
+        for reach in (0, 1):
+            candidates = candidates[_far(grid, candidates, sep, strict, reach)]
+    x0, y0 = origin.tolist()
     buckets = {}
 
     def key(x, y):
@@ -90,27 +191,27 @@ def greedy_net(candidates, existing, sep, strict, *, limit=None):
     for x, y in existing.tolist():
         buckets.setdefault(key(x, y), []).append((x, y))
     room = math.inf if limit is None else limit + 1 - existing.shape[0]
+    # x and y of every accepted point in turn: a flat list becomes an array
+    # faster than a list of pairs
     accepted = []
-    chunks = (
-        candidates[start : start + _SCAN_CHUNK].tolist()
-        for start in range(0, candidates.shape[0], _SCAN_CHUNK)
-    )
-    for x, y in itertools.chain.from_iterable(chunks):
-        bx, by = key(x, y)
-        if not rejected(x, y, bx, by):
-            buckets.setdefault((bx, by), []).append((x, y))
-            accepted.append((x, y))
-            if len(accepted) == room:
-                break
+    grid = None
+    for run in _runs(candidates):
+        if accepted:
+            if grid is None:
+                grid = BucketGrid(np.array(accepted).reshape(-1, 2), origin, width)
+            run = run[_far(grid, run, sep, strict)]
+        for x, y in run.tolist():
+            bx, by = key(x, y)
+            if not rejected(x, y, bx, by):
+                buckets.setdefault((bx, by), []).append((x, y))
+                accepted += (x, y)
+                grid = None
+                room -= 1
+                if room == 0:
+                    break
+        if room == 0:
+            break
     return np.concatenate([existing, np.array(accepted, dtype=float).reshape(-1, 2)])
-
-
-def kdtree(points):
-    """scipy's k-d tree over the points; scipy.spatial is imported on first
-    use, because it adds ~0.1 s to the package import."""
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points)
 
 
 def points_in_halfplanes(points, normals, offsets, tol):

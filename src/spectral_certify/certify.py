@@ -53,6 +53,12 @@ class CertificationError(RuntimeError):
     pass
 
 
+class CertificateFormatError(ValueError):
+    """A certificate that cannot be read: not JSON, an unknown schema, or a
+    missing or malformed field.  Unlike CertificationError it says nothing
+    about whether the certificate proves anything."""
+
+
 @dataclass
 class ChainLink:
     """One verified inequality lhs <= rhs (1 + rtol); ratio = lhs / rhs."""
@@ -147,10 +153,10 @@ class PartitionCertificate:
 
     @classmethod
     def from_dict(cls, obj) -> "PartitionCertificate":
-        """Load a certificate; a missing or malformed field raises
-        CertificationError naming it."""
+        """Load a certificate; an unknown schema, or a missing or malformed
+        field, raises CertificateFormatError naming it."""
         if not isinstance(obj, dict) or obj.get("schema") != CERTIFICATE_SCHEMA:
-            raise CertificationError("unknown certificate schema")
+            raise CertificateFormatError("unknown certificate schema")
 
         def get(path, convert):
             value = obj
@@ -158,11 +164,11 @@ class PartitionCertificate:
                 for key in path.split("."):
                     value = value[key]
             except (KeyError, TypeError):
-                raise CertificationError(f"certificate field {path!r} is missing") from None
+                raise CertificateFormatError(f"certificate field {path!r} is missing") from None
             try:
                 return convert(value)
             except (TypeError, ValueError) as exc:
-                raise CertificationError(
+                raise CertificateFormatError(
                     f"certificate field {path!r} is malformed: {exc}"
                 ) from None
 
@@ -195,7 +201,11 @@ class PartitionCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "PartitionCertificate":
-        return cls.from_dict(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CertificateFormatError(f"certificate is not JSON: {exc}") from None
+        return cls.from_dict(obj)
 
 
 def _listed(value) -> list:
@@ -531,6 +541,7 @@ def weak_chain_report(
     levels: int = 5,
     ratio_cap: float = 100.0,
     domain_spectrum: Spectrum | None = None,
+    sandwich: geometry.BoxSandwich | None = None,
 ) -> ChainReport:
     """Trace mu_{k+1} against mu_k through a box sandwich of the domain.
 
@@ -539,7 +550,8 @@ def weak_chain_report(
     on the inner box against the flat torus of the doubled box, then back.
     Links record measured ratios against reference constant 1, so holds is
     informational for the inequalities that are only true up to constants;
-    the capped end-to-end comparison is the gating link.
+    the capped end-to-end comparison is the gating link.  The sandwich is
+    computed from P unless given.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise CertificationError("k must be an integer >= 1")
@@ -547,7 +559,8 @@ def weak_chain_report(
         domain_spectrum = reference_spectrum(P, k + 2, levels)
     if len(domain_spectrum) < k + 2:
         raise CertificationError("domain spectrum too short for the requested k")
-    sandwich = rectangle_sandwich(P)
+    if sandwich is None:
+        sandwich = rectangle_sandwich(P)
     inner, outer = sandwich.inner, sandwich.outer
     delta = sandwich.dilation_factor
     inner_spec = rectangle_spectrum(inner.half_width_a, inner.half_width_b, k + 2)

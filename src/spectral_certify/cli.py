@@ -373,10 +373,12 @@ def _sweep_single(spec_dom: DomainSpec, k_max: int, levels: int, ratio_cap: floa
     # one solve serves the sweep table and every chain (they need k_max + 2)
     domain_spectrum = reference_spectrum(P, k_max + 2, levels)
     table = quadratic_ratio_sweep(P, k_max, levels, domain_spectrum=domain_spectrum)
+    # and one box sandwich serves every chain
+    sandwich = rectangle_sandwich(P)
     chains = {}
     for k in range(1, min(k_max, 10) + 1):
         chains[k] = weak_chain_report(
-            P, k, levels, ratio_cap=ratio_cap, domain_spectrum=domain_spectrum
+            P, k, levels, ratio_cap=ratio_cap, domain_spectrum=domain_spectrum, sandwich=sandwich
         ).to_dict()
     elapsed = time.perf_counter() - t0
     return {
@@ -531,6 +533,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # GeometryError and CertificateFormatError are ValueErrors
     except (GeometryError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -292,42 +292,80 @@ class VoronoiPartition:
             raise GeometryError(f"cell {owner[outside].min()} does not contain its site")
 
 
-def _min_pair_d2(pts: np.ndarray) -> float:
-    """Smallest dx^2 + dy^2 over pairs of distinct indices (inf below 2 points):
-    the tree proposes the closest distance, and every pair within a hair of
-    it is measured again with that formula."""
+def _close_pair(pts: np.ndarray, radius: float, close) -> bool:
+    """Whether two rows with distinct indices have close(dx*dx + dy*dy) true;
+    close must be false for pairs farther apart than radius, so only pairs
+    in neighbouring buckets of a grid are measured."""
     if pts.shape[0] < 2:
-        return math.inf
-    tree = _kernels.kdtree(pts)
-    reach = float(tree.query(pts, k=2)[0][:, 1].min()) * (1.0 + 1e-9)
-    i, j = tree.query_pairs(reach, output_type="ndarray").T
-    d = pts[i] - pts[j]
-    return float((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]).min())
+        return False
+    grid = _kernels.BucketGrid(pts, *_kernels.bucket_frame(pts, radius))
+    for i, j in grid.pairs(pts):
+        d = pts[i] - pts[j]
+        if (close(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) & (i != j)).any():
+            return True
+    return False
 
 
-def _d2(p, x: float, y: float) -> float:
-    """Squared distance from (x, y) to the pair p, as numpy's dx**2 + dy**2."""
-    return (p[0] - x) * (p[0] - x) + (p[1] - y) * (p[1] - y)
+def _sorted_rings(pts: np.ndarray, sites: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Yield, for each site sites[i] in turn, the d2 and j lists of its
+    pairs (i, j), sorted by d2 and then j; d2 is dx*dx + dy*dy with
+    dx = x_j - x_site, and i must not decrease."""
+    d = pts[j] - pts[sites[i]]
+    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    order = np.lexsort((j, d2, i))
+    d2, j = d2[order], j[order]
+    bounds = np.flatnonzero(np.diff(i, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield d2[lo:hi].tolist(), j[lo:hi].tolist()
 
 
-def _by_distance(tree, coords, i: int, reach: float):
+def _rings(grid, pts: np.ndarray, sites: np.ndarray, reach: int):
+    """For each of the sites in turn, the sorted d2 and j lists of the sites
+    in the buckets within reach of it, sorted a chunk of grid pairs at a
+    time; the last site of a chunk is held back, as its pairs may go on in
+    the next."""
+    held_i = held_j = np.empty(0, dtype=np.int64)
+    for i, j in grid.pairs(pts[sites], reach):
+        i, j = np.concatenate([held_i, i]), np.concatenate([held_j, j])
+        if i.size == 0:
+            continue
+        done = i < i[-1]
+        yield from _sorted_rings(pts, sites, i[done], j[done])
+        held_i, held_j = i[~done], j[~done]
+    yield from _sorted_rings(pts, sites, held_i, held_j)
+
+
+def _outradius(verts, x: float, y: float) -> float:
+    """Largest distance from (x, y) to a vertex, from dx*dx + dy*dy."""
+    return math.sqrt(max((vx - x) * (vx - x) + (vy - y) * (vy - y) for vx, vy in verts))
+
+
+def _by_distance(grid, pts: np.ndarray, i: int, ring, radius: float):
     """Yield (d2, j) over all sites in the order of a stable argsort of d2 to
-    site i, from tree balls about site i of doubling radius."""
-    x, y = coords[i]
+    site i, from rings of buckets of doubling reach about site i; ring holds
+    the sorted d2 and j lists of the first, the 3 x 3 buckets of a grid
+    framed for radius."""
+    reach = 1
     visited = 0
     while True:
-        near = tree.query_ball_point((x, y), reach)
-        # every site at d2 < limit is in the ball, whatever the rounding of
-        # the tree's own distances
-        limit = math.inf if len(near) == len(coords) else reach * reach * (1.0 - 1e-9)
-        for d2, j in sorted((_d2(coords[j], x, y), j) for j in near)[visited:]:
+        d2s, js = ring
+        # every site at d2 < limit is in the ring, whatever the rounding of
+        # the keys (see _kernels.bucket_frame)
+        limit = math.inf if len(js) == len(pts) else (reach * radius) ** 2 * (1.0 - 1e-9)
+        for d2, j in zip(d2s[visited:], js[visited:]):
             if d2 >= limit:
                 break
             visited += 1
             yield d2, j
         if limit == math.inf:
             return
-        reach *= 2.0
+        reach *= 2
+        ring = next(_rings(grid, pts, np.array([i]), reach))
+
+
+# first rings reach about this many site spacings: few cells of an evenly
+# spread net need a second ring
+_RING_SPACINGS = 2.5
 
 
 def voronoi_partition(P: ConvexPolygon, sites) -> VoronoiPartition:
@@ -336,28 +374,29 @@ def voronoi_partition(P: ConvexPolygon, sites) -> VoronoiPartition:
     Sites must be pairwise distinct and lie in P.  Each cell is cut by the
     bisectors nearest its site first; a bisector to a site at least twice
     the current cell outradius away contains the whole cell, so clipping
-    stops there, and with sites drawn from k-d tree balls the per-cell work
-    stays proportional to the number of Voronoi neighbours.
+    stops there.  Sites come from rings of buckets of a grid whose buckets
+    are a few site spacings wide, so for evenly spread sites the per-cell
+    work stays proportional to the number of Voronoi neighbours.
     """
     pts = _as_points(sites)
     m = pts.shape[0]
     if m == 0:
         raise GeometryError("at least one site required")
     tol = EPS_REL * P.scale
-    if _min_pair_d2(pts) <= tol * tol:
+    if _close_pair(pts, tol, lambda d2: d2 <= tol * tol):
         raise GeometryError("sites must be pairwise distinct")
     if not P.contains_points(pts, tol).all():
         raise GeometryError("every site must lie in the domain")
-    tree = _kernels.kdtree(pts)
+    radius = _RING_SPACINGS * math.sqrt(P.area / m)
+    grid = _kernels.BucketGrid(pts, *_kernels.bucket_frame(pts, radius))
     coords = pts.tolist()
     norms = (pts**2).sum(axis=1).tolist()
-    # first ball radius: a few typical site spacings
-    reach = 4.0 * math.sqrt(P.area / m)
     cells = []
-    for i, (xi, yi) in enumerate(coords):
+    for i, ring in enumerate(_rings(grid, pts, np.arange(m), 1)):
+        xi, yi = coords[i]
         verts = P.vertices.tolist()
-        r_max = math.sqrt(max(_d2(v, xi, yi) for v in verts))
-        for d2j, j in _by_distance(tree, coords, i, reach):
+        r_max = _outradius(verts, xi, yi)
+        for d2j, j in _by_distance(grid, pts, i, ring, radius):
             if j == i:
                 continue
             # sites come nearest first, so no later bisector can cut
@@ -370,7 +409,7 @@ def voronoi_partition(P: ConvexPolygon, sites) -> VoronoiPartition:
                 raise GeometryError(f"Voronoi cell {i} degenerated during clipping")
             if clipped is not verts:
                 verts = clipped
-                r_max = math.sqrt(max(_d2(v, xi, yi) for v in verts))
+                r_max = _outradius(verts, xi, yi)
         try:
             cells.append(ConvexPolygon(verts))
         except GeometryError:
@@ -632,7 +671,7 @@ def ball_packing_count(P: ConvexPolygon, centers, r: float) -> PackingCheck:
     if not (r > 0):
         raise GeometryError("ball radius must be positive")
     m = pts.shape[0]
-    if math.sqrt(_min_pair_d2(pts)) < 2.0 * r:
+    if _close_pair(pts, 2.0 * r, lambda d2: np.sqrt(d2) < 2.0 * r):
         raise GeometryError("ball centers closer than 2r: balls overlap")
     total = m * math.pi * r * r
     return PackingCheck(

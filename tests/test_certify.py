@@ -15,6 +15,7 @@ import pytest
 from spectral_certify import certify
 from spectral_certify.bounds import rectangle_spectrum
 from spectral_certify.certify import (
+    CertificateFormatError,
     CertificationError,
     ChainLink,
     PartitionCertificate,
@@ -150,7 +151,7 @@ class TestVerificationChain:
         cert, _ = self.verifying_certificate()
         obj = json.loads(cert.to_json())
         obj["schema"] = 99
-        with pytest.raises(CertificationError):
+        with pytest.raises(CertificateFormatError, match="unknown certificate schema"):
             PartitionCertificate.from_dict(obj)
 
     @pytest.mark.parametrize(
@@ -167,8 +168,16 @@ class TestVerificationChain:
         cert, _ = self.verifying_certificate()
         obj = json.loads(cert.to_json())
         mutate(obj)
-        with pytest.raises(CertificationError, match=field):
+        with pytest.raises(CertificateFormatError, match=field):
             PartitionCertificate.from_dict(obj)
+
+    @pytest.mark.parametrize("text", ["{not json", "", "[1, 2", "{\"schema\": 1,}"])
+    def test_text_not_json(self, text):
+        # a file that cannot be read is a format error, never a failed proof
+        with pytest.raises(CertificateFormatError, match="not JSON") as exc:
+            PartitionCertificate.from_json(text)
+        assert isinstance(exc.value, ValueError)
+        assert not isinstance(exc.value, CertificationError)
 
     @pytest.mark.parametrize(
         "name,mutate",

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spectral_certify
-from spectral_certify import certify, fem, mesh
+from spectral_certify import certify, cli, fem, mesh
 from spectral_certify.cli import (
     EXIT_CERTIFY,
     EXIT_OK,
@@ -73,6 +73,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_unreadable_certificate_is_usage_error(self, capsys, monkeypatch):
+        def unreadable(*args, **kwargs):
+            return certify.PartitionCertificate.from_json("{not json")
+
+        monkeypatch.setattr(cli, "construct_partition", unreadable)
+        code, _, err = run(capsys, "certify", "--domain", "square", "--C", "2")
+        assert code == EXIT_USAGE
+        assert "not JSON" in err
 
     def test_certify_index_order(self, capsys):
         code, _, err = run(capsys, "certify", "--k", "1", "--l", "2")
@@ -324,6 +333,23 @@ class TestSweepCommand:
         assert calls == [6]
         assert report["results"]["domains"][0]["spectrum_source"] == "fem(4)"
 
+    def test_computes_each_sandwich_once(self, capsys, monkeypatch):
+        # counted where either module would look the sandwich up
+        calls = []
+        sandwich = cli.rectangle_sandwich
+
+        def counting(P):
+            calls.append(P.n)
+            return sandwich(P)
+
+        monkeypatch.setattr(cli, "rectangle_sandwich", counting)
+        monkeypatch.setattr(certify, "rectangle_sandwich", counting)
+        for domain, sides in (("regular:6", 6), ("square", 4)):
+            calls.clear()
+            report = run_json(capsys, "sweep", "--domain", domain, "--k-max", "5")
+            assert calls == [sides]
+            assert list(report["results"]["domains"][0]["chains"]) == ["1", "2", "3", "4", "5"]
+
     def test_byte_stability_outside_timings(self, capsys):
         for domain, name in (("square", "square"), ("regular:6", "regular_6")):
             args = ["sweep", "--domain", domain, "--k-max", "6"]
@@ -366,16 +392,31 @@ class TestConfigFile:
 
 
 class TestImport:
-    def test_scipy_spatial_not_imported(self):
-        # the k-d tree is imported on first use: scipy.spatial adds ~0.1 s
-        # to every start of the command
+    @staticmethod
+    def spatial_imported(code):
         src = os.path.dirname(os.path.dirname(spectral_certify.__file__))
-        code = "import sys, spectral_certify.cli; print('scipy.spatial' in sys.modules)"
+        code += "\nprint('scipy.spatial' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_scipy_spatial_not_imported(self):
+        # scipy.spatial (which pulls in scipy.special) would add ~0.1 s to
+        # every start of the command
+        assert self.spatial_imported("import sys, spectral_certify.cli") == "False"
+
+    def test_certify_runs_without_scipy_spatial(self):
+        # the net, Voronoi and pair checks all use the bucket grid in _kernels
+        code = (
+            "import sys, contextlib, io, spectral_certify.cli as c\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert c.main(['certify', '--domain', 'square', '--k', '24', '--l', '24']) == 0\n"
+            "    assert c.main(['certify', '--domain', 'rect:10:10', '--k', '40', '--l', '40',"
+            " '--C', '0.5']) == 4"
+        )
+        assert self.spatial_imported(code) == "False"
 
 
 class TestReportSkeleton:

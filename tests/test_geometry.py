@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spectral_certify import _kernels
+from spectral_certify import _kernels, geometry
 from spectral_certify.geometry import (
     BoxSandwich,
     ConvexPolygon,
@@ -347,7 +347,7 @@ def voronoi_oracle_cases():
         (square, _kernels.greedy_net(0.125 * idx, np.empty((0, 2)), 0.5, True)),
         (square, rng.uniform(-2.0, 2.0, size=(300, 2))),
         # a dense cluster and three lone sites: their cells reach far
-        # beyond the first tree ball
+        # beyond the first ring of buckets
         (square, np.concatenate([rng.uniform(-1.9, -1.5, (200, 2)), lone])),
         (square, [[0.3, -0.7]]),
         (square, [[-1.0, 0.0], [1.0, 0.0]]),
@@ -360,11 +360,57 @@ def voronoi_oracle_cases():
         u, v = rect.axes
         inside = rect.center.array + 1.4 * local[:, :1] * u + 2.9 * local[:, 1:] * v
         cases.append((rect.polygon(), inside))
+    # a long strip, crowded at one end: the cells at the other end span
+    # many bucket rings
+    strip = Rectangle(Point2(0.0, 0.0), 0.25, 20.0, 0.0).polygon()
+    crowd = rng.uniform([-0.24, -19.9], [0.24, -17.0], (60, 2))
+    cases.append((strip, np.concatenate([crowd, [[0.0, 15.0], [0.1, 19.5]]])))
     return cases
 
 
 class TestVoronoiOracle:
-    """The tree-neighbour partition gives exactly the argsort reference cells."""
+    """The bucket-ring partition gives exactly the argsort reference cells."""
+
+    def test_cases_reach_beyond_the_first_ring(self, monkeypatch):
+        # the oracle cases must take the wider rings, not only the 3 x 3
+        # buckets the first pass sorts
+        reaches = []
+        rings = geometry._rings
+
+        def recording(grid, pts, sites, reach):
+            reaches.append(reach)
+            return rings(grid, pts, sites, reach)
+
+        monkeypatch.setattr(geometry, "_rings", recording)
+        for P, sites in voronoi_oracle_cases():
+            voronoi_partition(P, sites)
+        assert max(reaches) >= 8
+
+    @pytest.mark.parametrize("case", [0, 4, 11])
+    def test_sites_come_in_argsort_order(self, case):
+        # read to the end, the rings give every site in the order of a
+        # stable argsort of d2, as voronoi_partition builds them
+        P, sites = voronoi_oracle_cases()[case]
+        pts = np.asarray(sites, dtype=float)
+        radius = geometry._RING_SPACINGS * math.sqrt(P.area / len(pts))
+        grid = _kernels.BucketGrid(pts, *_kernels.bucket_frame(pts, radius))
+        rings = geometry._rings(grid, pts, np.arange(len(pts)), 1)
+        for i, ring in zip(range(0, len(pts), 7), list(rings)[::7]):
+            d2 = ((pts - pts[i]) ** 2).sum(axis=1)
+            order = np.argsort(d2, kind="stable")
+            got = list(geometry._by_distance(grid, pts, i, ring, radius))
+            assert [j for _, j in got] == order.tolist()
+            assert [x for x, _ in got] == d2[order].tolist()
+
+    @pytest.mark.parametrize("case", [0, 4, 11])
+    def test_cells_equal_in_small_pair_chunks(self, case, monkeypatch):
+        # grid pairs come a few at a time, so a site's first ring is split
+        # between chunks and held over
+        monkeypatch.setattr(_kernels, "_PAIR_CHUNK", 97)
+        P, sites = voronoi_oracle_cases()[case]
+        part = voronoi_partition(P, sites)
+        want = argsort_voronoi_cells(P, sites)
+        assert all(np.array_equal(cell.vertices, ref) for cell, ref in zip(part.cells, want))
 
     @pytest.mark.parametrize("case", range(len(voronoi_oracle_cases())))
     def test_cells_equal(self, case):
@@ -570,6 +616,66 @@ class TestGreedyNetOracle:
             want = brute_force_greedy_net(cands, existing, 0.3, strict)
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e5])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_columns_stepping_by_sep(self, offset, strict):
+        # lattice columns whose y steps are exactly sep, or one ulp shorter
+        # or longer; the runs meet these ties on arrays, the scan in Python
+        sep = 0.25
+        ys = offset + sep * np.arange(-12, 13, dtype=float)
+        for step in (None, -np.inf, np.inf):
+            col = ys if step is None else np.nextafter(ys, step)
+            col[::2] = ys[::2]
+            xs = offset + sep * np.arange(-4, 5) / 3.0
+            cands = np.concatenate([np.stack([np.full(col.size, x), col], axis=1) for x in xs])
+            # the same column again, with existing points in it
+            existing = cands[5:80:7] + np.array([0.0, sep])
+            for near in (np.empty((0, 2)), existing):
+                got = _kernels.greedy_net(cands, near, sep, strict)
+                want = brute_force_greedy_net(cands, near, sep, strict)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_interleaved_columns(self, strict):
+        # lattice columns visited in shuffled order, so consecutive
+        # candidates alternate columns and runs are short
+        sep = 0.3
+        idx = np.array([(i, j) for i in range(-20, 21) for j in range(-20, 21)])
+        lattice = (sep / 8.0) * idx.astype(float)
+        rng = np.random.default_rng(17)
+        # whole columns in shuffled order, then candidates dealt from
+        # three columns at a time
+        columns = [lattice[idx[:, 0] == i] for i in rng.permutation(np.arange(-20, 21))]
+        dealt = np.concatenate(
+            [np.stack(columns[k : k + 3], axis=1).reshape(-1, 2) for k in range(0, 39, 3)]
+            + columns[39:]
+        )
+        for cands in (np.concatenate(columns), dealt):
+            for existing in (np.empty((0, 2)), cands[:40:9] + sep / 16.0):
+                got = _kernels.greedy_net(cands, existing, sep, strict)
+                want = brute_force_greedy_net(cands, existing, sep, strict)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("offset", [0.0, -7.3, 1e5])
+    def test_random_columns(self, offset):
+        # columns at random x with random y: runs of every length, from 1 to
+        # longer than a query chunk
+        rng = np.random.default_rng(18)
+        xs = offset + rng.uniform(-1.0, 1.0, size=40)
+        lengths = rng.integers(1, 40, size=40)
+        lengths[7] = _kernels._QUERY_CHUNK + 50
+        cands = np.concatenate(
+            [
+                np.stack([np.full(n, x), offset + rng.uniform(-1.0, 1.0, n)], axis=1)
+                for x, n in zip(xs, lengths)
+            ]
+        )
+        existing = offset + rng.uniform(-1.0, 1.0, size=(5, 2))
+        for strict in (False, True):
+            got = _kernels.greedy_net(cands, existing, 0.3, strict)
+            want = brute_force_greedy_net(cands, existing, 0.3, strict)
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("strict", [False, True])
     def test_limit_keeps_a_prefix(self, strict):
         # a limit stops the scan after limit + 1 rows, existing ones counted;
@@ -585,6 +691,106 @@ class TestGreedyNetOracle:
                 for limit in (0, 1, 2, 3, 4, 10, n - 2, n - 1, n, n + 5):
                     got = _kernels.greedy_net(cands, existing, sep, strict, limit=limit)
                     assert np.array_equal(got, full[: limit + 1])
+
+
+class TestBucketGrid:
+    """Grid queries return exactly the pairs whose keys are within reach."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e5])
+    @pytest.mark.parametrize("reach", [0, 1, 3])
+    def test_pairs_match_keys(self, offset, reach):
+        rng = np.random.default_rng(20)
+        # 400 points in one bucket give more pairs than one chunk holds
+        pts = offset + np.concatenate(
+            [rng.uniform(-2.0, 2.0, (300, 2)), rng.uniform(0.0, 0.01, (400, 2)), [[5.0, -3.0]]]
+        )
+        grid = _kernels.BucketGrid(pts, *_kernels.bucket_frame(pts, 0.3))
+        kx, ky = grid.keys(pts)
+        for queries in (pts, pts[::-7] + 0.01):
+            qkx, qky = grid.keys(queries)
+            near_x = np.abs(qkx[:, None] - kx[None, :]) <= reach
+            want = np.argwhere(near_x & (np.abs(qky[:, None] - ky[None, :]) <= reach))
+            chunks = list(grid.pairs(queries, reach))
+            got = np.concatenate([np.stack(c, axis=1) for c in chunks])
+            assert len(chunks) > 1 or len(want) <= _kernels._PAIR_CHUNK
+            assert len(got) == len(want)
+            assert np.array_equal(got[np.lexsort(got.T[::-1])], want)
+
+    def test_keys_of_a_wide_spread(self):
+        # a radius 1e-300 of the spread: every key stays below ~1e15
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [1e-300, 0.0], [0.5, 1.0]])
+        grid = _kernels.BucketGrid(pts, *_kernels.bucket_frame(pts, 1e-300))
+        kx, ky = grid.keys(pts)
+        assert kx.max() < 1.1e15 and ky.max() < 1.1e15
+        assert kx[0] == kx[2] and ky[0] == ky[2]
+        pairs = np.concatenate([np.stack(c, axis=1) for c in grid.pairs(pts)])
+        want = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2), (3, 3)]
+        assert sorted(map(tuple, pairs.tolist())) == want
+
+
+def brute_force_close_pair(pts, close):
+    """Reference pair test: every pair of distinct indices is measured."""
+    pts = np.asarray(pts, dtype=float)
+    for i in range(len(pts)):
+        d = pts[i + 1 :] - pts[i]
+        if close(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]).any():
+            return True
+    return False
+
+
+def close_pair_cases():
+    """(points, radius, close, expected) for geometry._close_pair: the two
+    tests its callers make, at and around their thresholds."""
+    rng = np.random.default_rng(19)
+    r, tol = 0.25, 1e-12
+    tangent = 0.25 + 0.5 * np.array([(i, j) for i in range(30) for j in range(30)], dtype=float)
+    cluster = np.concatenate([rng.uniform(0.0, 1e-3, (300, 2)), rng.uniform(-5.0, 5.0, (30, 2))])
+    cases = []
+    overlap = lambda d2: np.sqrt(d2) < 2.0 * r  # noqa: E731
+    # tangent balls, and every ball one ulp wider than tangent
+    wider = lambda d2: np.sqrt(d2) <= 2.0 * r  # noqa: E731
+    for offset in (0.0, 1e5):
+        # one center moved a single ulp towards its neighbour
+        touching = offset + tangent
+        touching[417, 0] = np.nextafter(touching[417, 0], np.inf)
+        cases += [
+            (offset + tangent, 2.0 * r, overlap, False),
+            (offset + tangent, 2.0 * r, wider, True),
+            (touching, 2.0 * r, overlap, True),
+            (offset + np.array([[0.0, 0.0], [0.5, 0.0]]), 2.0 * r, overlap, False),
+            (offset + np.array([[0.0, 0.0], [0.0, 0.49]]), 2.0 * r, overlap, True),
+            (offset + cluster, 2.0 * r, overlap, True),
+        ]
+    same = lambda d2: d2 <= tol * tol  # noqa: E731
+    one_tol = np.array([[0.3, 0.7], [0.3 + tol, 0.7], [5.0, -2.0]])
+    beyond = one_tol.copy()
+    beyond[1, 0] = np.nextafter(np.nextafter(0.3 + tol, 1.0), 1.0)
+    spread = rng.uniform(-1.0, 1.0, (200, 2))
+    spread[50] = spread[49] + np.array([1e-300, 0.0])
+    cases += [
+        (one_tol, tol, same, None),
+        (beyond, tol, same, None),
+        (cluster, tol, same, False),
+        (np.array([[2.0, 2.0], [2.0, 2.0]]), tol, same, True),
+        (np.array([[2.0, 2.0], [3.0, 2.0]]), tol, same, False),
+        # pairs 1e-300 apart in a spread of 2: every bucket holds one point
+        (spread, tol, same, True),
+        (spread, 1e-300, lambda d2: np.sqrt(d2) <= 1e-300, True),
+        (np.delete(spread, 50, axis=0), 1e-300, lambda d2: np.sqrt(d2) <= 1e-300, False),
+    ]
+    return cases
+
+
+class TestClosePairOracle:
+    """The bucket-grid pair test agrees with the all-pairs one."""
+
+    @pytest.mark.parametrize("case", range(len(close_pair_cases())))
+    def test_agrees_with_all_pairs(self, case):
+        pts, radius, close, expected = close_pair_cases()[case]
+        want = brute_force_close_pair(pts, close)
+        if expected is not None:
+            assert want is expected
+        assert geometry._close_pair(np.asarray(pts, dtype=float), radius, close) is want
 
 
 class TestSvg:
