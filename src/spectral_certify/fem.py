@@ -3,9 +3,10 @@
 Assembly produces exact element integrals (piecewise-linear stiffness and
 consistent mass), accumulated into a symmetric sparse format.  The
 smallest eigenpairs come from shift-invert Lanczos (ARPACK) on an
-explicit LU factorization of K + M; since the discrete problem is a
-Galerkin restriction, every computed eigenvalue overestimates its
-continuous counterpart.
+explicit LU factorization of the positive definite K + M, symmetrically
+ordered (reverse Cuthill-McKee, then minimum degree) and without
+pivoting; since the discrete problem is a Galerkin restriction, every
+computed eigenvalue overestimates its continuous counterpart.
 """
 
 from __future__ import annotations
@@ -114,7 +115,9 @@ def solve_smallest(
 ):
     """Smallest m eigenvalues of K x = mu M x by shift-invert Lanczos
     (ARPACK) at shift -1, which keeps the factored operator K + M
-    positive definite for the singular Neumann stiffness.
+    positive definite for the singular Neumann stiffness.  K + M is
+    factored once, by pivot-free LU in a symmetric fill-reducing order;
+    a failed factorization raises EigensolverError.
 
     max_sweeps bounds the ARPACK restart iterations.  Returns (values,
     vectors, residual), ascending.  Deterministic: the start vector is
@@ -125,9 +128,32 @@ def solve_smallest(
         raise ValueError("need 1 <= m <= dimension/2")
     K = stiffness.to_csr()
     M = mass.to_csr()
-    # explicit LU, looked up on the module so that profilers can wrap splu
-    lu = scipy.sparse.linalg.splu((K + M).tocsc())
-    op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    # imported here: certify imports fem but never factors, and a module-level
+    # import costs every process ~0.8 MiB and 6-10 ms
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    # K is PSD and M is PD, so A is SPD and elimination without pivoting is
+    # stable (Higham, Accuracy and Stability, 10.1): minimum degree on A + A^T
+    # after a bandwidth pre-order, without which MMD takes minutes on the fan
+    # meshes.  splu is looked up on the module so that profilers can wrap it.
+    A = K + M
+    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    try:
+        lu = scipy.sparse.linalg.splu(
+            A[perm][:, perm].tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise EigensolverError(f"LU of K + M (dimension {n}) failed: {exc}") from exc
+
+    def apply_inverse(x):
+        y = np.empty_like(x)
+        y[perm] = lu.solve(x[perm])
+        return y
+
+    op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
     # not the constant vector: the operator fixes K's null vector (1-d Krylov space)
     v0 = np.random.default_rng(_START_SEED).standard_normal(n)
     try:

@@ -18,6 +18,7 @@ from spectral_certify import certify, cli, fem, mesh
 from spectral_certify.cli import (
     EXIT_CERTIFY,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_USAGE,
     default_gallery,
     main,
@@ -167,6 +168,23 @@ class TestExitCodes:
         assert out == ""
         assert "4.29e+09 triangles" in err
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_singular_pencil_is_solver_failure(self, capsys, monkeypatch, command):
+        # an index no element touches leaves an empty row in K + M, which
+        # the pivot-free LU cannot factor
+        assemble = fem.assemble
+
+        def padded(tri_mesh):
+            return [
+                fem.SparseSymmetricMatrix(mat.dimension + 1, mat.rows, mat.cols, mat.data)
+                for mat in assemble(tri_mesh)
+            ]
+
+        monkeypatch.setattr(fem, "assemble", padded)
+        code, out, err = run(capsys, command, "--domain", "regular:6", "--levels", "2")
+        assert code == EXIT_SOLVER
+        assert "LU of K + M (dimension 62) failed" in out + err
 
 
 class TestSpectrumCommand:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from spectral_certify import _kernels
 from spectral_certify.bounds import rectangle_spectrum
@@ -19,6 +20,27 @@ from spectral_certify.geometry import ConvexPolygon, regular_polygon
 from spectral_certify.mesh import TriangleMesh, mesh_polygon
 
 UNIT_SQUARE = ConvexPolygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+SLIVER = ConvexPolygon([[-5.0, -0.5], [5.0, -0.5], [5.0, 0.5], [-5.0, 0.5]])
+
+
+@pytest.fixture
+def factor_spy(monkeypatch):
+    """Records every LU factor and shift-invert operator solve_smallest
+    builds, passing both through unchanged."""
+    seen = {"lu": [], "op_inv": []}
+    splu, eigsh = scipy.sparse.linalg.splu, scipy.sparse.linalg.eigsh
+
+    def spy_splu(*args, **kwargs):
+        seen["lu"].append(splu(*args, **kwargs))
+        return seen["lu"][-1]
+
+    def spy_eigsh(*args, **kwargs):
+        seen["op_inv"].append(kwargs["OPinv"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
+    return seen
 
 
 def reference_triangle_mesh():
@@ -92,19 +114,21 @@ class TestSparseStorage:
 
 class TestEigensolver:
     def test_matches_dense_reference(self):
-        mesh = mesh_polygon(UNIT_SQUARE, 2)
-        stiffness, mass = assemble(mesh)
-        vals, vecs, residual = solve_smallest(stiffness, mass, 8)
-        dense_vals, _ = dense_smallest(stiffness, mass, 8)
-        assert residual <= 1e-8
-        scale = dense_vals.max()
-        assert vals == pytest.approx(dense_vals, abs=1e-9 * scale)
-        # returned vectors satisfy the pencil equation
-        K = stiffness.to_csr()
-        M = mass.to_csr()
-        for i in range(8):
-            r = np.linalg.norm(K @ vecs[:, i] - vals[i] * (M @ vecs[:, i]))
-            assert r <= 1e-7 * max(1.0, abs(vals[i]))
+        # the square, a 10:1 sliver and a 7-gon fan, each under the dense
+        # solver's 2000 DOFs
+        for polygon, levels in ((UNIT_SQUARE, 2), (SLIVER, 4), (regular_polygon(7), 4)):
+            stiffness, mass = assemble(mesh_polygon(polygon, levels))
+            vals, vecs, residual = solve_smallest(stiffness, mass, 8)
+            dense_vals, _ = dense_smallest(stiffness, mass, 8)
+            assert residual <= 1e-8
+            scale = dense_vals.max()
+            assert vals == pytest.approx(dense_vals, abs=1e-9 * scale)
+            # returned vectors satisfy the pencil equation
+            K = stiffness.to_csr()
+            M = mass.to_csr()
+            for i in range(8):
+                r = np.linalg.norm(K @ vecs[:, i] - vals[i] * (M @ vecs[:, i]))
+                assert r <= 1e-7 * max(1.0, abs(vals[i]))
 
     def test_galerkin_values_overestimate(self):
         # conforming discretization bounds every eigenvalue from above
@@ -157,6 +181,46 @@ class TestEigensolver:
         with pytest.raises(EigensolverError, match=r"within 1 iterations: \d/6 eigenpairs") as err:
             solve_smallest(stiffness, mass, 6, max_sweeps=1)
         assert 0.0 < err.value.best_residual < math.inf
+
+    def test_factor_is_symmetric_permutation(self, factor_spy):
+        # pivot-free elimination of the SPD matrix K + M: rows and columns
+        # are reordered alike (partial pivoting leaves the diagonal on
+        # this coarse sliver mesh)
+        stiffness, mass = assemble(mesh_polygon(SLIVER, 2))
+        solve_smallest(stiffness, mass, 4)
+        (lu,) = factor_spy["lu"]
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+
+    def test_permuted_solve_inverts_k_plus_m(self, factor_spy):
+        stiffness, mass = assemble(mesh_polygon(SLIVER, 4))
+        solve_smallest(stiffness, mass, 4)
+        (op_inv,) = factor_spy["op_inv"]
+        A = stiffness.to_csr() + mass.to_csr()
+        b = np.random.default_rng(5).standard_normal(stiffness.dimension)
+        x = op_inv.matvec(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("polygon", [UNIT_SQUARE, SLIVER], ids=["square", "sliver_10x1"])
+    def test_fill_below_default_ordering(self, factor_spy, polygon):
+        # guards the symmetric ordering: a fall-back to splu's default
+        # column ordering, or to no ordering, fails here
+        stiffness, mass = assemble(mesh_polygon(polygon, 6))
+        solve_smallest(stiffness, mass, 2)
+        (lu,) = factor_spy["lu"]
+        default = scipy.sparse.linalg.splu((stiffness.to_csr() + mass.to_csr()).tocsc())
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+
+    def test_singular_factor_is_solver_error(self):
+        # an index no element touches leaves an empty row in K + M, and
+        # elimination without pivoting meets a zero pivot
+        stiffness, mass = assemble(mesh_polygon(regular_polygon(5), 1))
+        n = stiffness.dimension + 1
+        padded = [
+            SparseSymmetricMatrix(n, mat.rows, mat.cols, mat.data) for mat in (stiffness, mass)
+        ]
+        with pytest.raises(EigensolverError, match=f"dimension {n}") as err:
+            solve_smallest(*padded, 2)
+        assert err.value.best_residual is None
 
     def test_repeated_solves_bitwise_equal(self):
         first = neumann_spectrum(regular_polygon(6), 8, 4)
