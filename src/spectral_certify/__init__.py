@@ -11,13 +11,10 @@ __version__ = "0.1.0"
 from .bounds import (
     kroger_area_upper,
     kroger_diameter_upper,
-    kroger_volume_upper,
     partition_lower,
     payne_weinberger_lower,
-    quadratic_upper,
     rectangle_spectrum,
     torus_spectrum,
-    unit_ball_volume,
 )
 from .certify import (
     CertificateFormatError,

@@ -1,12 +1,10 @@
 """Closed-form eigenvalue bounds and reference spectra for product domains.
 
-Scalar bounds for the Neumann Laplacian on convex domains: the
+Scalar bounds for the Neumann Laplacian on planar convex domains: the
 Payne-Weinberger lower bound for the first nonzero eigenvalue, upper
-bounds of Bessel-zero type in terms of diameter and of volume, a
-lower bound for partitioned domains, and the quadratic upper bound
-mu_k <= C (k/l)^2 mu_l that the certificate machinery targets.  Also
-exact spectra of rectangles and flat rectangular tori, used as
-references throughout.
+bounds in terms of diameter (Bessel-zero type) and of area, and a
+lower bound for partitioned domains.  Also exact spectra of rectangles
+and flat rectangular tori, used as references throughout.
 """
 
 from __future__ import annotations
@@ -19,13 +17,6 @@ from .spectra import Spectrum
 from .special import bessel_zero
 
 
-def unit_ball_volume(n: int) -> float:
-    """Volume of the n-dimensional unit ball, pi^(n/2) / Gamma(n/2 + 1)."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("dimension must be an integer >= 1")
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
 def payne_weinberger_lower(diam: float) -> float:
     """Lower bound pi^2 / diam^2 for the first nonzero Neumann eigenvalue
     of a convex set of the given diameter."""
@@ -34,47 +25,19 @@ def payne_weinberger_lower(diam: float) -> float:
     return math.pi**2 / diam**2
 
 
-def kroger_diameter_upper(n: int, k: int, diam: float) -> float:
-    """Upper bound for the k-th nonzero Neumann eigenvalue of a convex set
-    in dimension n with the given diameter, built from Bessel zeros.
-
-    In the plane the bound is (2 j_{0,1} + (k-1) pi)^2 / diam^2; in higher
-    dimension it uses zeros of J_{(n-2)/2} and splits on the parity of k.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("dimension must be an integer >= 2")
+def kroger_diameter_upper(k: int, diam: float) -> float:
+    """Upper bound (2 j_{0,1} + (k-1) pi)^2 / diam^2 for the k-th nonzero
+    Neumann eigenvalue of a planar convex set of the given diameter."""
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError("eigenvalue index must be an integer >= 1")
     if not (diam > 0) or not math.isfinite(diam):
         raise ValueError("diameter must be positive and finite")
-    if n == 2:
-        num = (2.0 * bessel_zero(0.0, 1) + (k - 1) * math.pi) ** 2
-    else:
-        nu = (n - 2) / 2.0
-        if k % 2 == 1:
-            num = 4.0 * bessel_zero(nu, (k + 1) // 2) ** 2
-        else:
-            num = (bessel_zero(nu, k // 2) + bessel_zero(nu, (k + 2) // 2)) ** 2
-    return num / diam**2
-
-
-def kroger_volume_upper(n: int, k: int, vol: float) -> float:
-    """Upper bound for the k-th nonzero Neumann eigenvalue of a convex set
-    in dimension n with the given volume (Weyl-scaling form)."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("dimension must be an integer >= 2")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError("eigenvalue index must be an integer >= 1")
-    if not (vol > 0) or not math.isfinite(vol):
-        raise ValueError("volume must be positive and finite")
-    omega = unit_ball_volume(n)
-    return (2.0 * math.pi) ** 2 * ((n + 2.0) / 2.0) ** (2.0 / n) * (
-        k / (omega * vol)
-    ) ** (2.0 / n)
+    return (2.0 * bessel_zero(0.0, 1) + (k - 1) * math.pi) ** 2 / diam**2
 
 
 def kroger_area_upper(k: int, area: float) -> float:
-    """Planar specialization of the volume bound: 8 pi k / area."""
+    """Upper bound 8 pi k / area for the k-th nonzero Neumann eigenvalue
+    of a planar convex set of the given area."""
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError("eigenvalue index must be an integer >= 1")
     if not (area > 0) or not math.isfinite(area):
@@ -93,17 +56,6 @@ def partition_lower(first_eigenvalues) -> float:
     if (vals < 0).any() or not np.isfinite(vals).all():
         raise ValueError("first eigenvalues must be finite and >= 0")
     return float(vals.min())
-
-
-def quadratic_upper(k: int, l: int, mu_l: float, C: float) -> float:
-    """The target inequality's right side, C (k/l)^2 mu_l, for k >= l >= 1."""
-    if not isinstance(k, (int, np.integer)) or not isinstance(l, (int, np.integer)):
-        raise ValueError("indices must be integers")
-    if not (k >= l >= 1):
-        raise ValueError("need k >= l >= 1")
-    if not (C > 0) or not (mu_l >= 0):
-        raise ValueError("need C > 0 and mu_l >= 0")
-    return C * (k / l) ** 2 * mu_l
 
 
 def _product_spectrum(base_x: float, base_y: float, count: int, signed: bool) -> np.ndarray:

@@ -13,6 +13,11 @@ bound with mu_l closes the chain.
 
 Verification recomputes every recorded quantity from the certificate
 fields alone, so corrupting any field breaks the chain report.
+
+The measured side works on a spectrum the caller computes once with
+reference_spectrum: quadratic_ratio_sweep tabulates the constant over
+all index pairs, and weak_chain_report traces consecutive eigenvalues
+through a box sandwich of the domain.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +40,7 @@ from .geometry import (
     inner_offset,
     maximal_separated_net,
     rectangle_from_polygon,
-    rectangle_sandwich,
+    rectangle_sandwich,  # unused here; the traced benchmark wraps this name
     voronoi_partition,
 )
 from .spectra import Spectrum
@@ -256,7 +261,6 @@ def construct_partition(
     l: int,
     C: float,
     mu_k: float,
-    mu_source: str = "closed_form",
     *,
     max_pieces: int | None = None,
 ) -> PartitionCertificate | None:
@@ -330,7 +334,7 @@ def construct_partition(
         l=int(l),
         C=float(C),
         mu_k_estimate=float(mu_k),
-        mu_source=mu_source,
+        mu_source="closed_form",
         R=R,
         case_tag=case_tag,
         cells=cells,
@@ -343,15 +347,9 @@ def construct_partition(
     )
 
 
-def verify_certificate(
-    cert: PartitionCertificate, mu_l_reference: float, rtol: float = GEOMETRY_RTOL
-) -> ChainReport:
-    """Recompute and check every link of a certificate.
-
-    rtol is the tolerance for the final comparison against the reference
-    eigenvalue; all other checks run at the geometric tolerance
-    regardless.
-    """
+def verify_certificate(cert: PartitionCertificate, mu_l_reference: float) -> ChainReport:
+    """Recompute and check every link of a certificate, each at the
+    geometric tolerance GEOMETRY_RTOL."""
     links = []
     geo = GEOMETRY_RTOL
 
@@ -371,7 +369,7 @@ def verify_certificate(
     # (iv) the lower bound clears the reference eigenvalue
     links.append(
         ChainLink.check(
-            "lower_bound_vs_reference", cert.lower_bound, mu_l_reference, rtol
+            "lower_bound_vs_reference", cert.lower_bound, mu_l_reference, geo
         )
     )
 
@@ -427,9 +425,9 @@ def verify_certificate(
     return ChainReport(links=links)
 
 
-def certified_chain(cert, mu_l_reference, rtol=GEOMETRY_RTOL):
+def certified_chain(cert, mu_l_reference):
     """verify_certificate plus a certificate copy with chain_ok updated."""
-    report = verify_certificate(cert, mu_l_reference, rtol)
+    report = verify_certificate(cert, mu_l_reference)
     return report, dataclasses.replace(cert, chain_ok=report.holds_all)
 
 
@@ -508,20 +506,12 @@ def reference_spectrum(P: ConvexPolygon, m: int, levels: int) -> Spectrum:
     return neumann_spectrum(P, m, levels)
 
 
-def quadratic_ratio_sweep(
-    P: ConvexPolygon,
-    k_max: int,
-    levels: int = 5,
-    domain_spectrum: Spectrum | None = None,
-) -> SweepTable:
+def quadratic_ratio_sweep(spec: Spectrum, k_max: int) -> SweepTable:
     """Tabulate the measured constant in mu_k <= C (k/l)^2 mu_l for all
-    1 <= l <= k <= k_max, from domain_spectrum when given and from
-    reference_spectrum otherwise."""
+    1 <= l <= k <= k_max from a domain spectrum of k_max + 1 or more
+    values."""
     if not isinstance(k_max, (int, np.integer)) or k_max < 1:
         raise CertificationError("k_max must be an integer >= 1")
-    spec = domain_spectrum
-    if spec is None:
-        spec = reference_spectrum(P, k_max + 1, levels)
     if len(spec) < k_max + 1:
         raise CertificationError("domain spectrum too short for the requested k_max")
     entries = []
@@ -536,31 +526,23 @@ def quadratic_ratio_sweep(
 
 
 def weak_chain_report(
-    P: ConvexPolygon,
-    k: int,
-    levels: int = 5,
-    ratio_cap: float = 100.0,
-    domain_spectrum: Spectrum | None = None,
-    sandwich: geometry.BoxSandwich | None = None,
+    domain_spectrum: Spectrum, sandwich: geometry.BoxSandwich, k: int, ratio_cap: float
 ) -> ChainReport:
-    """Trace mu_{k+1} against mu_k through a box sandwich of the domain.
+    """Trace mu_{k+1} against mu_k of a domain, given by its spectrum of
+    k + 2 or more values, through a box sandwich of the domain.
 
-    The chain runs: domain to inner box by monotonicity (factor 4 = n^2),
-    inner to outer box by exact scaling, consecutive eigenvalues compared
-    on the inner box against the flat torus of the doubled box, then back.
-    Links record measured ratios against reference constant 1, so holds is
-    informational for the inequalities that are only true up to constants;
-    the capped end-to-end comparison is the gating link.  The sandwich is
-    computed from P unless given.
+    The chain runs: domain to inner box by monotonicity (factor 4 = 2^2 in
+    the plane), inner to outer box by exact scaling, consecutive
+    eigenvalues compared on the inner box against the flat torus of the
+    doubled box, then back.  Links record measured ratios against
+    reference constant 1, so holds is informational for the inequalities
+    that are only true up to constants; the comparison of mu_{k+1} with
+    ratio_cap mu_k is the gating link.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise CertificationError("k must be an integer >= 1")
-    if domain_spectrum is None:
-        domain_spectrum = reference_spectrum(P, k + 2, levels)
     if len(domain_spectrum) < k + 2:
         raise CertificationError("domain spectrum too short for the requested k")
-    if sandwich is None:
-        sandwich = rectangle_sandwich(P)
     inner, outer = sandwich.inner, sandwich.outer
     delta = sandwich.dilation_factor
     inner_spec = rectangle_spectrum(inner.half_width_a, inner.half_width_b, k + 2)
@@ -572,7 +554,7 @@ def weak_chain_report(
     mu_dom_k1 = domain_spectrum[k + 1]
     links = [
         ChainLink.check("sandwich_dilation", delta, 8.0),
-        # domain monotonicity: restriction shrinks to the inner box at cost n^2
+        # domain monotonicity: restriction shrinks to the inner box at cost 2^2
         ChainLink.check(
             "domain_to_inner_box", mu_dom_k1, 4.0 * inner_spec[k + 1]
         ),

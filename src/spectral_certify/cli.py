@@ -54,6 +54,7 @@ from .geometry import (
     regular_polygon,
     svg_scene,
 )
+from .mesh import MeshError, check_refinement
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -152,7 +153,7 @@ def _report_skeleton(command: str, config: dict) -> dict:
     }
 
 
-def _emit(report: dict, fmt: str, csv_rows=None, csv_header=None) -> None:
+def _emit(report: dict, fmt: str, csv_rows, csv_header) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2))
     else:
@@ -188,12 +189,13 @@ def _merge_config(args: argparse.Namespace, keys: dict) -> dict:
     return merged
 
 
-def _refinement_levels(cfg: dict) -> int:
-    """The --levels setting, checked before any mesh is built."""
-    levels = int(cfg["levels"])
-    if not (0 <= levels <= 12):
-        raise UsageError("--levels must lie in [0, 12]")
-    return levels
+def _check_levels(polygons, levels: int) -> None:
+    """--levels against the mesh budget of every domain, before any solve."""
+    for P in polygons:
+        try:
+            check_refinement(P, levels)
+        except MeshError as exc:
+            raise UsageError(f"--levels: {exc}") from None
 
 
 def _spectrum_rows(P: ConvexPolygon, spec, rect: Rectangle | None):
@@ -216,7 +218,7 @@ def _spectrum_rows(P: ConvexPolygon, spec, rect: Rectangle | None):
         if closed is not None:
             row["closed_form"] = closed[k]
         if k >= 1:
-            row["upper_diameter"] = kroger_diameter_upper(2, k, diam)
+            row["upper_diameter"] = kroger_diameter_upper(k, diam)
             row["upper_area"] = kroger_area_upper(k, area)
         if k == 1:
             row["lower_diameter"] = payne_weinberger_lower(diam)
@@ -234,10 +236,11 @@ def cmd_spectrum(args) -> int:
     )
     spec_dom = parse_domain(str(cfg["domain"]))
     m = int(cfg["m"])
-    levels = _refinement_levels(cfg)
+    levels = int(cfg["levels"])
     if m < 1:
         raise UsageError("--m must be >= 1")
     P = spec_dom.build()
+    _check_levels([P], levels)
     rect = rectangle_from_polygon(P)
     report = _report_skeleton("spectrum", {**cfg, "domain": spec_dom.name})
     t0 = time.perf_counter()
@@ -272,7 +275,7 @@ def cmd_bounds(args) -> int:
     for k in range(1, k_max + 1):
         row = {
             "k": k,
-            "upper_diameter": kroger_diameter_upper(2, k, diam),
+            "upper_diameter": kroger_diameter_upper(k, diam),
             "upper_area": kroger_area_upper(k, area),
             "provenance": "formula",
         }
@@ -367,22 +370,19 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.chain_ok else EXIT_CERTIFY
 
 
-def _sweep_single(spec_dom: DomainSpec, k_max: int, levels: int, ratio_cap: float) -> dict:
-    P = spec_dom.build()
+def _sweep_single(name: str, P: ConvexPolygon, k_max: int, levels: int, ratio_cap: float) -> dict:
     t0 = time.perf_counter()
     # one solve serves the sweep table and every chain (they need k_max + 2)
     domain_spectrum = reference_spectrum(P, k_max + 2, levels)
-    table = quadratic_ratio_sweep(P, k_max, levels, domain_spectrum=domain_spectrum)
+    table = quadratic_ratio_sweep(domain_spectrum, k_max)
     # and one box sandwich serves every chain
     sandwich = rectangle_sandwich(P)
     chains = {}
     for k in range(1, min(k_max, 10) + 1):
-        chains[k] = weak_chain_report(
-            P, k, levels, ratio_cap=ratio_cap, domain_spectrum=domain_spectrum, sandwich=sandwich
-        ).to_dict()
+        chains[k] = weak_chain_report(domain_spectrum, sandwich, k, ratio_cap).to_dict()
     elapsed = time.perf_counter() - t0
     return {
-        "domain": spec_dom.name,
+        "domain": name,
         "spectrum_source": table.spectrum_source,
         "max_ratio": table.max_ratio,
         "entries": [
@@ -414,7 +414,7 @@ def cmd_sweep(args) -> int:
         },
     )
     k_max = int(cfg["k_max"])
-    levels = _refinement_levels(cfg)
+    levels = int(cfg["levels"])
     ratio_cap = float(cfg["ratio_cap"])
     if k_max < 1:
         raise UsageError("--k-max must be >= 1")
@@ -424,17 +424,20 @@ def cmd_sweep(args) -> int:
         gallery = [parse_domain(str(cfg["domain"]))]
     else:
         gallery = default_gallery()
+    domains = [(dom.name, dom.build()) for dom in gallery]
+    # rectangles take the closed form, but one limit holds for every domain
+    _check_levels([P for _, P in domains], levels)
     report = _report_skeleton(
         "sweep", {**cfg, "domain": cfg["domain"] or "gallery"}
     )
     t0 = time.perf_counter()
     outcomes = []
     failure_code = EXIT_OK
-    for dom in gallery:
+    for name, P in domains:
         try:
-            outcomes.append(_sweep_single(dom, k_max, levels, ratio_cap))
+            outcomes.append(_sweep_single(name, P, k_max, levels, ratio_cap))
         except EigensolverError as exc:
-            outcomes.append({"domain": dom.name, "error": str(exc)})
+            outcomes.append({"domain": name, "error": str(exc)})
             failure_code = EXIT_SOLVER
     report["timings"]["total_s"] = time.perf_counter() - t0
     good = [o for o in outcomes if "error" not in o]
@@ -485,11 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=True):
+    def common(p):
         p.add_argument("--domain", help="square | rect:LX:LY | regular:N[:R] | file:PATH")
         p.add_argument("--config", help="JSON file with default option values")
-        if with_format:
-            p.add_argument("--format", choices=["json", "csv"], help="report format")
+        p.add_argument("--format", choices=["json", "csv"], help="report format")
 
     p_spec = sub.add_parser("spectrum", help="FEM eigenvalues with bounds")
     common(p_spec)

@@ -195,10 +195,8 @@ def neumann_spectrum(P: ConvexPolygon, m: int, levels: int) -> Spectrum:
     mesh = mesh_polygon(P, levels)
     stiffness, mass = assemble(mesh)
     vals, _, residual = solve_smallest(stiffness, mass, m)
-    # the continuous zero mode may round to a tiny negative number
-    scale = max(abs(vals).max(), 1.0)
-    tiny = vals[0] < 0 and abs(vals[0]) < 1e-10 * scale
-    if tiny:
+    # the continuous zero mode rounds to a tiny number of either sign
+    if abs(vals[0]) < 1e-10 * max(abs(vals).max(), 1.0):
         vals[0] = 0.0
     return Spectrum(
         values=vals,

@@ -129,27 +129,24 @@ class ConvexPolygon:
         v = self.vertices
         return _halfplanes(v, np.concatenate((v[1:], v[:1])))
 
-    def contains_points(self, points, tol=None):
+    def contains_points(self, points):
+        """Mask of the points inside, to within EPS_REL * scale."""
         pts = _as_points(points)
-        if tol is None:
-            tol = EPS_REL * self._scale
         normals, offsets = self.edge_halfplanes()
-        return _kernels.points_in_halfplanes(pts, normals, offsets, float(tol))
+        return _kernels.points_in_halfplanes(pts, normals, offsets, EPS_REL * self._scale)
 
     def __repr__(self):
         return f"ConvexPolygon(n={self.n}, area={self._area:.6g})"
 
 
-def regular_polygon(n: int, circumradius: float = 1.0, center=(0.0, 0.0)) -> ConvexPolygon:
+def regular_polygon(n: int, circumradius: float = 1.0) -> ConvexPolygon:
+    """Regular n-gon about the origin with a vertex on the positive x axis."""
     if n < 3:
         raise GeometryError("need n >= 3")
     if circumradius <= 0:
         raise GeometryError("circumradius must be positive")
     ang = 2.0 * np.pi * np.arange(n) / n
-    cx, cy = center
-    verts = np.stack(
-        [cx + circumradius * np.cos(ang), cy + circumradius * np.sin(ang)], axis=1
-    )
+    verts = np.stack([circumradius * np.cos(ang), circumradius * np.sin(ang)], axis=1)
     return ConvexPolygon(verts)
 
 
@@ -224,7 +221,6 @@ def maximal_separated_net(P: ConvexPolygon, sep: float, *, limit: int | None = N
     if not (sep > 0.0) or not math.isfinite(sep):
         raise GeometryError("separation must be positive and finite")
     (x0, y0), (x1, y1) = P.bounding_box
-    tol = EPS_REL * P.scale
     # points of both grids, at most; Python floats, so a tiny sep gives inf
     w, h = float(x1 - x0), float(y1 - y0)
     points = sum((w / p + 1.0) * (h / p + 1.0) for p in (sep / 8.0, sep / 16.0))
@@ -238,7 +234,7 @@ def maximal_separated_net(P: ConvexPolygon, sep: float, *, limit: int | None = N
         ys = y0 + pitch * np.arange(ny)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        pts = pts[P.contains_points(pts, tol)]
+        pts = pts[P.contains_points(pts)]
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         return pts[order]
 
@@ -385,7 +381,7 @@ def voronoi_partition(P: ConvexPolygon, sites) -> VoronoiPartition:
     tol = EPS_REL * P.scale
     if _close_pair(pts, tol, lambda d2: d2 <= tol * tol):
         raise GeometryError("sites must be pairwise distinct")
-    if not P.contains_points(pts, tol).all():
+    if not P.contains_points(pts).all():
         raise GeometryError("every site must lie in the domain")
     radius = _RING_SPACINGS * math.sqrt(P.area / m)
     grid = _kernels.BucketGrid(pts, *_kernels.bucket_frame(pts, radius))
@@ -461,12 +457,11 @@ class Rectangle:
         )
         return ConvexPolygon(verts)
 
-    def contains_points(self, points, tol=None):
+    def contains_points(self, points):
+        """Mask of the points inside, to within EPS_REL times the
+        rectangle's coordinate scale."""
         pts = _as_points(points)
-        if tol is None:
-            tol = EPS_REL * (
-                abs(self.center.x) + abs(self.center.y) + self.half_width_b
-            )
+        tol = EPS_REL * (abs(self.center.x) + abs(self.center.y) + self.half_width_b)
         u, v = self.axes
         rel = pts - self.center.array
         return (np.abs(rel @ u) <= self.half_width_a + tol) & (
@@ -482,13 +477,13 @@ class Rectangle:
         )
 
 
-def rectangle_from_polygon(P: ConvexPolygon, tol=None) -> Rectangle | None:
-    """Recognize P as a rectangle (4 corners, right angles); None otherwise."""
+def rectangle_from_polygon(P: ConvexPolygon) -> Rectangle | None:
+    """Recognize P as a rectangle (4 corners, right angles, to 1e-9
+    relative); None otherwise."""
     v = P.vertices
     if v.shape[0] != 4:
         return None
-    if tol is None:
-        tol = 1e-9 * P.scale
+    tol = 1e-9 * P.scale
     e = np.roll(v, -1, axis=0) - v
     lengths = np.hypot(e[:, 0], e[:, 1])
     if abs(lengths[0] - lengths[2]) > tol or abs(lengths[1] - lengths[3]) > tol:
@@ -523,10 +518,15 @@ class Ellipse:
         return (u / self.semi_axis_a) ** 2 + (v / self.semi_axis_b) ** 2
 
 
-def mvee(points, tol: float = 1e-7, max_iter: int = 100000) -> Ellipse:
+# optimality gap at which Khachiyan's iteration stops, and its iteration cap
+_MVEE_TOL = 1e-7
+_MVEE_MAX_ITER = 100000
+
+
+def mvee(points) -> Ellipse:
     """Minimum-volume enclosing ellipse by Khachiyan's multiplicative update.
 
-    Iterates until the barycentric optimality gap drops below tol, then
+    Iterates until the barycentric optimality gap drops below _MVEE_TOL, then
     inflates the result so every input point satisfies the quadratic form,
     making containment unconditional.  Raises on degenerate (collinear)
     input.
@@ -541,12 +541,12 @@ def mvee(points, tol: float = 1e-7, max_iter: int = 100000) -> Ellipse:
     q = np.column_stack([pts, np.ones(n)])
     u = np.full(n, 1.0 / n)
     dp1 = d + 1.0
-    for _ in range(max_iter):
+    for _ in range(_MVEE_MAX_ITER):
         x = q.T @ (q * u[:, None])
         m_vals = (q @ np.linalg.inv(x) * q).sum(axis=1)
         j = int(np.argmax(m_vals))
         maximum = m_vals[j]
-        if maximum <= dp1 * (1.0 + tol):
+        if maximum <= dp1 * (1.0 + _MVEE_TOL):
             break
         # drop-weight steps on over-weighted support points keep the plain
         # multiplicative update from stalling on its sublinear tail
@@ -699,8 +699,9 @@ def polygon_from_json(obj) -> ConvexPolygon:
     return ConvexPolygon(obj["vertices"])
 
 
-def svg_scene(domain: ConvexPolygon, cells=None, sites=None, boxes=None, width=640) -> str:
-    """Standalone SVG drawing of a domain with optional cells, sites, boxes."""
+def svg_scene(domain: ConvexPolygon, cells=None, boxes=None) -> str:
+    """Standalone 640-pixel-wide SVG drawing of a domain with optional
+    cells and boxes."""
     (x0, y0), (x1, y1) = domain.bounding_box
     if boxes:
         for box in boxes:
@@ -712,6 +713,7 @@ def svg_scene(domain: ConvexPolygon, cells=None, sites=None, boxes=None, width=6
     span = max(x1 - x0, y1 - y0)
     pad = 0.05 * span
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
+    width = 640
     scale = width / (x1 - x0)
     height = int(round((y1 - y0) * scale))
 
@@ -742,8 +744,5 @@ def svg_scene(domain: ConvexPolygon, cells=None, sites=None, boxes=None, width=6
                 f'<polygon points="{path(box.polygon().vertices)}" fill="none" '
                 f'stroke="#aa3333" stroke-width="1.5" stroke-dasharray="6 3"/>'
             )
-    if sites is not None and len(sites) > 0:
-        for x, y in to_px(np.asarray(sites, dtype=float)):
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#cc4422"/>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -146,14 +146,20 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
     )
 
 
-def mesh_polygon(P: ConvexPolygon, levels: int) -> TriangleMesh:
-    """Fan triangulation refined the given number of times; a mesh over the
-    MESH_BYTES budget is refused before it is built."""
+def check_refinement(P: ConvexPolygon, levels: int) -> None:
+    """Raise MeshError unless levels is an integer >= 0 whose mesh of P
+    fits the MESH_BYTES budget."""
     if not isinstance(levels, (int, np.integer)) or levels < 0:
         raise MeshError("refinement level must be an integer >= 0")
     triangles = P.n * 4 ** min(int(levels), 32)  # past level 32 every mesh is over budget
     if triangles * 1700 > MESH_BYTES:
         raise MeshError(f"refinement level {levels} gives {triangles:.3g} triangles, over budget")
+
+
+def mesh_polygon(P: ConvexPolygon, levels: int) -> TriangleMesh:
+    """Fan triangulation refined the given number of times; a mesh over the
+    MESH_BYTES budget is refused before it is built."""
+    check_refinement(P, levels)
     mesh = triangulate(P)
     for _ in range(levels):
         mesh = refine(mesh)

@@ -24,6 +24,7 @@ from spectral_certify.certify import (
     construct_partition,
     minimal_constant,
     quadratic_ratio_sweep,
+    reference_spectrum,
     verify_certificate,
     weak_chain_report,
 )
@@ -33,6 +34,7 @@ from spectral_certify.geometry import (
     Rectangle,
     diameter,
     rectangle_from_polygon,
+    rectangle_sandwich,
     voronoi_partition,
 )
 from spectral_certify.mesh import check_conforming, mesh_polygon
@@ -126,7 +128,7 @@ def test_criterion_5_bounds_sandwich_gallery_spectra(capsys, gallery, gallery_fe
         if payne_weinberger_lower(diam) > vals[1]:
             failures.append(f"{name}: PW exceeds mu_1")
         for k in range(1, 11):
-            cap = 1.01 * min(kroger_diameter_upper(2, k, diam), kroger_area_upper(k, area))
+            cap = 1.01 * min(kroger_diameter_upper(k, diam), kroger_area_upper(k, area))
             if vals[k] > cap:
                 failures.append(f"{name}: mu_{k} = {vals[k]:.4f} above bound {cap:.4f}")
     ok = not failures
@@ -144,7 +146,7 @@ def test_criterion_6_sweep_constant_and_rectangle_certificates(capsys, gallery):
     # gallery rectangle and index pair
     overall = 0.0
     for name, poly in gallery.items():
-        table = quadratic_ratio_sweep(poly, 12, levels=GALLERY_LEVELS[name])
+        table = quadratic_ratio_sweep(reference_spectrum(poly, 13, GALLERY_LEVELS[name]), 12)
         overall = max(overall, table.max_ratio)
     sweep_ok = math.isfinite(overall) and overall <= 100.0
 
@@ -233,8 +235,9 @@ def test_criterion_9_weak_chain_ratios_under_cap(capsys, gallery, gallery_fem_sp
     failures = []
     for name, poly in gallery.items():
         spec = gallery_fem_spectra[name]
+        sandwich = rectangle_sandwich(poly)
         for k in range(1, 11):
-            chain = weak_chain_report(poly, k, domain_spectrum=spec)
+            chain = weak_chain_report(spec, sandwich, k, 100.0)
             names = [link.name for link in chain.links]
             gate = chain.links[names.index("consecutive_ratio_capped")]
             worst_ratio = max(worst_ratio, gate.lhs / (gate.rhs / 100.0))

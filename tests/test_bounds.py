@@ -10,31 +10,14 @@ import scipy.special
 from spectral_certify.bounds import (
     kroger_area_upper,
     kroger_diameter_upper,
-    kroger_volume_upper,
     partition_lower,
     payne_weinberger_lower,
-    quadratic_upper,
     rectangle_spectrum,
     torus_spectrum,
-    unit_ball_volume,
 )
 
 PI2 = math.pi**2
 J01 = float(scipy.special.jn_zeros(0, 1)[0])
-
-
-class TestUnitBallVolume:
-    def test_small_dimensions(self):
-        assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-14)
-        assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
-        assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
-        assert unit_ball_volume(4) == pytest.approx(PI2 / 2.0, rel=1e-14)
-
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            unit_ball_volume(0)
-        with pytest.raises(ValueError):
-            unit_ball_volume(2.5)
 
 
 class TestPayneWeinberger:
@@ -55,55 +38,35 @@ class TestPayneWeinberger:
 
 class TestKrogerDiameter:
     def test_planar_first_eigenvalue(self):
-        assert kroger_diameter_upper(2, 1, 1.0) == pytest.approx((2.0 * J01) ** 2, rel=1e-12)
-        assert kroger_diameter_upper(2, 1, 1.0) == pytest.approx(23.1327, rel=1e-4)
+        assert kroger_diameter_upper(1, 1.0) == pytest.approx((2.0 * J01) ** 2, rel=1e-12)
+        assert kroger_diameter_upper(1, 1.0) == pytest.approx(23.1327, rel=1e-4)
 
     def test_planar_higher_index(self):
         expected = (2.0 * J01 + 2.0 * math.pi) ** 2 / 4.0
-        assert kroger_diameter_upper(2, 3, 2.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_three_dimensional_half_integer_order(self):
-        # j_{1/2,1} = pi collapses the odd-index case to 4 pi^2
-        assert kroger_diameter_upper(3, 1, 1.0) == pytest.approx(4.0 * PI2, rel=1e-12)
-        # even index pairs consecutive zeros: (pi + 2 pi)^2
-        assert kroger_diameter_upper(3, 2, 1.0) == pytest.approx(9.0 * PI2, rel=1e-12)
+        assert kroger_diameter_upper(3, 2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_scaling_and_monotonicity(self):
-        base = kroger_diameter_upper(2, 4, 1.0)
+        base = kroger_diameter_upper(4, 1.0)
         for d in (0.5, 2.0, 7.0):
-            assert kroger_diameter_upper(2, 4, d) * d**2 == pytest.approx(base, rel=1e-12)
-        seq = [kroger_diameter_upper(2, k, 1.0) for k in range(1, 10)]
+            assert kroger_diameter_upper(4, d) * d**2 == pytest.approx(base, rel=1e-12)
+        seq = [kroger_diameter_upper(k, 1.0) for k in range(1, 10)]
         assert all(a < b for a, b in zip(seq, seq[1:]))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            kroger_diameter_upper(1, 1, 1.0)
+            kroger_diameter_upper(0, 1.0)
         with pytest.raises(ValueError):
-            kroger_diameter_upper(2, 0, 1.0)
-        with pytest.raises(ValueError):
-            kroger_diameter_upper(2, 1, -1.0)
+            kroger_diameter_upper(1, -1.0)
 
 
-class TestKrogerVolume:
+class TestKrogerArea:
     def test_pinned_values(self):
-        assert kroger_volume_upper(2, 1, 1.0) == pytest.approx(8.0 * math.pi, rel=1e-12)
-        assert kroger_volume_upper(2, 4, 2.0) == pytest.approx(16.0 * math.pi, rel=1e-12)
-        # independent arithmetic: 4 pi^2 (5/2)^(2/3) (1/omega_3^2)^(1/3)
-        # with omega_3 = 4 pi / 3
-        omega3 = 4.0 * math.pi / 3.0
-        expected3 = 4.0 * PI2 * (5.0 / 2.0) ** (2.0 / 3.0) * omega3 ** (-4.0 / 3.0)
-        assert kroger_volume_upper(3, 1, omega3) == pytest.approx(expected3, rel=1e-12)
-
-    def test_planar_form_matches_area_specialization(self):
-        for k in (1, 2, 7, 50):
-            for area in (0.3, 1.0, 12.5):
-                assert kroger_volume_upper(2, k, area) == pytest.approx(
-                    kroger_area_upper(k, area), rel=1e-12
-                )
+        assert kroger_area_upper(1, 1.0) == pytest.approx(8.0 * math.pi, rel=1e-12)
+        assert kroger_area_upper(4, 2.0) == pytest.approx(16.0 * math.pi, rel=1e-12)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            kroger_volume_upper(2, 1, 0.0)
+            kroger_area_upper(1, 0.0)
         with pytest.raises(ValueError):
             kroger_area_upper(0, 1.0)
 
@@ -134,19 +97,6 @@ class TestPartitionLower:
             partition_lower([])
         with pytest.raises(ValueError):
             partition_lower([1.0, -2.0])
-
-
-class TestQuadraticUpper:
-    def test_pinned_values(self):
-        assert quadratic_upper(3, 3, 7.5, 1.25) == pytest.approx(1.25 * 7.5, rel=1e-15)
-        assert quadratic_upper(4, 2, 1.0, 1.0) == pytest.approx(4.0, rel=1e-15)
-        assert quadratic_upper(6, 2, PI2, 2.0) == pytest.approx(18.0 * PI2, rel=1e-15)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            quadratic_upper(1, 2, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            quadratic_upper(2, 1, 1.0, 0.0)
 
 
 class TestRectangleSpectrum:
@@ -227,7 +177,7 @@ class TestBoundsBracketEigenvalues:
         diam = 2.0 * math.hypot(half_a, half_b)
         area = 4.0 * half_a * half_b
         assert payne_weinberger_lower(diam) <= mu1 * (1.0 + 1e-12)
-        assert mu1 <= kroger_diameter_upper(2, 1, diam) * (1.0 + 1e-12)
+        assert mu1 <= kroger_diameter_upper(1, diam) * (1.0 + 1e-12)
         assert mu1 <= kroger_area_upper(1, area) * (1.0 + 1e-12)
 
     def test_weyl_scale_at_index_500(self):
@@ -243,4 +193,4 @@ class TestBoundsBracketEigenvalues:
         vals = rectangle_spectrum(0.5, 0.5, 11).values
         diam = math.sqrt(2.0)
         for k in range(1, 11):
-            assert vals[k] <= kroger_diameter_upper(2, k, diam) * (1.0 + 1e-12)
+            assert vals[k] <= kroger_diameter_upper(k, diam) * (1.0 + 1e-12)

@@ -24,14 +24,21 @@ from spectral_certify.certify import (
     minimal_constant,
     partition_radius,
     quadratic_ratio_sweep,
+    reference_spectrum,
     verify_certificate,
     weak_chain_report,
 )
-from spectral_certify.geometry import Point2, Rectangle, regular_polygon
+from spectral_certify.geometry import Point2, Rectangle, rectangle_sandwich, regular_polygon
 
 PI2 = math.pi**2
 
 UNIT_SQUARE = Rectangle(Point2(0.0, 0.0), 0.5, 0.5, 0.0)
+
+
+def square_chain(k, ratio_cap=100.0):
+    """weak_chain_report on the unit square, from its closed-form spectrum."""
+    sandwich = rectangle_sandwich(UNIT_SQUARE.polygon())
+    return weak_chain_report(rectangle_spectrum(0.5, 0.5, k + 2), sandwich, k, ratio_cap)
 
 
 def link_by_name(report, name):
@@ -384,7 +391,7 @@ class TestProbeCap:
 
 class TestQuadraticRatioSweep:
     def test_square_closed_form_entries(self):
-        table = quadratic_ratio_sweep(UNIT_SQUARE.polygon(), 10)
+        table = quadratic_ratio_sweep(reference_spectrum(UNIT_SQUARE.polygon(), 11, 5), 10)
         assert table.spectrum_source == "closed_form"
         by_pair = {(e.k, e.l): e.ratio for e in table.entries}
         assert len(by_pair) == 10 * 11 // 2
@@ -402,7 +409,7 @@ class TestQuadraticRatioSweep:
         assert table.max_ratio == pytest.approx(expected_max, rel=1e-12)
 
     def test_fem_path_on_pentagon(self):
-        table = quadratic_ratio_sweep(regular_polygon(5), 3, levels=3)
+        table = quadratic_ratio_sweep(reference_spectrum(regular_polygon(5), 4, 3), 3)
         assert table.spectrum_source == "fem(3)"
         assert len(table.entries) == 6
         assert all(np.isfinite(e.ratio) for e in table.entries)
@@ -410,12 +417,12 @@ class TestQuadraticRatioSweep:
 
     def test_rejects_bad_k_max(self):
         with pytest.raises(CertificationError):
-            quadratic_ratio_sweep(UNIT_SQUARE.polygon(), 0)
+            quadratic_ratio_sweep(rectangle_spectrum(0.5, 0.5, 2), 0)
 
 
 class TestWeakChain:
     def test_square_links(self):
-        report = weak_chain_report(UNIT_SQUARE.polygon(), 1)
+        report = square_chain(1)
         assert link_by_name(report, "sandwich_dilation").holds
         # power-of-two dilation makes the scaling identity exact
         assert link_by_name(report, "inner_outer_scaling").lhs == 0.0
@@ -428,7 +435,7 @@ class TestWeakChain:
         )
 
     def test_torus_multiplicity_reporting(self):
-        report = weak_chain_report(UNIT_SQUARE.polygon(), 3)
+        report = square_chain(3)
         mism = link_by_name(report, "torus_multiplicity_mismatches")
         # doubled-box torus repeats values with sign multiplicity, so the
         # two lists diverge from index 3 on
@@ -436,31 +443,32 @@ class TestWeakChain:
         assert mism.holds
 
     def test_gating_link_fails_under_tight_cap(self):
-        report = weak_chain_report(UNIT_SQUARE.polygon(), 2, ratio_cap=1.5)
+        report = square_chain(2, ratio_cap=1.5)
         gate = link_by_name(report, "consecutive_ratio_capped")
         assert not gate.holds
         assert not report.holds_all
 
     def test_fem_domain_and_precomputed_spectrum(self):
         pent = regular_polygon(5)
-        report = weak_chain_report(pent, 1, levels=3)
+        sandwich = rectangle_sandwich(pent)
+        report = weak_chain_report(reference_spectrum(pent, 3, 3), sandwich, 1, 100.0)
         assert link_by_name(report, "sandwich_dilation").lhs in (1.0, 2.0, 4.0, 8.0)
         from spectral_certify.fem import neumann_spectrum
 
         spec = neumann_spectrum(pent, 4, 3)
-        report2 = weak_chain_report(pent, 1, domain_spectrum=spec)
+        report2 = weak_chain_report(spec, sandwich, 1, 100.0)
         gate1 = link_by_name(report, "consecutive_ratio_capped")
         gate2 = link_by_name(report2, "consecutive_ratio_capped")
         assert gate2.lhs == pytest.approx(gate1.lhs, rel=1e-12)
 
     def test_rejects_bad_k(self):
         with pytest.raises(CertificationError):
-            weak_chain_report(UNIT_SQUARE.polygon(), 0)
+            square_chain(0)
 
     def test_short_spectrum_rejected(self):
         spec = rectangle_spectrum(0.5, 0.5, 3)
         with pytest.raises(CertificationError):
-            weak_chain_report(UNIT_SQUARE.polygon(), 2, domain_spectrum=spec)
+            weak_chain_report(spec, rectangle_sandwich(UNIT_SQUARE.polygon()), 2, 100.0)
 
 
 class TestChainLink:

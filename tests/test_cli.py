@@ -112,6 +112,27 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "--levels" in err
 
+    @pytest.mark.parametrize(
+        "domain, levels", [("rect:2:1", "-1"), ("rect:2:1", "13"), ("square", "9")]
+    )
+    def test_sweep_levels_checked_on_rectangles(self, capsys, domain, levels):
+        # a rectangle takes the closed form, but --levels has one limit
+        code, out, err = run(capsys, "sweep", "--domain", domain, "--levels", levels)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--levels" in err
+
+    def test_gallery_levels_checked_before_any_solve(self, capsys, monkeypatch):
+        # level 6 fits every gallery domain but the 256-gon (1.05M triangles)
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a domain was solved")
+
+        monkeypatch.setattr(fem, "solve_smallest", no_solve)
+        code, out, err = run(capsys, "sweep", "--levels", "6")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--levels" in err and "1.05e+06 triangles" in err
+
     def test_certify_net_grids_over_budget(self, capsys, monkeypatch):
         # the coarse grid alone has ~10M points and the fine one ~41M: the
         # net must be refused before any grid is built
@@ -435,6 +456,22 @@ class TestImport:
             " '--C', '0.5']) == 4"
         )
         assert self.spatial_imported(code) == "False"
+
+
+class TestBenchmarkTracer:
+    def test_tracer_installs(self):
+        # the traced benchmark wraps module attributes by name, so every
+        # name it wraps must exist
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {os.path.join(root, 'perfbench')!r})\n"
+            "from spans import Tracer\n"
+            "Tracer().install()"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
 
 class TestReportSkeleton:

@@ -159,6 +159,15 @@ class TestEigensolver:
         assert spectrum.refinement_level == 3
         assert spectrum.mesh_h > 0.0
 
+    @pytest.mark.parametrize(
+        "polygon, m, levels",
+        [(regular_polygon(6), 5, 4), (UNIT_SQUARE, 8, 5), (regular_polygon(5), 8, 4)],
+        ids=["regular_6", "square", "regular_5"],
+    )
+    def test_zero_mode_is_exactly_zero(self, polygon, m, levels):
+        # these pencils round the constant mode to a tiny positive number
+        assert neumann_spectrum(polygon, m, levels).values[0] == 0.0
+
     def test_rejects_oversized_block(self):
         mesh = mesh_polygon(UNIT_SQUARE, 1)
         stiffness, mass = assemble(mesh)

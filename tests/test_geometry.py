@@ -798,8 +798,9 @@ class TestSvg:
         hexa = regular_polygon(6)
         net = maximal_separated_net(hexa, 0.5)
         part = voronoi_partition(hexa, net)
-        out = svg_scene(hexa, cells=part.cells, sites=part.sites)
+        s = rectangle_sandwich(hexa)
+        out = svg_scene(hexa, cells=part.cells, boxes=[s.inner, s.outer])
         assert out.startswith("<svg")
         assert out.endswith("</svg>")
-        assert out.count("<polygon") == 1 + len(part.cells)
-        assert out.count("<circle") == len(part.sites)
+        assert out.count("<polygon") == 1 + len(part.cells) + 2
+        assert out.count("stroke-dasharray") == 2
