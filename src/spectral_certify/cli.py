@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .bounds import (
@@ -66,30 +64,10 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class DomainSpec:
-    name: str
-    kind: str
-    parameters: dict
-
-    def build(self) -> ConvexPolygon:
-        if self.kind == "rectangle":
-            lx, ly = self.parameters["length_x"], self.parameters["length_y"]
-            rect = Rectangle(Point2(0.0, 0.0), lx / 2.0, ly / 2.0, 0.0)
-            return rect.polygon()
-        if self.kind == "regular":
-            return regular_polygon(
-                self.parameters["sides"], self.parameters["circumradius"]
-            )
-        if self.kind == "file":
-            with open(self.parameters["path"], "r", encoding="utf-8") as fh:
-                return polygon_from_json(fh.read())
-        raise UsageError(f"unknown domain kind {self.kind!r}")
-
-
-def parse_domain(text: str) -> DomainSpec:
+def parse_domain(text: str) -> tuple[str, ConvexPolygon]:
+    """Report name and polygon of a domain specifier."""
     if text == "square":
-        return DomainSpec("square", "rectangle", {"length_x": 1.0, "length_y": 1.0})
+        return "square", Rectangle(Point2(0.0, 0.0), 0.5, 0.5, 0.0).polygon()
     if text.startswith("rect:"):
         parts = text.split(":")
         if len(parts) != 3:
@@ -101,7 +79,7 @@ def parse_domain(text: str) -> DomainSpec:
         if not (lx > 0 and ly > 0):
             raise UsageError("rectangle lengths must be positive")
         name = f"rect_{parts[1]}x{parts[2]}".replace(".", "p")
-        return DomainSpec(name, "rectangle", {"length_x": lx, "length_y": ly})
+        return name, Rectangle(Point2(0.0, 0.0), lx / 2.0, ly / 2.0, 0.0).polygon()
     if text.startswith("regular:"):
         parts = text.split(":")
         if len(parts) not in (2, 3):
@@ -113,28 +91,24 @@ def parse_domain(text: str) -> DomainSpec:
             raise UsageError(f"bad regular polygon specification {text!r}") from exc
         if sides < 3 or radius <= 0:
             raise UsageError("need at least 3 sides and a positive circumradius")
-        return DomainSpec(
-            f"regular_{sides}", "regular", {"sides": sides, "circumradius": radius}
-        )
+        return f"regular_{sides}", regular_polygon(sides, radius)
     if text.startswith("file:") or text.endswith(".json"):
         path = text[5:] if text.startswith("file:") else text
         stem = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        return DomainSpec(f"file_{stem}", "file", {"path": path})
+        with open(path, "r", encoding="utf-8") as fh:
+            return f"file_{stem}", polygon_from_json(fh.read())
     raise UsageError(
         f"unknown domain {text!r}; expected square, rect:LX:LY, "
         "regular:N[:R], or file:PATH"
     )
 
 
-def default_gallery() -> list[DomainSpec]:
+def default_gallery() -> list[tuple[str, ConvexPolygon]]:
     return [
-        parse_domain("square"),
-        parse_domain("rect:2:1"),
-        parse_domain("rect:10:1"),
-        parse_domain("regular:5"),
-        parse_domain("regular:6"),
-        parse_domain("regular:8"),
-        parse_domain("regular:256"),
+        parse_domain(text)
+        for text in (
+            "square", "rect:2:1", "rect:10:1", "regular:5", "regular:6", "regular:8", "regular:256"
+        )
     ]
 
 
@@ -142,12 +116,34 @@ def default_gallery() -> list[DomainSpec]:
 # report plumbing
 
 
-def _report_skeleton(command: str, config: dict) -> dict:
+# Reports are built whole before they are printed.  Peak traced memory is
+# under 2100 bytes a sweep table entry (its SweepEntry, report dict and
+# indented JSON), 1400 bytes a bounds row, and 32 bytes a value of the
+# closed-form spectrum certify computes for --k.  So the budget admits sweep
+# --k-max 505 on one domain and 190 on the gallery of 7, bounds --k-max
+# 191739 and certify --k 8388607 (336, 336 and 407 MiB peak RSS at those
+# limits, interpreter included).
+REPORT_BYTES = 2**28
+SWEEP_ENTRY_BYTES = 2100
+BOUNDS_ROW_BYTES = 1400
+SPECTRUM_VALUE_BYTES = 32
+
+
+def _options(args: argparse.Namespace) -> dict:
+    """Every option of the subcommand with its parsed value."""
+    return {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "config", "func")
+    }
+
+
+def _report_skeleton(args: argparse.Namespace, domain: str) -> dict:
     return {
         "tool": "spectral-certify",
         "version": __version__,
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {**_options(args), "domain": domain},
         "results": {},
         "timings": {},
     }
@@ -157,36 +153,29 @@ def _emit(report: dict, fmt: str, csv_rows, csv_header) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(csv_header)
-        for row in csv_rows:
-            writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
+        writer.writerows(csv_rows)
 
 
-def _merge_config(args: argparse.Namespace, keys: dict) -> dict:
-    """Effective settings: explicit flags beat the config file, which
-    beats defaults.  keys maps option name to its default."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {args.config!r}: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise UsageError("config file must hold a JSON object")
-    merged = {}
-    for key, default in keys.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-        elif key in file_cfg:
-            merged[key] = file_cfg[key]
-        else:
-            merged[key] = default
-    return merged
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config file's values as flags of the subcommand.  Keys that
+    are not options of the subcommand are ignored, and null means the
+    default."""
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file {args.config!r}: {exc}")
+    if not isinstance(values, dict):
+        raise UsageError("config file must hold a JSON object")
+    options = _options(args)
+    # --option=value, so that a value starting with "-" stays a value
+    return [
+        f"--{key.replace('_', '-')}={value}"
+        for key, value in values.items()
+        if key in options and value is not None
+    ]
 
 
 def _check_levels(polygons, levels: int) -> None:
@@ -196,6 +185,12 @@ def _check_levels(polygons, levels: int) -> None:
             check_refinement(P, levels)
         except MeshError as exc:
             raise UsageError(f"--levels: {exc}") from None
+
+
+def _check_size(option: str, value: int, count: int, what: str, unit_bytes: int) -> None:
+    """An index option against the report budget, before any work."""
+    if count * unit_bytes > REPORT_BYTES:
+        raise UsageError(f"{option}: {value} gives {count:.3g} {what}, over budget")
 
 
 def _spectrum_rows(P: ConvexPolygon, spec, rect: Rectangle | None):
@@ -231,24 +226,18 @@ def _spectrum_rows(P: ConvexPolygon, spec, rect: Rectangle | None):
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _merge_config(
-        args, {"domain": "square", "m": 8, "levels": 5, "format": "json"}
-    )
-    spec_dom = parse_domain(str(cfg["domain"]))
-    m = int(cfg["m"])
-    levels = int(cfg["levels"])
-    if m < 1:
+    if args.m < 1:
         raise UsageError("--m must be >= 1")
-    P = spec_dom.build()
-    _check_levels([P], levels)
+    name, P = parse_domain(args.domain)
+    _check_levels([P], args.levels)
     rect = rectangle_from_polygon(P)
-    report = _report_skeleton("spectrum", {**cfg, "domain": spec_dom.name})
+    report = _report_skeleton(args, name)
     t0 = time.perf_counter()
-    spec = neumann_spectrum(P, m, levels)
+    spec = neumann_spectrum(P, args.m, args.levels)
     report["timings"]["solve_s"] = time.perf_counter() - t0
     rows = _spectrum_rows(P, spec, rect)
     report["results"] = {
-        "domain": spec_dom.name,
+        "domain": name,
         "mesh_h": spec.mesh_h,
         "refinement_level": spec.refinement_level,
         "solver_residual": spec.solver_residual,
@@ -256,23 +245,19 @@ def cmd_spectrum(args) -> int:
     }
     header = ["k", "value", "provenance", "closed_form", "upper_diameter", "upper_area", "lower_diameter"]
     csv_rows = [[row.get(h, "") for h in header] for row in rows]
-    _emit(report, cfg["format"], csv_rows, header)
+    _emit(report, args.format, csv_rows, header)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    cfg = _merge_config(
-        args, {"domain": "square", "k_max": 10, "format": "json"}
-    )
-    spec_dom = parse_domain(str(cfg["domain"]))
-    k_max = int(cfg["k_max"])
-    if k_max < 1:
+    if args.k_max < 1:
         raise UsageError("--k-max must be >= 1")
-    P = spec_dom.build()
+    _check_size("--k-max", args.k_max, args.k_max, "bound rows", BOUNDS_ROW_BYTES)
+    name, P = parse_domain(args.domain)
     diam = diameter(P)
     area = P.area
     rows = []
-    for k in range(1, k_max + 1):
+    for k in range(1, args.k_max + 1):
         row = {
             "k": k,
             "upper_diameter": kroger_diameter_upper(k, diam),
@@ -282,60 +267,45 @@ def cmd_bounds(args) -> int:
         if k == 1:
             row["lower_diameter"] = payne_weinberger_lower(diam)
         rows.append(row)
-    report = _report_skeleton("bounds", {**cfg, "domain": spec_dom.name})
+    report = _report_skeleton(args, name)
     report["results"] = {
-        "domain": spec_dom.name,
+        "domain": name,
         "diameter": diam,
         "area": area,
         "bounds": rows,
     }
     header = ["k", "upper_diameter", "upper_area", "lower_diameter", "provenance"]
     csv_rows = [[row.get(h, "") for h in header] for row in rows]
-    _emit(report, cfg["format"], csv_rows, header)
+    _emit(report, args.format, csv_rows, header)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    cfg = _merge_config(
-        args,
-        {
-            "domain": "square",
-            "k": 2,
-            "l": 1,
-            "C": None,
-            "format": "json",
-            "svg": None,
-        },
-    )
-    spec_dom = parse_domain(str(cfg["domain"]))
-    k, l = int(cfg["k"]), int(cfg["l"])
+    k, l = args.k, args.l
     if not (k >= l >= 1):
         raise UsageError("need --k >= --l >= 1")
-    P = spec_dom.build()
+    _check_size("--k", k, k + 1, "spectrum values", SPECTRUM_VALUE_BYTES)
+    if args.C is not None and not (math.isfinite(args.C) and args.C > 0):
+        raise UsageError("--C must be positive and finite")
+    name, P = parse_domain(args.domain)
     rect = rectangle_from_polygon(P)
     sandwich = None
     if rect is None:
         sandwich = rectangle_sandwich(P)
         rect = sandwich.inner
-    report = _report_skeleton("certify", {**cfg, "domain": spec_dom.name})
+    report = _report_skeleton(args, name)
     t0 = time.perf_counter()
     spec = rectangle_spectrum(rect.half_width_a, rect.half_width_b, k + 1)
     mu_k, mu_l = spec[k], spec[l]
-    searched = False
-    if cfg["C"] is None:
-        c_value = minimal_constant(rect, k, l)
-        searched = True
-    else:
-        c_value = float(cfg["C"])
-        if not (math.isfinite(c_value) and c_value > 0):
-            raise UsageError("--C must be positive and finite")
+    searched = args.C is None
+    c_value = minimal_constant(rect, k, l) if searched else args.C
     cert = construct_partition(rect, k, l, c_value, mu_k)
     chain, cert = certified_chain(cert, mu_l)
     report["timings"]["certify_s"] = time.perf_counter() - t0
     if searched:
         chain.minimal_C = c_value
     results = {
-        "domain": spec_dom.name,
+        "domain": name,
         "certified_rectangle": {
             "center": [rect.center.x, rect.center.y],
             "half_width_a": rect.half_width_a,
@@ -356,17 +326,17 @@ def cmd_certify(args) -> int:
             "inscribed box of its enclosing-ellipse sandwich",
         }
     report["results"] = results
-    if cfg["svg"]:
+    if args.svg:
         boxes = [sandwich.inner, sandwich.outer] if sandwich is not None else None
         drawing = svg_scene(P, cells=cert.cells, boxes=boxes)
-        with open(cfg["svg"], "w", encoding="utf-8") as fh:
+        with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(drawing)
     header = ["name", "lhs", "rhs", "ratio", "holds"]
     csv_rows = [
         [link.name, repr(link.lhs), repr(link.rhs), repr(link.ratio), link.holds]
         for link in chain.links
     ]
-    _emit(report, cfg["format"], csv_rows, header)
+    _emit(report, args.format, csv_rows, header)
     return EXIT_OK if cert.chain_ok else EXIT_CERTIFY
 
 
@@ -402,40 +372,23 @@ def _sweep_single(name: str, P: ConvexPolygon, k_max: int, levels: int, ratio_ca
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merge_config(
-        args,
-        {
-            "domain": None,
-            "k_max": 12,
-            "levels": 4,
-            "format": "json",
-            "plot_dir": None,
-            "ratio_cap": 100.0,
-        },
-    )
-    k_max = int(cfg["k_max"])
-    levels = int(cfg["levels"])
-    ratio_cap = float(cfg["ratio_cap"])
+    k_max, ratio_cap = args.k_max, args.ratio_cap
     if k_max < 1:
         raise UsageError("--k-max must be >= 1")
     if not (ratio_cap > 0):
         raise UsageError("--ratio-cap must be positive")
-    if cfg["domain"]:
-        gallery = [parse_domain(str(cfg["domain"]))]
-    else:
-        gallery = default_gallery()
-    domains = [(dom.name, dom.build()) for dom in gallery]
+    domains = [parse_domain(args.domain)] if args.domain else default_gallery()
+    entries = len(domains) * k_max * (k_max + 1) // 2
+    _check_size("--k-max", k_max, entries, "sweep table entries", SWEEP_ENTRY_BYTES)
     # rectangles take the closed form, but one limit holds for every domain
-    _check_levels([P for _, P in domains], levels)
-    report = _report_skeleton(
-        "sweep", {**cfg, "domain": cfg["domain"] or "gallery"}
-    )
+    _check_levels([P for _, P in domains], args.levels)
+    report = _report_skeleton(args, args.domain or "gallery")
     t0 = time.perf_counter()
     outcomes = []
     failure_code = EXIT_OK
     for name, P in domains:
         try:
-            outcomes.append(_sweep_single(name, P, k_max, levels, ratio_cap))
+            outcomes.append(_sweep_single(name, P, k_max, args.levels, ratio_cap))
         except EigensolverError as exc:
             outcomes.append({"domain": name, "error": str(exc)})
             failure_code = EXIT_SOLVER
@@ -454,10 +407,10 @@ def cmd_sweep(args) -> int:
         "ratio_cap": ratio_cap,
         "ratio_cap_ok": cap_ok,
     }
-    if cfg["plot_dir"]:
-        os.makedirs(cfg["plot_dir"], exist_ok=True)
+    if args.plot_dir:
+        os.makedirs(args.plot_dir, exist_ok=True)
         for o in good:
-            path = f"{cfg['plot_dir']}/sweep_{o['domain']}.csv"
+            path = f"{args.plot_dir}/sweep_{o['domain']}.csv"
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["k", "l", "x_index_ratio", "y_measured_constant"])
@@ -471,7 +424,7 @@ def cmd_sweep(args) -> int:
         for o in good
         for e in o["entries"]
     ]
-    _emit(report, cfg["format"], csv_rows, header)
+    _emit(report, args.format, csv_rows, header)
     return failure_code
 
 
@@ -488,49 +441,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--domain", help="square | rect:LX:LY | regular:N[:R] | file:PATH")
-        p.add_argument("--config", help="JSON file with default option values")
-        p.add_argument("--format", choices=["json", "csv"], help="report format")
+    def command(name, func, help, domain="square"):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument(
+            "--domain",
+            default=domain,
+            help="square | rect:LX:LY | regular:N[:R] | file:PATH "
+            f"(default {domain or 'the gallery'})",
+        )
+        p.add_argument(
+            "--config", help="JSON file of option values, parsed as flags; explicit flags win"
+        )
+        return p
 
-    p_spec = sub.add_parser("spectrum", help="FEM eigenvalues with bounds")
-    common(p_spec)
-    p_spec.add_argument("--m", type=int, help="number of eigenvalues (default 8)")
-    p_spec.add_argument("--levels", type=int, help="uniform refinements (default 5)")
-    p_spec.set_defaults(func=cmd_spectrum)
+    # each command adds its options in the order its report's config block lists them
+    def report_format(p):
+        p.add_argument("--format", choices=["json", "csv"], default="json", help="report format")
 
-    p_bounds = sub.add_parser("bounds", help="closed-form bound table")
-    common(p_bounds)
-    p_bounds.add_argument("--k-max", dest="k_max", type=int, help="largest index (default 10)")
-    p_bounds.set_defaults(func=cmd_bounds)
+    p = command("spectrum", cmd_spectrum, "FEM eigenvalues with bounds")
+    p.add_argument("--m", type=int, default=8, help="number of eigenvalues (default %(default)s)")
+    p.add_argument("--levels", type=int, default=5, help="uniform refinements (default %(default)s)")
+    report_format(p)
 
-    p_cert = sub.add_parser("certify", help="build and verify a partition certificate")
-    common(p_cert)
-    p_cert.add_argument("--k", type=int, help="upper index (default 2)")
-    p_cert.add_argument("--l", type=int, help="lower index (default 1)")
-    p_cert.add_argument("--C", type=float, help="constant; searched when omitted")
-    p_cert.add_argument("--svg", help="write a drawing of the partition here")
-    p_cert.set_defaults(func=cmd_certify)
+    p = command("bounds", cmd_bounds, "closed-form bound table")
+    p.add_argument("--k-max", type=int, default=10, help="largest index (default %(default)s)")
+    report_format(p)
 
-    p_sweep = sub.add_parser("sweep", help="measured constants over a domain gallery")
-    common(p_sweep)
-    p_sweep.add_argument("--k-max", dest="k_max", type=int, help="largest index (default 12)")
-    p_sweep.add_argument("--levels", type=int, help="uniform refinements (default 4)")
-    p_sweep.add_argument("--plot-dir", dest="plot_dir", help="directory for ratio plot CSV files")
-    p_sweep.add_argument(
-        "--ratio-cap",
-        dest="ratio_cap",
-        type=float,
-        help="largest acceptable measured constant (default 100)",
+    p = command("certify", cmd_certify, "build and verify a partition certificate")
+    p.add_argument("--k", type=int, default=2, help="upper index (default %(default)s)")
+    p.add_argument("--l", type=int, default=1, help="lower index (default %(default)s)")
+    p.add_argument("--C", type=float, help="constant; searched when omitted")
+    report_format(p)
+    p.add_argument("--svg", help="write a drawing of the partition here")
+
+    p = command("sweep", cmd_sweep, "measured constants over a domain gallery", domain=None)
+    p.add_argument("--k-max", type=int, default=12, help="largest index (default %(default)s)")
+    p.add_argument("--levels", type=int, default=4, help="uniform refinements (default %(default)s)")
+    report_format(p)
+    p.add_argument("--plot-dir", help="directory for ratio plot CSV files")
+    p.add_argument(
+        "--ratio-cap", type=float, default=100.0, help="largest acceptable measured constant (default %(default)s)"
     )
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # the file's flags go right after the subcommand, so argparse checks
+            # their types and choices and the user's own flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

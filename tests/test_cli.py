@@ -15,6 +15,7 @@ import pytest
 
 import spectral_certify
 from spectral_certify import certify, cli, fem, mesh
+from spectral_certify.bounds import rectangle_spectrum
 from spectral_certify.cli import (
     EXIT_CERTIFY,
     EXIT_OK,
@@ -24,6 +25,7 @@ from spectral_certify.cli import (
     main,
     parse_domain,
 )
+from spectral_certify.geometry import Point2, Rectangle, regular_polygon
 
 
 def run(capsys, *argv):
@@ -39,15 +41,26 @@ def run_json(capsys, *argv):
 
 
 class TestDomainParsing:
-    def test_known_forms(self):
-        assert parse_domain("square").kind == "rectangle"
-        spec = parse_domain("rect:2:1")
-        assert spec.parameters == {"length_x": 2.0, "length_y": 1.0}
-        spec = parse_domain("regular:8:2.5")
-        assert spec.parameters == {"sides": 8, "circumradius": 2.5}
+    def test_known_forms(self, tmp_path):
+        path = tmp_path / "hexagon.json"
+        path.write_text(json.dumps({"vertices": regular_polygon(6, 3.0).vertices.tolist()}))
+        expected = [
+            ("square", "square", Rectangle(Point2(0.0, 0.0), 0.5, 0.5, 0.0).polygon()),
+            ("rect:2:1", "rect_2x1", Rectangle(Point2(0.0, 0.0), 1.0, 0.5, 0.0).polygon()),
+            ("rect:2.5:1", "rect_2p5x1", Rectangle(Point2(0.0, 0.0), 1.25, 0.5, 0.0).polygon()),
+            ("regular:5", "regular_5", regular_polygon(5)),
+            ("regular:8:2.5", "regular_8", regular_polygon(8, 2.5)),
+            (f"file:{path}", "file_hexagon", regular_polygon(6, 3.0)),
+        ]
+        for text, name, polygon in expected:
+            parsed_name, parsed = parse_domain(text)
+            assert parsed_name == name
+            np.testing.assert_array_equal(parsed.vertices, polygon.vertices)
 
     def test_gallery_contents(self):
-        names = [d.name for d in default_gallery()]
+        gallery = default_gallery()
+        assert gallery[-1][1].n == 256
+        names = [name for name, _ in gallery]
         assert names == [
             "square",
             "rect_2x1",
@@ -189,6 +202,27 @@ class TestExitCodes:
         assert out == ""
         assert "4.29e+09 triangles" in err
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "option, argv",
+        [
+            # one past each limit of the report budget
+            ("--k-max", ["sweep", "--domain", "square", "--k-max", "506"]),
+            ("--k-max", ["sweep", "--k-max", "191"]),
+            ("--k-max", ["bounds", "--k-max", "191740"]),
+            ("--k", ["certify", "--k", "8388608", "--l", "1"]),
+        ],
+    )
+    def test_index_over_budget(self, capsys, monkeypatch, option, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the report was started")
+
+        for name in ("rectangle_spectrum", "reference_spectrum", "kroger_diameter_upper"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"usage error: {option}: ") and "over budget" in err
 
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_singular_pencil_is_solver_failure(self, capsys, monkeypatch, command):
@@ -429,6 +463,26 @@ class TestConfigFile:
         code, _, err = run(capsys, "bounds", "--config", str(cfg))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "command, values, option",
+        [("spectrum", {"levels": 2.7}, "--levels"), ("bounds", {"format": "xml"}, "--format")],
+    )
+    def test_values_parsed_like_flags(self, capsys, tmp_path, command, values, option):
+        # file values pass the same type and choice checks as flags
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {option}: invalid" in capsys.readouterr().err
+
+    def test_unknown_keys_ignored_and_null_is_default(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"k_max": None, "format": None, "levels": 3, "colour": "red"}))
+        report = run_json(capsys, "bounds", "--config", str(cfg))
+        assert report["config"] == {"domain": "square", "k_max": 10, "format": "json"}
+        assert len(report["results"]["bounds"]) == 10
+
 
 class TestImport:
     @staticmethod
@@ -472,6 +526,20 @@ class TestBenchmarkTracer:
         env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
+
+
+class TestReadme:
+    def test_python_api_example_runs(self, capsys):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        # the example certifies mu_4 of the unit square, and verifies against mu_2
+        mu = rectangle_spectrum(0.5, 0.5, 5)
+        assert namespace["cert"].mu_k_estimate == mu[4] == pytest.approx(4 * math.pi**2)
+        assert namespace["report"].holds_all
 
 
 class TestReportSkeleton:
