@@ -48,6 +48,7 @@ from .geometry import (
     VoronoiPartition,
     ball_packing_count,
     diameter,
+    diameters,
     inner_offset,
     maximal_separated_net,
     mvee,

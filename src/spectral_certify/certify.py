@@ -34,9 +34,10 @@ from .bounds import payne_weinberger_lower, rectangle_spectrum, torus_spectrum
 from .fem import neumann_spectrum
 from .geometry import (
     ConvexPolygon,
+    GeometryError,
     Rectangle,
     ball_packing_count,
-    diameter,
+    diameters,
     inner_offset,
     maximal_separated_net,
     rectangle_from_polygon,
@@ -52,6 +53,13 @@ GEOMETRY_RTOL = 1e-9
 NET_DIAMETER_FACTOR = 2.0 + math.sqrt(2.0)
 
 CERTIFICATE_SCHEMA = 1
+
+# A strip certificate peaks under 2700 traced bytes a strip (its cells and
+# diameters, the report dict and its indented JSON; 2632 measured with
+# tracemalloc at 3142 and 31416 strips), so the budget admits ~99k strips:
+# rect:0.001:1000 with k = l = 1 reaches it at C ~ 3.2e-5.
+PARTITION_BYTES = 2**28
+STRIP_BYTES = 2700
 
 
 class CertificationError(RuntimeError):
@@ -147,7 +155,7 @@ class PartitionCertificate:
             "mu_source": self.mu_source,
             "R": self.R,
             "case_tag": self.case_tag,
-            "cells": [geometry.polygon_to_json(c)["vertices"] for c in self.cells],
+            "cells": [c.vertices.tolist() for c in self.cells],
             "cell_diameters": [float(d) for d in self.cell_diameters],
             "diameter_bound": self.diameter_bound,
             "l_prime": self.l_prime,
@@ -192,7 +200,7 @@ class PartitionCertificate:
             mu_source=get("mu_source", str),
             R=get("R", float),
             case_tag=get("case_tag", str),
-            cells=get("cells", lambda v: [ConvexPolygon(c) for c in _listed(v)]),
+            cells=get("cells", lambda v: ConvexPolygon.many(_listed(v))),
             cell_diameters=get("cell_diameters", lambda v: [float(d) for d in _listed(v)]),
             diameter_bound=get("diameter_bound", float),
             l_prime=get("l_prime", int),
@@ -239,20 +247,14 @@ def _strip_cells(rect: Rectangle, count: int):
     c = rect.center.array
     a, b = rect.half_width_a, rect.half_width_b
     height = 2.0 * b / count
-    cells = []
-    for i in range(count):
-        lo = -b + i * height
-        hi = -b + (i + 1) * height if i + 1 < count else b
-        corners = np.array(
-            [
-                c + a * u + hi * v,
-                c - a * u + hi * v,
-                c - a * u + lo * v,
-                c + a * u + lo * v,
-            ]
-        )
-        cells.append(ConvexPolygon(corners))
-    return cells, height
+    lo = -b + np.arange(count) * height
+    hi = np.append(lo[1:], b)[:, None]
+    lo = lo[:, None]
+    corners = np.stack(
+        [c + a * u + hi * v, c - a * u + hi * v, c - a * u + lo * v, c + a * u + lo * v],
+        axis=1,
+    )
+    return ConvexPolygon.many(corners), height
 
 
 def construct_partition(
@@ -274,16 +276,21 @@ def construct_partition(
     verify_certificate against a reference mu_l to validate the full chain.
 
     With max_pieces, a partition of more pieces is not built: the net scan
-    stops at max_pieces + 1 sites and None is returned.
+    stops at max_pieces + 1 sites and None is returned.  A strip partition
+    over the PARTITION_BYTES budget raises GeometryError before any strip
+    is built, as a net over its grid budget does.
     """
     R = partition_radius(k, l, C, mu_k)
     a, b = domain.half_width_a, domain.half_width_b
     notes = []
     if a <= 2.0 * R:
         case_tag = "Strip"
-        count = max(1, math.ceil(2.0 * b / R))
-        if max_pieces is not None and count > max_pieces:
+        strips = 2.0 * b / R  # a float, so a tiny R gives inf, not an OverflowError
+        if max_pieces is not None and strips > max_pieces:
             return None
+        if strips * STRIP_BYTES > PARTITION_BYTES:
+            raise GeometryError(f"constant {C:.6g} gives {strips:.3g} strips, over budget")
+        count = max(1, math.ceil(strips))
         cells, height = _strip_cells(domain, count)
         bound = math.hypot(2.0 * a, height)
         notes.append(
@@ -292,7 +299,8 @@ def construct_partition(
         )
     else:
         case_tag = "Net"
-        shrunk = inner_offset(domain.polygon(), R)
+        poly = domain.polygon()
+        shrunk = inner_offset(poly, R)
         if shrunk is None:
             raise CertificationError(
                 "inner parallel body vanished in the net case; cannot happen "
@@ -301,14 +309,13 @@ def construct_partition(
         net = maximal_separated_net(shrunk, 2.0 * R, limit=max_pieces)
         if max_pieces is not None and len(net) > max_pieces:
             return None
-        part = voronoi_partition(domain.polygon(), net)
+        part = voronoi_partition(poly, net)
         cells = part.cells
         bound = NET_DIAMETER_FACTOR * R
-        packing = ball_packing_count(domain.polygon(), net, R)
-        site_distance = max(
-            float(np.hypot(*(cell.vertices - site).T).max())
-            for cell, site in zip(cells, part.sites)
-        )
+        packing = ball_packing_count(poly, net, R)
+        owner = np.repeat(part.sites, [cell.n for cell in cells], axis=0)
+        rel = np.concatenate([cell.vertices for cell in cells]) - owner
+        site_distance = float(np.hypot(rel[:, 0], rel[:, 1]).max())
         notes.append(
             f"net case: {len(net)} sites separated by >= 2R over the R-inner "
             f"parallel body; every cell lies within {site_distance:.6g} of its "
@@ -318,9 +325,9 @@ def construct_partition(
             f"packing: {packing.count} * pi R^2 = {packing.total_ball_area:.6g} "
             f"<= area {packing.domain_area:.6g}: {packing.fits}"
         )
-    diameters = [diameter(cell) for cell in cells]
+    cell_diameters = diameters(cells).tolist()
     l_prime = len(cells)
-    worst = max(diameters)
+    worst = max(cell_diameters)
     lower = payne_weinberger_lower(worst)
     notes.append(
         "the lower bound applies to the eigenvalue whose index equals the "
@@ -338,7 +345,7 @@ def construct_partition(
         R=R,
         case_tag=case_tag,
         cells=cells,
-        cell_diameters=diameters,
+        cell_diameters=cell_diameters,
         diameter_bound=bound,
         l_prime=l_prime,
         lower_bound=lower,
@@ -388,7 +395,7 @@ def verify_certificate(cert: PartitionCertificate, mu_l_reference: float) -> Cha
     links.append(
         ChainLink.check("piece_count_matches_cells", abs(cert.l_prime - len(cert.cells)), 0.0)
     )
-    recomputed = [diameter(cell) for cell in cert.cells]
+    recomputed = diameters(cert.cells).tolist()
     mismatch = (
         max(abs(d - r) for d, r in zip(cert.cell_diameters, recomputed))
         if len(recomputed) == len(cert.cell_diameters) and recomputed

@@ -178,13 +178,21 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     ]
 
 
-def _check_levels(polygons, levels: int) -> None:
-    """--levels against the mesh budget of every domain, before any solve."""
-    for P in polygons:
+def _check_levels(solves, levels: int, option: str) -> None:
+    """--levels against the mesh budget of every domain, and the number of
+    eigenvalues each domain's solve needs against its mesh's vertex count
+    (the eigensolver finds at most half as many), before any solve; solves
+    holds (polygon, count) pairs."""
+    for P, count in solves:
         try:
-            check_refinement(P, levels)
+            dofs = check_refinement(P, levels)
         except MeshError as exc:
             raise UsageError(f"--levels: {exc}") from None
+        if count > dofs // 2:
+            raise UsageError(
+                f"{option}: the solve needs {count} eigenvalues, so a mesh of at least "
+                f"{2 * count} DOFs; --levels {levels} gives {dofs}"
+            )
 
 
 def _check_size(option: str, value: int, count: int, what: str, unit_bytes: int) -> None:
@@ -229,7 +237,7 @@ def cmd_spectrum(args) -> int:
     if args.m < 1:
         raise UsageError("--m must be >= 1")
     name, P = parse_domain(args.domain)
-    _check_levels([P], args.levels)
+    _check_levels([(P, args.m)], args.levels, "--m")
     rect = rectangle_from_polygon(P)
     report = _report_skeleton(args, name)
     t0 = time.perf_counter()
@@ -299,7 +307,11 @@ def cmd_certify(args) -> int:
     mu_k, mu_l = spec[k], spec[l]
     searched = args.C is None
     c_value = minimal_constant(rect, k, l) if searched else args.C
-    cert = construct_partition(rect, k, l, c_value, mu_k)
+    try:
+        cert = construct_partition(rect, k, l, c_value, mu_k)
+    except GeometryError as exc:
+        # a searched constant was built once already, so this is a given --C
+        raise UsageError(f"--C: {exc}") from None
     chain, cert = certified_chain(cert, mu_l)
     report["timings"]["certify_s"] = time.perf_counter() - t0
     if searched:
@@ -380,8 +392,9 @@ def cmd_sweep(args) -> int:
     domains = [parse_domain(args.domain)] if args.domain else default_gallery()
     entries = len(domains) * k_max * (k_max + 1) // 2
     _check_size("--k-max", k_max, entries, "sweep table entries", SWEEP_ENTRY_BYTES)
-    # rectangles take the closed form, but one limit holds for every domain
-    _check_levels([P for _, P in domains], args.levels)
+    # rectangles take the closed form, but one level limit holds for every domain
+    solves = [(P, 0 if rectangle_from_polygon(P) else k_max + 2) for _, P in domains]
+    _check_levels(solves, args.levels, "--k-max")
     report = _report_skeleton(args, args.domain or "gallery")
     t0 = time.perf_counter()
     outcomes = []

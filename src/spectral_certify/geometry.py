@@ -7,6 +7,7 @@ object; the base relative tolerance is ``EPS_REL``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -61,6 +62,61 @@ def _halfplanes(v: np.ndarray, w: np.ndarray):
     return normals, (normals * v).sum(axis=1)
 
 
+def _closed_chains(counts: np.ndarray):
+    """First index of each of a run of closed vertex chains of the given
+    lengths laid end to end, and the chain and successor of each vertex."""
+    starts = np.cumsum(counts) - counts
+    nxt = np.arange(1, starts[-1] + counts[-1] + 1)
+    nxt[starts + counts - 1] = starts
+    return starts, np.repeat(np.arange(counts.size), counts), nxt
+
+
+def _convex_cells(v: np.ndarray, counts) -> list:
+    """(vertices, area, scale) of each polygon of a batch given as one
+    finite (N, 2) vertex array and the vertex count of each.  The checks
+    are ConvexPolygon's, each elementwise or an exact per-polygon
+    reduction, so a polygon comes out bit for bit as it does alone; a
+    failure raises GeometryError without naming the polygon."""
+    counts = np.asarray(counts, dtype=np.intp)
+    if (counts < 3).any():
+        raise GeometryError("a polygon needs at least 3 vertices")
+    starts, owner, _ = _closed_chains(counts)
+    scale = np.maximum(np.maximum.reduceat(np.abs(v).max(axis=1), starts), 1e-300)
+    # drop consecutive duplicates (closed chains, so compare to the previous)
+    prev = np.arange(-1, v.shape[0] - 1)
+    prev[starts] = starts + counts - 1
+    d = v - v[prev]
+    keep = np.hypot(d[:, 0], d[:, 1]) > (EPS_REL * scale)[owner]
+    v = v[keep]
+    counts = np.bincount(owner[keep], minlength=counts.size)
+    if (counts < 3).any():
+        raise GeometryError("polygon degenerates to fewer than 3 distinct vertices")
+    starts, owner, nxt = _closed_chains(counts)
+    w = v[nxt]
+    e = w - v
+    e_nxt = e[nxt]
+    cross = e[:, 0] * e_nxt[:, 1] - e[:, 1] * e_nxt[:, 0]
+    tol_cross = EPS_REL * scale * scale
+    tol = tol_cross[owner]
+    if (cross < -tol).any():
+        raise GeometryError("vertices are not in convex counterclockwise order")
+    if (np.bincount(owner[cross > tol], minlength=counts.size) < 3).any():
+        raise GeometryError("polygon is degenerate (fewer than 3 strict corners)")
+    # the shoelace terms of the polygons of one vertex count are summed as the
+    # rows of one array, which rounds as np.sum of each row does (reduceat does not)
+    terms = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
+    area2 = np.empty(counts.size)
+    for n in set(counts.tolist()):
+        same = np.flatnonzero(counts == n)
+        area2[same] = terms[starts[same, None] + np.arange(n)].sum(axis=1)
+    if (area2 <= 2.0 * tol_cross).any():
+        raise GeometryError("polygon area is not positive")
+    v.setflags(write=False)
+    ends = (starts + counts).tolist()
+    cells = [v[lo:hi] for lo, hi in zip(starts.tolist(), ends)]
+    return list(zip(cells, (0.5 * area2).tolist(), scale.tolist()))
+
+
 class ConvexPolygon:
     """Closed convex region given by counterclockwise vertices.
 
@@ -72,33 +128,32 @@ class ConvexPolygon:
 
     def __init__(self, vertices):
         verts = _as_points(vertices)
-        if verts.shape[0] < 3:
-            raise GeometryError("a polygon needs at least 3 vertices")
-        scale = float(np.abs(verts).max())
-        scale = max(scale, 1e-300)
-        tol = EPS_REL * scale
-        # drop consecutive duplicates (closed chain, so compare to the previous)
-        diffs = verts - np.concatenate((verts[-1:], verts[:-1]))
-        keep = np.hypot(diffs[:, 0], diffs[:, 1]) > tol
-        verts = verts[keep]
-        if verts.shape[0] < 3:
-            raise GeometryError("polygon degenerates to fewer than 3 distinct vertices")
-        nxt = np.concatenate((verts[1:], verts[:1]))
-        e = nxt - verts
-        e_nxt = np.concatenate((e[1:], e[:1]))
-        cross = e[:, 0] * e_nxt[:, 1] - e[:, 1] * e_nxt[:, 0]
-        tol_cross = EPS_REL * scale * scale
-        if (cross < -tol_cross).any():
-            raise GeometryError("vertices are not in convex counterclockwise order")
-        if (cross > tol_cross).sum() < 3:
-            raise GeometryError("polygon is degenerate (fewer than 3 strict corners)")
-        area2 = float(np.sum(verts[:, 0] * nxt[:, 1] - nxt[:, 0] * verts[:, 1]))
-        if area2 <= 2.0 * tol_cross:
-            raise GeometryError("polygon area is not positive")
-        self.vertices = verts
-        self.vertices.setflags(write=False)
-        self._area = 0.5 * area2
-        self._scale = scale
+        ((self.vertices, self._area, self._scale),) = _convex_cells(verts, [verts.shape[0]])
+
+    @classmethod
+    def many(cls, vertex_lists) -> list:
+        """Polygons of a list of vertex lists, validated as one batch: each
+        is bit for bit ConvexPolygon(vertices), and a GeometryError names
+        the first bad list."""
+        try:
+            counts = [len(v) for v in vertex_lists]
+            if not counts:
+                return []
+            flat = np.array(list(itertools.chain.from_iterable(vertex_lists)), dtype=float)
+            batch = _convex_cells(_as_points(flat), counts)
+        except (TypeError, ValueError):  # GeometryError is a ValueError
+            for i, verts in enumerate(vertex_lists):
+                try:
+                    cls(verts)
+                except GeometryError as exc:
+                    raise GeometryError(f"cell {i}: {exc}") from None
+            raise
+        out = []
+        for fields in batch:
+            P = cls.__new__(cls)
+            P.vertices, P._area, P._scale = fields
+            out.append(P)
+        return out
 
     @property
     def n(self) -> int:
@@ -150,11 +205,23 @@ def regular_polygon(n: int, circumradius: float = 1.0) -> ConvexPolygon:
     return ConvexPolygon(verts)
 
 
+def diameters(cells) -> np.ndarray:
+    """Largest pairwise vertex distance of each polygon (its diameter, as
+    the polygons are convex); the polygons of one vertex count are
+    measured together."""
+    counts = np.array([P.n for P in cells], dtype=np.intp)
+    out = np.empty(counts.size)
+    for n in set(counts.tolist()):
+        same = np.flatnonzero(counts == n)
+        v = np.stack([cells[i].vertices for i in same.tolist()])
+        d2 = ((v[:, :, None, :] - v[:, None, :, :]) ** 2).sum(axis=3)
+        out[same] = np.sqrt(d2.max(axis=(1, 2)))
+    return out
+
+
 def diameter(P: ConvexPolygon) -> float:
     """Largest pairwise vertex distance (equals the set diameter for convex P)."""
-    v = P.vertices
-    d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.max()))
+    return float(diameters([P])[0])
 
 
 def _clip_halfplane(verts, a: float, b: float, c: float, tol: float):
@@ -275,12 +342,8 @@ class VoronoiPartition:
             )
         # each site against its own cell's edge half-planes, all cells at once,
         # as ConvexPolygon.contains_points tests them and with its tolerance
-        sizes = np.array([c.n for c in self.cells])
-        ends = np.cumsum(sizes)
-        owner = np.repeat(np.arange(sizes.size), sizes)
+        _, owner, nxt = _closed_chains(np.array([c.n for c in self.cells]))
         v = np.concatenate([c.vertices for c in self.cells])
-        nxt = np.arange(1, ends[-1] + 1)
-        nxt[ends - 1] = ends - sizes
         normals, offsets = _halfplanes(v, v[nxt])
         tol = EPS_REL * np.array([c.scale for c in self.cells])[owner]
         outside = (normals * self.sites[owner]).sum(axis=1) > offsets + tol
@@ -387,10 +450,11 @@ def voronoi_partition(P: ConvexPolygon, sites) -> VoronoiPartition:
     grid = _kernels.BucketGrid(pts, *_kernels.bucket_frame(pts, radius))
     coords = pts.tolist()
     norms = (pts**2).sum(axis=1).tolist()
+    domain = P.vertices.tolist()
     cells = []
     for i, ring in enumerate(_rings(grid, pts, np.arange(m), 1)):
         xi, yi = coords[i]
-        verts = P.vertices.tolist()
+        verts = domain
         r_max = _outradius(verts, xi, yi)
         for d2j, j in _by_distance(grid, pts, i, ring, radius):
             if j == i:
@@ -406,10 +470,11 @@ def voronoi_partition(P: ConvexPolygon, sites) -> VoronoiPartition:
             if clipped is not verts:
                 verts = clipped
                 r_max = _outradius(verts, xi, yi)
-        try:
-            cells.append(ConvexPolygon(verts))
-        except GeometryError:
-            raise GeometryError(f"Voronoi cell {i} degenerated during clipping")
+        cells.append(verts)
+    try:
+        cells = ConvexPolygon.many(cells)
+    except GeometryError as exc:
+        raise GeometryError(f"Voronoi {exc}") from None
     return VoronoiPartition(domain=P, sites=pts, cells=cells)
 
 
@@ -688,7 +753,7 @@ def ball_packing_count(P: ConvexPolygon, centers, r: float) -> PackingCheck:
 
 
 def polygon_to_json(P: ConvexPolygon) -> dict:
-    return {"vertices": [[float(x), float(y)] for x, y in P.vertices]}
+    return {"vertices": P.vertices.tolist()}
 
 
 def polygon_from_json(obj) -> ConvexPolygon:

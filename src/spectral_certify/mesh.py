@@ -146,14 +146,16 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
     )
 
 
-def check_refinement(P: ConvexPolygon, levels: int) -> None:
+def check_refinement(P: ConvexPolygon, levels: int) -> int:
     """Raise MeshError unless levels is an integer >= 0 whose mesh of P
-    fits the MESH_BYTES budget."""
+    fits the MESH_BYTES budget; return the mesh's vertex count."""
     if not isinstance(levels, (int, np.integer)) or levels < 0:
         raise MeshError("refinement level must be an integer >= 0")
     triangles = P.n * 4 ** min(int(levels), 32)  # past level 32 every mesh is over budget
     if triangles * 1700 > MESH_BYTES:
         raise MeshError(f"refinement level {levels} gives {triangles:.3g} triangles, over budget")
+    # a disc has V - E + T = 1, and 3T = 2E - B with B = n 2^levels boundary edges
+    return 1 + (triangles + P.n * 2 ** int(levels)) // 2
 
 
 def mesh_polygon(P: ConvexPolygon, levels: int) -> TriangleMesh:

@@ -162,6 +162,48 @@ class TestExitCodes:
         assert "separation" in err
         assert time.perf_counter() - start < 10.0
 
+    def test_certify_strips_over_budget(self, capsys, monkeypatch):
+        # 3.1M strips: refused before any strip is built
+        def no_strips(*args, **kwargs):
+            raise AssertionError("a strip was built")
+
+        monkeypatch.setattr(certify, "_strip_cells", no_strips)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "certify", "--domain", "rect:0.001:1000", "--k", "1", "--l", "1", "--C", "1e-6"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: --C: ") and "3.14e+06 strips" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "option, argv, dofs",
+        [
+            # the gallery's pentagon has 16 mesh vertices at level 1, the square 13
+            ("--k-max", ["sweep", "--k-max", "190", "--levels", "1"], 16),
+            ("--m", ["spectrum", "--domain", "square", "--m", "40", "--levels", "1"], 13),
+        ],
+    )
+    def test_eigenvalue_count_over_mesh_size(self, capsys, monkeypatch, option, argv, dofs):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a domain was solved")
+
+        monkeypatch.setattr(fem, "solve_smallest", no_solve)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"usage error: {option}: ")
+        assert "--levels 1" in err and err.rstrip().endswith(f"gives {dofs}")
+
+    def test_eigenvalue_count_at_mesh_size(self, capsys):
+        # half the DOFs is the most the eigensolver finds, so 6 of the
+        # square's 13 level-1 vertices still solve; rectangles in a sweep
+        # take the closed form and need no mesh
+        assert run(capsys, "spectrum", "--domain", "square", "--m", "6", "--levels", "1")[0] == EXIT_OK
+        code, _, err = run(capsys, "sweep", "--domain", "square", "--k-max", "190", "--levels", "1")
+        assert code in (EXIT_OK, EXIT_CERTIFY), err
+
     @pytest.mark.parametrize("text", ["3", "null", '{"vertices": {"x": 1}}'])
     def test_domain_file_not_a_polygon_object(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"

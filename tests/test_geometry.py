@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spectral_certify import _kernels, geometry
+from spectral_certify.bounds import rectangle_spectrum
 from spectral_certify.geometry import (
     BoxSandwich,
     ConvexPolygon,
@@ -16,6 +17,7 @@ from spectral_certify.geometry import (
     VoronoiPartition,
     ball_packing_count,
     diameter,
+    diameters,
     inner_offset,
     maximal_separated_net,
     mvee,
@@ -80,6 +82,144 @@ class TestConvexPolygon:
         assert diameter(regular_polygon(8)) == pytest.approx(2.0, rel=1e-12)
         expected5 = 2.0 * math.cos(math.pi / 10.0)
         assert diameter(regular_polygon(5)) == pytest.approx(expected5, rel=1e-12)
+
+    @staticmethod
+    def _batches(monkeypatch):
+        """Record every vertex-list batch ConvexPolygon.many receives while
+        the rect:10:10 --C 0.5 net certificate and a strip certificate are
+        built; returns the batches and the cells of both certificates."""
+        from spectral_certify import certify
+
+        batches = []
+        many = ConvexPolygon.many
+
+        def recording(vertex_lists):
+            batches.append(vertex_lists)
+            return many(vertex_lists)
+
+        monkeypatch.setattr(ConvexPolygon, "many", staticmethod(recording))
+        cells = []
+        # rect:10:10 as the CLI builds it, and a moved, turned 1 x 10 rectangle
+        for rect, k, l, C in (
+            (Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0), 40, 40, 0.5),
+            (Rectangle(Point2(0.3, -0.2), 0.5, 5.0, 0.4), 7, 3, 1.0),
+        ):
+            mu_k = rectangle_spectrum(rect.half_width_a, rect.half_width_b, k + 1)[k]
+            cert = certify.construct_partition(rect, k, l, C, mu_k)
+            cells.extend(cert.cells)
+        monkeypatch.setattr(ConvexPolygon, "many", many)
+        assert [len(b) for b in batches] == [394, 10]
+        return batches, cells
+
+    @staticmethod
+    def _random_polygons(count=200, seed=11):
+        """Convex polygons of 3-24 vertices on rotated, moved ellipses of
+        scale 1e-3-1e3, with an exact duplicate, a near duplicate (below
+        the tolerance) and an edge midpoint (collinear) injected at random."""
+        rng = np.random.default_rng(seed)
+        polygons = []
+        for _ in range(count):
+            n = int(rng.integers(3, 25))
+            ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            ax = scale * rng.uniform(0.2, 1.0, 2)
+            c, s = math.cos(rng.uniform(0, np.pi)), math.sin(rng.uniform(0, np.pi))
+            pts = np.stack([ax[0] * np.cos(ang), ax[1] * np.sin(ang)], axis=1)
+            pts = pts @ np.array([[c, s], [-s, c]]) + scale * rng.uniform(-5, 5, 2)
+            verts = pts.tolist()
+            for _ in range(int(rng.integers(0, 4))):
+                i = int(rng.integers(len(verts)))
+                kind = rng.integers(3)
+                if kind == 0:
+                    verts.insert(i, list(verts[i]))
+                elif kind == 1:
+                    verts.insert(i, [verts[i][0] * (1 + 1e-15), verts[i][1]])
+                else:
+                    j = (i + 1) % len(verts)
+                    mid = [(verts[i][0] + verts[j][0]) / 2, (verts[i][1] + verts[j][1]) / 2]
+                    verts.insert(i + 1, mid)
+            polygons.append(verts)
+        return polygons
+
+    @staticmethod
+    def _assert_same(batch, singles):
+        assert len(batch) == len(singles)
+        for P, Q in zip(batch, singles):
+            assert P.vertices.dtype == Q.vertices.dtype
+            assert P.vertices.tobytes() == Q.vertices.tobytes()
+            assert not P.vertices.flags.writeable
+            assert (P.area, P.scale) == (Q.area, Q.scale)
+            # the shoelace sum of the vertices as one array, as np.sum rounds it
+            v = P.vertices
+            w = np.roll(v, -1, axis=0)
+            assert P.area == 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
+
+    def test_many_matches_one_at_a_time(self, monkeypatch):
+        batches, _ = self._batches(monkeypatch)
+        batches.append(self._random_polygons())
+        for batch in batches:
+            self._assert_same(ConvexPolygon.many(batch), [ConvexPolygon(v) for v in batch])
+        ns = {P.n for P in ConvexPolygon.many(batches[-1])}
+        assert min(ns) == 3 and max(ns) >= 16
+
+    def test_diameters_match_one_at_a_time(self, monkeypatch):
+        _, cells = self._batches(monkeypatch)
+        cells += ConvexPolygon.many(self._random_polygons())
+        got = diameters(cells)
+        assert got.shape == (len(cells),)
+        for d, P in zip(got.tolist(), cells):
+            v = P.vertices
+            pairwise = float(np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2).max()))
+            assert d == diameter(P) == pairwise
+        assert diameters([]).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            UNIT_SQUARE[::-1],  # clockwise
+            [[0, 0], [1, 0], [float("nan"), 1]],
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0]],  # wrong shape
+            [[0, 0], [1], [0, 1]],  # ragged
+            [[0, 0], [1, 0]],  # fewer than 3 vertices
+            [[0, 0], [1, 0], [1, 0], [0, 0]],  # fewer than 3 distinct vertices
+            [[0, 0], [1, 0], [2, 0]],  # zero area
+            [],
+            "square",
+            3,
+        ],
+    )
+    def test_many_rejects_what_one_rejects(self, bad):
+        with pytest.raises(GeometryError) as alone:
+            ConvexPolygon(bad)
+        good = UNIT_SQUARE
+        with pytest.raises(GeometryError) as batch:
+            ConvexPolygon.many([good, good, bad, good])
+        assert str(batch.value) == f"cell 2: {alone.value}"
+
+    def test_many_names_the_first_bad_cell(self):
+        # cell 1 fails the last check (area), cell 3 the first (finite)
+        zero_area = [[0, 0], [1, 0], [2, 0]]
+        nan = [[0, 0], [1, 0], [math.nan, 1]]
+        with pytest.raises(GeometryError, match="^cell 1: polygon is degenerate"):
+            ConvexPolygon.many([UNIT_SQUARE, zero_area, UNIT_SQUARE, nan])
+        with pytest.raises(GeometryError, match="^cell 0: point coordinates"):
+            ConvexPolygon.many(np.array([nan, zero_area]))
+        assert ConvexPolygon.many([]) == []
+
+    def test_certificate_with_a_corrupted_cell(self):
+        from spectral_certify.certify import (
+            CertificateFormatError,
+            PartitionCertificate,
+            construct_partition,
+        )
+
+        rect = Rectangle(Point2(0.0, 0.0), 0.5, 5.0, 0.0)
+        cert = construct_partition(rect, 7, 3, 1.0, rectangle_spectrum(0.5, 5.0, 8)[7])
+        obj = cert.to_dict()
+        assert len(obj["cells"]) > 3
+        obj["cells"][3] = obj["cells"][3][::-1]
+        with pytest.raises(CertificateFormatError, match="'cells'.*cell 3: vertices are not"):
+            PartitionCertificate.from_dict(obj)
 
     def test_json_round_trip(self):
         p = regular_polygon(7, circumradius=2.5)

@@ -11,6 +11,7 @@ from spectral_certify.mesh import (
     TriangleMesh,
     _edge_counts,
     check_conforming,
+    check_refinement,
     mesh_polygon,
     refine,
     triangulate,
@@ -130,6 +131,11 @@ class TestCounts:
             assert child_stats["edges"] == 2 * stats["edges"] + 3 * stats["triangles"]
             assert child_stats["boundary_edges"] == 2 * stats["boundary_edges"]
             mesh = child
+
+    @pytest.mark.parametrize("levels", [0, 1, 2, 4])
+    def test_checked_vertex_count(self, levels):
+        for poly in (UNIT_SQUARE, regular_polygon(5), regular_polygon(256), _moved_quadrilateral()):
+            assert check_refinement(poly, levels) == mesh_polygon(poly, levels).num_vertices
 
     def test_euler_relation(self):
         for levels in range(4):
