@@ -395,7 +395,7 @@ def cmd_sweep(args) -> int:
     # rectangles take the closed form, but one level limit holds for every domain
     solves = [(P, 0 if rectangle_from_polygon(P) else k_max + 2) for _, P in domains]
     _check_levels(solves, args.levels, "--k-max")
-    report = _report_skeleton(args, args.domain or "gallery")
+    report = _report_skeleton(args, domains[0][0] if args.domain else "gallery")
     t0 = time.perf_counter()
     outcomes = []
     failure_code = EXIT_OK

@@ -56,12 +56,7 @@ class SparseSymmetricMatrix:
             shape=(dimension, dimension),
         ).tocsr()
         upper = scipy.sparse.triu(full).tocoo()
-        return cls(
-            dimension=dimension,
-            rows=upper.row.astype(np.int64),
-            cols=upper.col.astype(np.int64),
-            data=upper.data.astype(float),
-        )
+        return cls(dimension, upper.row, upper.col, upper.data)
 
     def to_csr(self) -> scipy.sparse.csr_matrix:
         """Full symmetric CSR matrix (both triangles)."""
@@ -106,28 +101,9 @@ def _residuals(K, M, vals, vecs):
     return np.linalg.norm(kx - mx * vals, axis=0) / denom
 
 
-def solve_smallest(
-    stiffness: SparseSymmetricMatrix,
-    mass: SparseSymmetricMatrix,
-    m: int,
-    residual_tol: float = _RESIDUAL_TOL,
-    max_sweeps: int = _MAX_SWEEPS,
-):
-    """Smallest m eigenvalues of K x = mu M x by shift-invert Lanczos
-    (ARPACK) at shift -1, which keeps the factored operator K + M
-    positive definite for the singular Neumann stiffness.  K + M is
-    factored once, by pivot-free LU in a symmetric fill-reducing order;
-    a failed factorization raises EigensolverError.
-
-    max_sweeps bounds the ARPACK restart iterations.  Returns (values,
-    vectors, residual), ascending.  Deterministic: the start vector is
-    seeded, so runs of the same problem agree bit for bit.
-    """
-    n = stiffness.dimension
-    if not (1 <= m <= n // 2):
-        raise ValueError("need 1 <= m <= dimension/2")
-    K = stiffness.to_csr()
-    M = mass.to_csr()
+def _factor(K, M):
+    """Pivot-free LU of K + M in a symmetric fill-reducing order, and the order;
+    K + M and its permuted copy die on return (the factor holds its own L, U)."""
     # imported here: certify imports fem but never factors, and a module-level
     # import costs every process ~0.8 MiB and 6-10 ms
     from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -146,7 +122,29 @@ def solve_smallest(
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
-        raise EigensolverError(f"LU of K + M (dimension {n}) failed: {exc}") from exc
+        raise EigensolverError(f"LU of K + M (dimension {A.shape[0]}) failed: {exc}") from exc
+    return lu, perm
+
+
+def solve_smallest(
+    stiffness, mass, m: int, residual_tol: float = _RESIDUAL_TOL, max_sweeps: int = _MAX_SWEEPS
+):
+    """Smallest m eigenvalues of K x = mu M x by shift-invert Lanczos
+    (ARPACK) at shift -1, which keeps the factored operator K + M
+    positive definite for the singular Neumann stiffness.  K + M is
+    factored once, by pivot-free LU in a symmetric fill-reducing order;
+    a failed factorization raises EigensolverError.
+
+    K and M come as SparseSymmetricMatrix or CSR (see _pencil).  max_sweeps
+    bounds the ARPACK restart iterations.  Returns (values, vectors,
+    residual), ascending.  Deterministic: the start vector is seeded, so
+    runs of the same problem agree bit for bit.
+    """
+    K, M = (A.to_csr() if isinstance(A, SparseSymmetricMatrix) else A for A in (stiffness, mass))
+    n = K.shape[0]
+    if not (1 <= m <= n // 2):
+        raise ValueError("need 1 <= m <= dimension/2")
+    lu, perm = _factor(K, M)
 
     def apply_inverse(x):
         y = np.empty_like(x)
@@ -189,19 +187,20 @@ def dense_smallest(stiffness, mass, m: int):
     return vals[:m], vecs[:, :m]
 
 
+def _pencil(P: ConvexPolygon, levels: int):
+    """Mesh width and CSR K and M of P's mesh; the mesh and assembled pair die on return."""
+    mesh = mesh_polygon(P, levels)
+    stiffness, mass = assemble(mesh)
+    return mesh.h_max, stiffness.to_csr(), mass.to_csr()
+
+
 def neumann_spectrum(P: ConvexPolygon, m: int, levels: int) -> Spectrum:
     """FEM approximation of the first m Neumann eigenvalues of P at the
     given uniform refinement level."""
-    mesh = mesh_polygon(P, levels)
-    stiffness, mass = assemble(mesh)
-    vals, _, residual = solve_smallest(stiffness, mass, m)
+    mesh_h, K, M = _pencil(P, levels)
+    vals, _, residual = solve_smallest(K, M, m)
     # the continuous zero mode rounds to a tiny number of either sign
     if abs(vals[0]) < 1e-10 * max(abs(vals).max(), 1.0):
         vals[0] = 0.0
-    return Spectrum(
-        values=vals,
-        source=f"fem({levels})",
-        mesh_h=mesh.h_max,
-        refinement_level=levels,
-        solver_residual=residual,
-    )
+    source = f"fem({levels})"
+    return Spectrum(vals, source, mesh_h=mesh_h, refinement_level=levels, solver_residual=residual)

@@ -20,9 +20,10 @@ class MeshError(ValueError):
     pass
 
 
-# A P1 spectrum peaks under 1700 bytes a triangle (mesh, assembly arrays and LU
-# factor of K + M; rect:10:1 at level 8: 262,144 triangles, 478 MiB peak RSS),
-# so the budget admits ~630k triangles: level 8 of a quadrilateral, 5 of a 256-gon.
+# A P1 spectrum peaks under TRIANGLE_BYTES a triangle: 262,144 triangles peak at
+# 309 MiB of process RSS on rect:10:1 at level 8 and 262 MiB on regular:256 at level
+# 5, so the budget admits ~630k triangles (level 8 of a quadrilateral, 5 of a 256-gon).
+TRIANGLE_BYTES = 1700
 MESH_BYTES = 2**30
 
 
@@ -152,7 +153,7 @@ def check_refinement(P: ConvexPolygon, levels: int) -> int:
     if not isinstance(levels, (int, np.integer)) or levels < 0:
         raise MeshError("refinement level must be an integer >= 0")
     triangles = P.n * 4 ** min(int(levels), 32)  # past level 32 every mesh is over budget
-    if triangles * 1700 > MESH_BYTES:
+    if triangles * TRIANGLE_BYTES > MESH_BYTES:
         raise MeshError(f"refinement level {levels} gives {triangles:.3g} triangles, over budget")
     # a disc has V - E + T = 1, and 3T = 2E - B with B = n 2^levels boundary edges
     return 1 + (triangles + P.n * 2 ** int(levels)) // 2

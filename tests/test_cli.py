@@ -405,6 +405,20 @@ class TestSweepCommand:
         entries = res["domains"][0]["entries"]
         assert len(entries) == 1 and entries[0]["ratio"] == 1.0
 
+    def test_report_names_file_domain_not_path(self, capsys, tmp_path):
+        # one polygon at two paths: the reports name the domain, not the file
+        vertices = json.dumps({"vertices": regular_polygon(6).vertices.tolist()})
+        reports = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            path = tmp_path / sub / "hexagon.json"
+            path.write_text(vertices)
+            report = run_json(capsys, "sweep", "--domain", f"file:{path}", "--k-max", "4", "--levels", "2")
+            del report["timings"]
+            reports.append(report)
+        assert reports[0]["config"]["domain"] == "file_hexagon"
+        assert reports[0] == reports[1]
+
     def test_ratio_cap_enforced(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--domain", "square", "--k-max", "10", "--ratio-cap", "1.0"

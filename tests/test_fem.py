@@ -1,12 +1,13 @@
 """Element matrices, sparse assembly, and the Neumann eigensolver."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from spectral_certify import _kernels
+from spectral_certify import _kernels, fem
 from spectral_certify.bounds import rectangle_spectrum
 from spectral_certify.fem import (
     EigensolverError,
@@ -230,6 +231,34 @@ class TestEigensolver:
         with pytest.raises(EigensolverError, match=f"dimension {n}") as err:
             solve_smallest(*padded, 2)
         assert err.value.best_residual is None
+
+    def test_mesh_and_assembled_pair_freed_before_factoring(self, monkeypatch):
+        # no later step reads the mesh or the assembled upper triangles, so
+        # neither may be alive when the LU of K + M starts
+        refs = []
+        alive_at_splu = []
+        mesh_polygon, assemble, splu = fem.mesh_polygon, fem.assemble, scipy.sparse.linalg.splu
+
+        def weak_mesh(*args):
+            mesh = mesh_polygon(*args)
+            refs.append(weakref.ref(mesh))
+            return mesh
+
+        def weak_assemble(mesh):
+            pair = assemble(mesh)
+            refs.extend(weakref.ref(mat) for mat in pair)
+            return pair
+
+        def checking_splu(*args, **kwargs):
+            alive_at_splu.extend(ref() is not None for ref in refs)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "mesh_polygon", weak_mesh)
+        monkeypatch.setattr(fem, "assemble", weak_assemble)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", checking_splu)
+        spectrum = neumann_spectrum(SLIVER, 4, 3)
+        assert alive_at_splu == [False, False, False]
+        assert spectrum.mesh_h == mesh_polygon(SLIVER, 3).h_max
 
     def test_repeated_solves_bitwise_equal(self):
         first = neumann_spectrum(regular_polygon(6), 8, 4)
