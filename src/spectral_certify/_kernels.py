@@ -8,8 +8,6 @@ profiler can wrap them in place.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # read by the end-to-end benchmark's environment block; every kernel is numpy
@@ -19,11 +17,6 @@ NUMBA_ENABLED = False
 # pairs in chunks of about this many, so memory stays bounded
 _QUERY_CHUNK = 4096
 _PAIR_CHUNK = 1 << 16
-# a scan batch is a run of candidates sharing one x coordinate (a lattice
-# column), joined with the following runs while it is shorter than this
-_MIN_RUN = 16
-# own bucket first: it is the likeliest to hold a rejecting point
-_NEIGHBOURS = [(0, 0)] + [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]
 
 
 def p1_element_matrices(coords):
@@ -58,8 +51,10 @@ def bucket_frame(points, radius):
     spread, so two points within radius * r of each other always have keys
     at most r apart along each axis, and keys stay below ~1e15.
     """
-    origin = points.min(axis=0)
-    span = float((points.max(axis=0) - origin).max())
+    # column by column: an axis-0 reduction of an (n, 2) array is ~15x slower
+    x, y = points.T
+    origin = np.array([x.min(), y.min()])
+    span = max(float(x.max() - origin[0]), float(y.max() - origin[1]))
     return origin, radius * (1.0 + 1e-9) + span * 1e-15
 
 
@@ -96,38 +91,29 @@ class BucketGrid:
         k = np.floor((pts - self.origin) / self.width).astype(np.int64)
         return k[:, 0], k[:, 1]
 
+    def slices(self, qkx, qky, reach):
+        """(q, kx, lo, hi): for each query q and bucket column kx within
+        reach of its keys that holds points, the slice [lo, hi) of the
+        sorted order that holds the points of that column within reach."""
+        cols, rows, cells = self._cols, self._rows, self._cells
+        q, col = _spans(cols.searchsorted(qkx - reach), cols.searchsorted(qkx + reach, "right"))
+        base = col * rows.size
+        lo = cells.searchsorted(base + rows.searchsorted(qky - reach)[q])
+        hi = cells.searchsorted(base + rows.searchsorted(qky + reach, "right")[q])
+        return q, cols[col], lo, hi
+
     def pairs(self, queries, reach=1):
         """Yield index arrays (i, j) that pair query i with every point j
         whose key is at most reach from the query's along each axis, a
         bounded number of pairs at a time."""
-        cols, rows, cells = self._cols, self._rows, self._cells
         for start in range(0, queries.shape[0], _QUERY_CHUNK):
-            qkx, qky = self.keys(queries[start : start + _QUERY_CHUNK])
-            # the bucket columns within reach that hold points, and in each
-            # of them the slice of rows within reach
-            q, col = _spans(cols.searchsorted(qkx - reach), cols.searchsorted(qkx + reach, "right"))
-            base = col * rows.size
-            lo = cells.searchsorted(base + rows.searchsorted(qky - reach)[q])
-            hi = cells.searchsorted(base + rows.searchsorted(qky + reach, "right")[q])
+            q, _, lo, hi = self.slices(*self.keys(queries[start : start + _QUERY_CHUNK]), reach)
             ends = (hi - lo).cumsum()
             total = ends[-1] if ends.size else 0
             cuts = ends.searchsorted(np.arange(_PAIR_CHUNK, total, _PAIR_CHUNK))
             for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), ends.size]):
                 owner, j = _spans(lo[a:b], hi[a:b])
                 yield q[a:b][owner] + start, self._order[j]
-
-
-def _runs(candidates):
-    """Consecutive slices of candidates that share one x coordinate; shorter
-    ones are joined with what follows up to _MIN_RUN rows, and longer ones
-    are cut at _QUERY_CHUNK rows (a chunk of Python floats at a time)."""
-    n = candidates.shape[0]
-    start = 0
-    for stop in [*(np.flatnonzero(candidates[1:, 0] != candidates[:-1, 0]) + 1).tolist(), n]:
-        if stop - start >= _MIN_RUN or stop == n:
-            for lo in range(start, stop, _QUERY_CHUNK):
-                yield candidates[lo : min(lo + _QUERY_CHUNK, stop)]
-            start = stop
 
 
 def _far(grid, pts, sep, strict, reach=1):
@@ -153,15 +139,13 @@ def greedy_net(candidates, existing, sep, strict, *, limit=None):
     result is the first limit + 1 rows of the unlimited one (all of it
     when that is shorter).
 
-    Rejection is final, so a candidate may be dropped early, on arrays, by
-    any point kept before it; bucket grids (keys as bucket_frame gives
-    them) propose the points to measure.  First every candidate is checked
-    against existing, in its own bucket and then in the 3 x 3 around it.
-    The rest are scanned by runs that share one x coordinate (the columns
-    of a lattice): a run is checked against the points accepted before it,
-    and what is left is scanned one by one against the kept points in the
-    3 x 3 buckets around it, so a point accepted within the run counts at
-    once.
+    Rejection is final and the distance symmetric, so a candidate may be
+    dropped by any kept point, on arrays; bucket grids (keys as
+    bucket_frame gives them) propose the points to measure.  First every
+    candidate is checked against existing, in its own bucket and then in
+    the 3 x 3 around it.  The rest are indexed once: the first candidate
+    still alive is accepted, rejects the candidates within sep in the
+    3 x 3 buckets around it, and the scan moves on to the next one alive.
     """
     if limit is not None and existing.shape[0] > limit:
         return existing[: limit + 1].copy()
@@ -174,44 +158,36 @@ def greedy_net(candidates, existing, sep, strict, *, limit=None):
         # net), so only the rest meet the whole 3 x 3
         for reach in (0, 1):
             candidates = candidates[_far(grid, candidates, sep, strict, reach)]
-    x0, y0 = origin.tolist()
-    buckets = {}
-
-    def key(x, y):
-        return math.floor((x - x0) / width), math.floor((y - y0) / width)
-
-    def rejected(x, y, bx, by):
-        for i, j in _NEIGHBOURS:
-            for qx, qy in buckets.get((bx + i, by + j), ()):
-                d = math.sqrt((x - qx) * (x - qx) + (y - qy) * (y - qy))
-                if (d <= sep) if strict else (d < sep):
-                    return True
-        return False
-
-    for x, y in existing.tolist():
-        buckets.setdefault(key(x, y), []).append((x, y))
-    room = math.inf if limit is None else limit + 1 - existing.shape[0]
-    # x and y of every accepted point in turn: a flat list becomes an array
-    # faster than a list of pairs
-    accepted = []
-    grid = None
-    for run in _runs(candidates):
-        if accepted:
-            if grid is None:
-                grid = BucketGrid(np.array(accepted).reshape(-1, 2), origin, width)
-            run = run[_far(grid, run, sep, strict)]
-        for x, y in run.tolist():
-            bx, by = key(x, y)
-            if not rejected(x, y, bx, by):
-                buckets.setdefault((bx, by), []).append((x, y))
-                accepted += (x, y)
-                grid = None
-                room -= 1
-                if room == 0:
-                    break
-        if room == 0:
-            break
-    return np.concatenate([existing, np.array(accepted, dtype=float).reshape(-1, 2)])
+    grid = BucketGrid(candidates, origin, width)
+    # the bucket of each candidate, and for each bucket the slices of the
+    # sorted order that hold its 3 x 3 buckets, one per bucket column (left,
+    # own, right; empty where a column holds no candidate)
+    order = grid._order
+    head = np.diff(grid._cells, prepend=-1) != 0
+    bucket = np.empty(order.size, dtype=np.int64)
+    bucket[order] = head.cumsum() - 1
+    kx, ky = grid.keys(candidates[order[head]])
+    q, col, lo, hi = grid.slices(kx, ky, 1)
+    near = np.zeros((kx.size, 6), dtype=np.int64)
+    side = 2 * (col - kx[q] + 1)
+    near[q, side], near[q, side + 1] = lo, hi
+    near = near.tolist()
+    xs, ys = candidates.T.copy()
+    alive = bytearray(b"\x01") * order.size
+    marks = np.frombuffer(alive, dtype=np.uint8)
+    room = order.size if limit is None else limit + 1 - existing.shape[0]
+    kept = []
+    i = alive.find(1)
+    while i >= 0 and len(kept) < room:
+        kept.append(i)
+        a, b, c, d, e, f = near[bucket[i]]
+        j = np.concatenate((order[a:b], order[c:d], order[e:f]))
+        dx = xs[j] - xs[i]
+        dy = ys[j] - ys[i]
+        dist = np.sqrt(dx * dx + dy * dy)
+        marks[j[(dist <= sep) if strict else (dist < sep)]] = 0
+        i = alive.find(1, i + 1)
+    return np.concatenate([existing, candidates[kept]])
 
 
 def points_in_halfplanes(points, normals, offsets, tol):

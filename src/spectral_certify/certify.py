@@ -55,7 +55,7 @@ NET_DIAMETER_FACTOR = 2.0 + math.sqrt(2.0)
 CERTIFICATE_SCHEMA = 1
 
 # A strip certificate peaks under 2700 traced bytes a strip (its cells and
-# diameters, the report dict and its indented JSON; 2632 measured with
+# diameters, the report dict and its JSON text; 1948 and 1254 measured with
 # tracemalloc at 3142 and 31416 strips), so the budget admits ~99k strips:
 # rect:0.001:1000 with k = l = 1 reaches it at C ~ 3.2e-5.
 PARTITION_BYTES = 2**28

@@ -117,12 +117,13 @@ def default_gallery() -> list[tuple[str, ConvexPolygon]]:
 
 
 # Reports are built whole before they are printed.  Peak traced memory is
-# under 2100 bytes a sweep table entry (its SweepEntry, report dict and
-# indented JSON), 1400 bytes a bounds row, and 32 bytes a value of the
-# closed-form spectrum certify computes for --k.  So the budget admits sweep
-# --k-max 505 on one domain and 190 on the gallery of 7, bounds --k-max
-# 191739 and certify --k 8388607 (336, 336 and 407 MiB peak RSS at those
-# limits, interpreter included).
+# under 2100 bytes a sweep table entry (its SweepEntry, report dict and JSON
+# text; 1474 and 945 measured with tracemalloc at 5050 and 45150 entries),
+# 1400 bytes a bounds row (667 and 619 at 20k and 100k rows), and 32 bytes a
+# value of the closed-form spectrum certify computes for --k.  So the budget
+# admits sweep --k-max 505 on one domain and 190 on the gallery of 7, bounds
+# --k-max 191739 and certify --k 8388607 (192, 183 and 307 MiB peak RSS at
+# those limits on rect:2:1, interpreter included).
 REPORT_BYTES = 2**28
 SWEEP_ENTRY_BYTES = 2100
 BOUNDS_ROW_BYTES = 1400
@@ -151,7 +152,7 @@ def _report_skeleton(args: argparse.Namespace, domain: str) -> dict:
 
 def _emit(report: dict, fmt: str, csv_rows, csv_header) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(csv_header)

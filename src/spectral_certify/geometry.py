@@ -264,12 +264,60 @@ def inner_offset(P: ConvexPolygon, r: float) -> ConvexPolygon | None:
         return None
 
 
-# Building a grid of n sample points over a polygon with E edges holds at most
-# the meshgrid pair, their stacked copy and the sorted inside points (48 bytes
-# a point) and the n x E half-plane product with its boolean mask (9E bytes a
-# point).  Both grids of a net are charged up front: over a rectangle (E = 4)
-# this admits ~3.2M points; a 2487-cell net on rect:10:10 needs 0.78M.
+# Sample grids are built a block of lattice columns at a time.  A block of n
+# points over a polygon with E edges holds the meshgrid pair, their stacked
+# copy and the inside points (48 bytes a point) and the n x E half-plane
+# product with its mask (9E bytes a point).  A block may be a whole column and
+# an uncapped pass joins all of its blocks, so both grids are charged whole, up
+# front: over a rectangle (E = 4) this admits ~3.2M points; a 2487-cell net on
+# rect:10:10 needs 0.78M, and a net peaks at ~26 traced bytes a grid point.
 NET_GRID_BYTES = 256 * 2**20
+# sample points in a block of lattice columns, unless one column holds more
+NET_BLOCK = 1 << 12
+
+
+def _lattice_blocks(P: ConvexPolygon, pitch: float):
+    """Yield the points of P on the lattice of the given pitch from the
+    lower-left corner of its bounding box, in scan order (x, then y), a
+    block of whole columns at a time.
+
+    The meshgrid lays them out x-major, y-minor, which is lexicographic
+    order, as x0 + pitch * i strictly increases with i: rounding is
+    monotone, and a step loses at most a few ulps, ~1e-15 * scale.  A
+    ConvexPolygon has area > EPS_REL * scale^2, and so has its bounding box,
+    w * h; NET_GRID_BYTES admits w * h / pitch^2 < 3.6M fine points (75
+    bytes a point at E >= 3), so pitch > 5e-10 * scale.
+    """
+    (x0, y0), (x1, y1) = P.bounding_box
+    xs = x0 + pitch * np.arange(int(math.floor(float(x1 - x0) / pitch)) + 1)
+    ys = y0 + pitch * np.arange(int(math.floor(float(y1 - y0) / pitch)) + 1)
+    step = max(1, NET_BLOCK // ys.size)
+    for lo in range(0, xs.size, step):
+        gx, gy = np.meshgrid(xs[lo : lo + step], ys, indexing="ij")
+        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        yield pts[P.contains_points(pts)]
+
+
+def _greedy_lattice(P: ConvexPolygon, pitch: float, net, sep: float, strict: bool, limit):
+    """net followed by what a _kernels.greedy_net scan of P's lattice of the
+    given pitch keeps.  An uncapped scan needs every block, so it takes them
+    as one array, indexed once.  A capped one takes a block at a time, against
+    the kept points within 2 sep of its x range, and stops in the block where
+    the net passes limit."""
+    blocks = _lattice_blocks(P, pitch)
+    if limit is None:
+        return _kernels.greedy_net(np.concatenate(list(blocks)), net, sep, strict)
+    for block in blocks:
+        if block.shape[0] == 0:
+            continue
+        x = net[:, 0]
+        near = net[(x >= block[0, 0] - 2.0 * sep) & (x <= block[-1, 0] + 2.0 * sep)]
+        room = limit - net.shape[0] + near.shape[0]
+        kept = _kernels.greedy_net(block, near, sep, strict, limit=room)
+        net = np.concatenate([net, kept[near.shape[0] :]])
+        if net.shape[0] > limit:
+            break
+    return net
 
 
 def maximal_separated_net(P: ConvexPolygon, sep: float, *, limit: int | None = None) -> np.ndarray:
@@ -293,30 +341,13 @@ def maximal_separated_net(P: ConvexPolygon, sep: float, *, limit: int | None = N
     points = sum((w / p + 1.0) * (h / p + 1.0) for p in (sep / 8.0, sep / 16.0))
     if points * (48 + 9 * P.n) > NET_GRID_BYTES:
         raise GeometryError(f"separation {sep:.6g} is too small: net grids of {points:.3g} points")
-
-    def grid_inside(pitch):
-        nx = int(math.floor(w / pitch)) + 1
-        ny = int(math.floor(h / pitch)) + 1
-        xs = x0 + pitch * np.arange(nx)
-        ys = y0 + pitch * np.arange(ny)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        pts = pts[P.contains_points(pts)]
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        return pts[order]
-
-    coarse = grid_inside(sep / 8.0)
-    empty = np.empty((0, 2))
-    if coarse.shape[0] == 0:
+    sep = float(sep)
+    net = _greedy_lattice(P, sep / 8.0, np.empty((0, 2)), sep, False, limit)
+    if net.shape[0] == 0:
         net = P.centroid[None, :]
-    else:
-        net = _kernels.greedy_net(coarse, empty, float(sep), False, limit=limit)
     if limit is not None and net.shape[0] > limit:
         return net
-    fine = grid_inside(sep / 16.0)
-    if fine.shape[0] > 0:
-        net = _kernels.greedy_net(fine, net, float(sep), True, limit=limit)
-    return net
+    return _greedy_lattice(P, sep / 16.0, net, sep, True, limit)
 
 
 @dataclass

@@ -1,13 +1,15 @@
 """Geometry invariants, with independently computed oracles where the
 expected values are not obvious."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from spectral_certify import _kernels, geometry
+from spectral_certify import _kernels, certify, cli, geometry
 from spectral_certify.bounds import rectangle_spectrum
+from spectral_certify.certify import partition_radius
 from spectral_certify.geometry import (
     BoxSandwich,
     ConvexPolygon,
@@ -372,6 +374,119 @@ class TestNet:
             maximal_separated_net(sq, 0.0)
         with pytest.raises(GeometryError):
             maximal_separated_net(None, 1.0)
+
+
+def _net_digest(net):
+    return hashlib.sha256(np.ascontiguousarray(net, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _seeded_convex_polygon():
+    """Nine random points on a rotated, shifted ellipse, in angle order."""
+    rng = np.random.default_rng(31)
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, 9))
+    t = 0.6
+    turn = np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+    pts = np.stack([1.7 * np.cos(ang), 0.9 * np.sin(ang)], axis=1) @ turn
+    return ConvexPolygon(pts + np.array([3.1, -1.2]))
+
+
+class TestNetPins:
+    """sha256 of the sites of nets that certificates are built on, as an
+    earlier implementation of the scan kept them: a rewrite of the scan
+    must keep them bit for bit."""
+
+    @pytest.mark.parametrize(
+        "C, sites, digest",
+        [
+            (0.5, 394, "9bbba50ab88de05cfa1ece2c04da59879d9d0151ce8aa793c4875fd89a452f54"),
+            (0.25, 1594, "62a034b0804bd06ea528feb51e2e5fb258a3c2228343ed5e9ff1d658839e8e7a"),
+        ],
+    )
+    def test_rect_10x10(self, C, sites, digest):
+        # the net of the rect:10:10, k = l = 40 certificate at constant C
+        R = partition_radius(40, 40, C, rectangle_spectrum(5.0, 5.0, 41)[40])
+        rect = Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0).polygon()
+        net = maximal_separated_net(inner_offset(rect, R), 2.0 * R)
+        assert (len(net), _net_digest(net)) == (sites, digest)
+
+    def test_square_search_probes(self, monkeypatch, capsys):
+        net = certify.maximal_separated_net
+        probes = []
+
+        def recorded(P, sep, *, limit=None):
+            sites = net(P, sep, limit=limit)
+            probes.append((limit, len(sites), _net_digest(sites)))
+            return sites
+
+        monkeypatch.setattr(certify, "maximal_separated_net", recorded)
+        assert cli.main(["certify", "--domain", "square", "--k", "24", "--l", "24"]) == 0
+        capsys.readouterr()
+        assert probes == [
+            (24, 25, "4e528b92006ef5a73adf91bc51667da5f2bcd885aeb7dbab4d2dc0077f40db97"),
+            (24, 25, "4cc558e54c05b078c7cd9d5252a8545c1fae5486da53cbf813f1c0c91a2c61a7"),
+            (24, 25, "c2260760eeadd311b0d82453678c97bcc5a714eb40e7b0e2b8126fbff36676de"),
+            (24, 13, "1b6eb77f80a1ac382a3750cdbc4684658eb0208f1172d750f2813340ffe8ba23"),
+            (24, 6, "6eb0da47cad4812bae1b8905550905c5d95dded1adadd551f97a4e43eb61eb65"),
+            (24, 3, "e9f3f936d9a28d5dce99634882880a429196622a8c996ecf69b9df0aa9323911"),
+            (24, 3, "64d43581e281492200427e7b0574df39a7c8aa3ac92269bca0b08abb5b920691"),
+            (24, 3, "ff36118cfd066fb273b7b805f41eb8cced5d90e07c4944d7916e9c040056c744"),
+        ]
+
+    def test_random_polygon(self):
+        net = maximal_separated_net(_seeded_convex_polygon(), 0.23)
+        assert (len(net), _net_digest(net)) == (
+            75,
+            "af85fde18d38c45c009cb56a76c6a4a4f6b2819e7cb31b563d03fc8fb9d29d6b",
+        )
+
+
+class TestNetLattice:
+    @staticmethod
+    def _scanned(monkeypatch):
+        """Record the candidates of every greedy_net call."""
+        scan = _kernels.greedy_net
+        seen = []
+
+        def recorded(candidates, *args, **kwargs):
+            seen.append(candidates.copy())
+            return scan(candidates, *args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "greedy_net", recorded)
+        return seen
+
+    def test_candidates_in_lexicographic_order(self, monkeypatch, capsys):
+        # the lattice is scanned as the meshgrid lays it out, unsorted: it
+        # must come out strictly increasing in (x, y)
+        seen = self._scanned(monkeypatch)
+        for argv in (
+            ["certify", "--domain", "square", "--k", "24", "--l", "24"],
+            ["certify", "--domain", "rect:10:10", "--k", "40", "--l", "40", "--C", "0.5"],
+        ):
+            cli.main(argv)  # the rect:10:10 chain fails (exit 4) after its net is built
+        capsys.readouterr()
+        far = ConvexPolygon(regular_polygon(7).vertices + 1e5)
+        maximal_separated_net(far, 0.2)
+        maximal_separated_net(far, 0.2, limit=30)
+        assert len(seen) > 10
+        for pts in seen:
+            x, y = pts[:, 0], pts[:, 1]
+            assert ((x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] > y[:-1]))).all()
+            assert np.array_equal(np.lexsort((y, x)), np.arange(len(pts)))
+
+    @pytest.mark.parametrize("block", [1, 40, 300])
+    @pytest.mark.parametrize("poly", ["random", "12-gon"])
+    def test_capped_scans_cross_blocks(self, poly, block, monkeypatch):
+        # blocks of one column and more: a capped net scanned a block at a
+        # time is the head of the uncapped one; the 12-gon's fine pass adds
+        # sites 25 and 26 (see TestNet), so limits stop either pass
+        P, sep = (_seeded_convex_polygon(), 0.23) if poly == "random" else (regular_polygon(12), 0.37)
+        full = maximal_separated_net(P, sep)
+        monkeypatch.setattr(geometry, "NET_BLOCK", block)
+        seen = self._scanned(monkeypatch)
+        for limit in (0, 1, 5, 22, 23, 24, 25, 26, 40, 60, 73, 74, 75, 200):
+            got = maximal_separated_net(P, sep, limit=limit)
+            assert np.array_equal(got, full[: limit + 1])
+        assert len(seen) > 20
 
 
 class TestVoronoi:
