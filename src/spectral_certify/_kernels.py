@@ -72,7 +72,7 @@ class BucketGrid:
     Buckets are numbered row-major over the bucket columns and rows that
     hold a point, so their numbers stay below n^2 whatever the keys, and
     the points of consecutive buckets of one column form one slice of the
-    sorted order.
+    sorted order: order lists the point indices in it.
     """
 
     def __init__(self, points, origin, width):
@@ -83,8 +83,8 @@ class BucketGrid:
         self._cols, col = np.unique(kx, return_inverse=True)
         self._rows, row = np.unique(ky, return_inverse=True)
         cell = col * self._rows.size + row
-        self._order = np.argsort(cell, kind="stable")
-        self._cells = cell[self._order]
+        self.order = np.argsort(cell, kind="stable")
+        self._cells = cell[self.order]
 
     def keys(self, pts):
         """Column and row keys of the rows of pts."""
@@ -102,6 +102,21 @@ class BucketGrid:
         hi = cells.searchsorted(base + rows.searchsorted(qky + reach, "right")[q])
         return q, cols[col], lo, hi
 
+    def neighbours(self):
+        """(bucket, near): each point's bucket, numbered in sorted order, and
+        for each bucket the slices [lo, hi) of the sorted order that hold its
+        3 x 3 buckets, as six ints: left, own and right bucket column, empty
+        where that column holds no point."""
+        head = np.diff(self._cells, prepend=-1) != 0
+        bucket = np.empty(self.order.size, dtype=np.int64)
+        bucket[self.order] = head.cumsum() - 1
+        kx, ky = self.keys(self.points[self.order[head]])
+        q, col, lo, hi = self.slices(kx, ky, 1)
+        near = np.zeros((kx.size, 6), dtype=np.int64)
+        side = 2 * (col - kx[q] + 1)
+        near[q, side], near[q, side + 1] = lo, hi
+        return bucket, near
+
     def pairs(self, queries, reach=1):
         """Yield index arrays (i, j) that pair query i with every point j
         whose key is at most reach from the query's along each axis, a
@@ -113,7 +128,7 @@ class BucketGrid:
             cuts = ends.searchsorted(np.arange(_PAIR_CHUNK, total, _PAIR_CHUNK))
             for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), ends.size]):
                 owner, j = _spans(lo[a:b], hi[a:b])
-                yield q[a:b][owner] + start, self._order[j]
+                yield q[a:b][owner] + start, self.order[j]
 
 
 def _far(grid, pts, sep, strict, reach=1):
@@ -159,18 +174,8 @@ def greedy_net(candidates, existing, sep, strict, *, limit=None):
         for reach in (0, 1):
             candidates = candidates[_far(grid, candidates, sep, strict, reach)]
     grid = BucketGrid(candidates, origin, width)
-    # the bucket of each candidate, and for each bucket the slices of the
-    # sorted order that hold its 3 x 3 buckets, one per bucket column (left,
-    # own, right; empty where a column holds no candidate)
-    order = grid._order
-    head = np.diff(grid._cells, prepend=-1) != 0
-    bucket = np.empty(order.size, dtype=np.int64)
-    bucket[order] = head.cumsum() - 1
-    kx, ky = grid.keys(candidates[order[head]])
-    q, col, lo, hi = grid.slices(kx, ky, 1)
-    near = np.zeros((kx.size, 6), dtype=np.int64)
-    side = 2 * (col - kx[q] + 1)
-    near[q, side], near[q, side + 1] = lo, hi
+    order = grid.order
+    bucket, near = grid.neighbours()
     near = near.tolist()
     xs, ys = candidates.T.copy()
     alive = bytearray(b"\x01") * order.size

@@ -300,10 +300,13 @@ def _lattice_blocks(P: ConvexPolygon, pitch: float):
 
 def _greedy_lattice(P: ConvexPolygon, pitch: float, net, sep: float, strict: bool, limit):
     """net followed by what a _kernels.greedy_net scan of P's lattice of the
-    given pitch keeps.  An uncapped scan needs every block, so it takes them
-    as one array, indexed once.  A capped one takes a block at a time, against
-    the kept points within 2 sep of its x range, and stops in the block where
-    the net passes limit."""
+    given pitch keeps.  A capped scan takes a block at a time, against the
+    kept points within 2 sep of its x range, and stops in the block where the
+    net passes limit.  An uncapped one needs every block, so it takes them as
+    one array, indexed once: block by block, each block would be prefiltered
+    against the kept points too, and that made the 394- and 1594-site nets of
+    rect:10:10 at C = 0.5 and 0.25 take 74 and 323 ms against 58 and 221 ms
+    (medians of 10 alternating runs on a 2-vCPU VM)."""
     blocks = _lattice_blocks(P, pitch)
     if limit is None:
         return _kernels.greedy_net(np.concatenate(list(blocks)), net, sep, strict)

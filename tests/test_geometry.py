@@ -875,7 +875,8 @@ class TestGreedyNetOracle:
     @pytest.mark.parametrize("strict", [False, True])
     def test_columns_stepping_by_sep(self, offset, strict):
         # lattice columns whose y steps are exactly sep, or one ulp shorter
-        # or longer; the runs meet these ties on arrays, the scan in Python
+        # or longer: ties that each kept site meets among the candidates of
+        # its 3 x 3 buckets, and the existing points meet in the prefilter
         sep = 0.25
         ys = offset + sep * np.arange(-12, 13, dtype=float)
         for step in (None, -np.inf, np.inf):
@@ -892,8 +893,9 @@ class TestGreedyNetOracle:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_interleaved_columns(self, strict):
-        # lattice columns visited in shuffled order, so consecutive
-        # candidates alternate columns and runs are short
+        # lattice columns visited in shuffled order, so the candidates are
+        # not in lexicographic order: a kept site's 3 x 3 buckets hold
+        # candidates from before it in the scan as well as after
         sep = 0.3
         idx = np.array([(i, j) for i in range(-20, 21) for j in range(-20, 21)])
         lattice = (sep / 8.0) * idx.astype(float)
@@ -913,8 +915,9 @@ class TestGreedyNetOracle:
 
     @pytest.mark.parametrize("offset", [0.0, -7.3, 1e5])
     def test_random_columns(self, offset):
-        # columns at random x with random y: runs of every length, from 1 to
-        # longer than a query chunk
+        # columns at random x with random y, from 1 candidate to more than a
+        # query chunk of the existing-point prefilter or a NET_BLOCK lattice
+        # block (both 4096)
         rng = np.random.default_rng(18)
         xs = offset + rng.uniform(-1.0, 1.0, size=40)
         lengths = rng.integers(1, 40, size=40)
