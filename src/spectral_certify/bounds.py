@@ -14,7 +14,10 @@ import math
 import numpy as np
 
 from .spectra import Spectrum
-from .special import bessel_zero
+
+# j_{0,1} = 2.40482555769577276862..., the first zero of J_0, as its nearest
+# double; a constant so that no command imports scipy.special
+J0_FIRST_ZERO = 2.404825557695773
 
 
 def payne_weinberger_lower(diam: float) -> float:
@@ -32,7 +35,7 @@ def kroger_diameter_upper(k: int, diam: float) -> float:
         raise ValueError("eigenvalue index must be an integer >= 1")
     if not (diam > 0) or not math.isfinite(diam):
         raise ValueError("diameter must be positive and finite")
-    return (2.0 * bessel_zero(0.0, 1) + (k - 1) * math.pi) ** 2 / diam**2
+    return (2.0 * J0_FIRST_ZERO + (k - 1) * math.pi) ** 2 / diam**2
 
 
 def kroger_area_upper(k: int, area: float) -> float:

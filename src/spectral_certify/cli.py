@@ -91,16 +91,25 @@ def parse_domain(text: str) -> tuple[str, ConvexPolygon]:
             raise UsageError(f"bad regular polygon specification {text!r}") from exc
         if sides < 3 or radius <= 0:
             raise UsageError("need at least 3 sides and a positive circumradius")
+        _check_vertices(text, sides)
         return f"regular_{sides}", regular_polygon(sides, radius)
     if text.startswith("file:") or text.endswith(".json"):
         path = text[5:] if text.startswith("file:") else text
         stem = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
         with open(path, "r", encoding="utf-8") as fh:
-            return f"file_{stem}", polygon_from_json(fh.read())
+            P = polygon_from_json(fh.read())
+        _check_vertices(text, P.n)
+        return f"file_{stem}", P
     raise UsageError(
         f"unknown domain {text!r}; expected square, rect:LX:LY, "
         "regular:N[:R], or file:PATH"
     )
+
+
+def _check_vertices(text: str, count: int) -> None:
+    """A domain's vertex count against DOMAIN_VERTICES, before any n x n array."""
+    if count > DOMAIN_VERTICES:
+        raise UsageError(f"{text}: {count} vertices, over the limit of {DOMAIN_VERTICES}")
 
 
 def default_gallery() -> list[tuple[str, ConvexPolygon]]:
@@ -128,6 +137,11 @@ REPORT_BYTES = 2**28
 SWEEP_ENTRY_BYTES = 2100
 BOUNDS_ROW_BYTES = 1400
 SPECTRUM_VALUE_BYTES = 32
+
+# geometry.diameters measures an n-gon domain with n x n x 2 arrays: bounds peaks
+# at 85 / 154 / 268 MiB of RSS at 1000 / 2000 / 3000 vertices, 24 n^2 bytes over
+# the interpreter's 62 MiB, so the budget admits 3344 vertices (318 MiB peak).
+DOMAIN_VERTICES = math.isqrt(REPORT_BYTES // 24)
 
 
 def _options(args: argparse.Namespace) -> dict:

@@ -3,11 +3,13 @@ arithmetic and brute-force lattice oracles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
 from spectral_certify.bounds import (
+    J0_FIRST_ZERO,
     kroger_area_upper,
     kroger_diameter_upper,
     partition_lower,
@@ -37,6 +39,11 @@ class TestPayneWeinberger:
 
 
 class TestKrogerDiameter:
+    def test_first_bessel_zero_is_nearest_double(self):
+        with mpmath.workdps(40):
+            assert J0_FIRST_ZERO == float(mpmath.besseljzero(0, 1))
+        assert kroger_diameter_upper(1, 1.0) == (2 * J0_FIRST_ZERO) ** 2
+
     def test_planar_first_eigenvalue(self):
         assert kroger_diameter_upper(1, 1.0) == pytest.approx((2.0 * J01) ** 2, rel=1e-12)
         assert kroger_diameter_upper(1, 1.0) == pytest.approx(23.1327, rel=1e-4)

@@ -245,6 +245,34 @@ class TestExitCodes:
         assert "4.29e+09 triangles" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("command", ["spectrum", "bounds", "certify", "sweep"])
+    def test_regular_domain_over_vertex_limit(self, capsys, command):
+        # regular_polygon would ask numpy for a 7.3 TiB array
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--domain", "regular:1000000000000")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"1000000000000 vertices, over the limit of {cli.DOMAIN_VERTICES}" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_file_domain_over_vertex_limit(self, capsys, tmp_path):
+        n = cli.DOMAIN_VERTICES + 1
+        path = tmp_path / "polygon.json"
+        path.write_text(json.dumps({"vertices": regular_polygon(n).vertices.tolist()}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "--domain", f"file:{path}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"{n} vertices, over the limit of {cli.DOMAIN_VERTICES}" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_file_domain_at_vertex_limit(self, capsys, tmp_path):
+        path = tmp_path / "polygon.json"
+        vertices = regular_polygon(cli.DOMAIN_VERTICES).vertices.tolist()
+        path.write_text(json.dumps({"vertices": vertices}))
+        results = run_json(capsys, "bounds", "--domain", f"file:{path}", "--k-max", "2")["results"]
+        assert results["diameter"] == pytest.approx(2.0, rel=1e-12)
+
     @pytest.mark.parametrize(
         "option, argv",
         [
@@ -542,9 +570,10 @@ class TestConfigFile:
 
 class TestImport:
     @staticmethod
-    def spatial_imported(code):
+    def imported(code, module="scipy.spatial"):
+        """Whether module is in sys.modules after running code in a fresh interpreter."""
         src = os.path.dirname(os.path.dirname(spectral_certify.__file__))
-        code += "\nprint('scipy.spatial' in sys.modules)"
+        code += f"\nprint({module!r} in sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -554,7 +583,7 @@ class TestImport:
     def test_scipy_spatial_not_imported(self):
         # scipy.spatial (which pulls in scipy.special) would add ~0.1 s to
         # every start of the command
-        assert self.spatial_imported("import sys, spectral_certify.cli") == "False"
+        assert self.imported("import sys, spectral_certify.cli") == "False"
 
     def test_certify_runs_without_scipy_spatial(self):
         # the net, Voronoi and pair checks all use the bucket grid in _kernels
@@ -565,7 +594,20 @@ class TestImport:
             "    assert c.main(['certify', '--domain', 'rect:10:10', '--k', '40', '--l', '40',"
             " '--C', '0.5']) == 4"
         )
-        assert self.spatial_imported(code) == "False"
+        assert self.imported(code) == "False"
+
+    def test_commands_run_without_scipy_special(self):
+        # Bessel values are only needed by the disk oracle and the tests;
+        # the diameter bound takes j_{0,1} as a constant
+        code = (
+            "import sys, contextlib, io, spectral_certify.cli as c\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert c.main(['spectrum', '--domain', 'regular:6', '--m', '5', '--levels', '2']) == 0\n"
+            "    assert c.main(['bounds', '--domain', 'regular:6']) == 0\n"
+            "    assert c.main(['certify', '--domain', 'regular:6', '--k', '4', '--l', '2']) == 0\n"
+            "    assert c.main(['sweep', '--domain', 'regular:6', '--k-max', '4', '--levels', '1']) == 0"
+        )
+        assert self.imported(code, "scipy.special") == "False"
 
 
 class TestBenchmarkTracer:

@@ -5,8 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.special
 
+from spectral_certify.bounds import J0_FIRST_ZERO
 from spectral_certify.special import (
     bessel_derivative_zero,
     bessel_j,
@@ -23,7 +23,7 @@ class TestBesselJ:
         assert bessel_j(1.0, 0.0) == 0.0
         assert bessel_j(2.5, 0.0) == 0.0
 
-    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 5.0])
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 5.0, 8.0, 10.0, 12.0])
     def test_accuracy_against_reference(self, nu):
         xs = np.concatenate(
             [
@@ -36,22 +36,22 @@ class TestBesselJ:
             ref = float(mpmath.besselj(nu, mpmath.mpf(float(x))))
             assert abs(bessel_j(nu, float(x)) - ref) < 1e-12
 
-    def test_matches_scipy_on_grid(self):
+    def test_matches_mpmath_on_grid(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
             nu = float(rng.uniform(0.0, 5.0))
             x = float(rng.uniform(0.0, 100.0))
             assert bessel_j(nu, x) == pytest.approx(
-                float(scipy.special.jv(nu, x)), abs=5e-12
+                float(mpmath.besselj(nu, x)), abs=5e-12
             )
 
-    def test_derivative_matches_scipy(self):
+    def test_derivative_matches_mpmath(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             nu = float(rng.uniform(0.0, 5.0))
             x = float(rng.uniform(0.05, 60.0))
             assert bessel_j_derivative(nu, x) == pytest.approx(
-                float(scipy.special.jvp(nu, x)), abs=5e-12
+                float(mpmath.besselj(nu, x, derivative=1)), abs=5e-12
             )
 
     def test_rejects_bad_input(self):
@@ -62,7 +62,7 @@ class TestBesselJ:
 
 
 class TestBesselZero:
-    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.0, 3.5, 5.0])
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.0, 3.5, 5.0, 8.0, 10.0, 12.0])
     def test_zeros_match_reference(self, nu):
         for k in range(1, 21):
             ref = float(mpmath.besseljzero(nu, k))
@@ -76,6 +76,9 @@ class TestBesselZero:
     def test_first_zero_value(self):
         j01 = bessel_zero(0.0, 1)
         assert abs(bessel_j(0.0, j01)) < 1e-12
+
+    def test_first_zero_is_the_bounds_constant(self):
+        assert bessel_zero(0.0, 1) == J0_FIRST_ZERO
 
     def test_zeros_increase_and_gaps_approach_pi(self):
         zeros = [bessel_zero(2.0, k) for k in range(1, 30)]
@@ -96,7 +99,7 @@ class TestBesselZero:
 
 
 class TestBesselDerivativeZero:
-    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 4.5])
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 4.5, 8.0, 10.0, 12.0])
     def test_derivative_zeros_match_reference(self, nu):
         for k in range(1, 13):
             ref = float(mpmath.besseljzero(nu, k, derivative=1))
