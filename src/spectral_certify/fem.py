@@ -11,10 +11,10 @@ computed eigenvalue overestimates its continuous counterpart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -66,9 +66,6 @@ class SparseSymmetricMatrix:
         ).tocsr()
         diag = scipy.sparse.diags(upper.diagonal())
         return (upper + upper.T - diag).tocsr()
-
-    def toarray(self) -> np.ndarray:
-        return self.to_csr().toarray()
 
 
 def assemble(mesh: TriangleMesh):
@@ -177,16 +174,6 @@ def solve_smallest(
     return vals, vecs, worst
 
 
-def dense_smallest(stiffness, mass, m: int):
-    """Dense generalized eigensolve of the same pencil; reference for
-    cross-checking the iterative path on small meshes."""
-    n = stiffness.dimension
-    if n > 2000:
-        raise ValueError("dense fallback is for small problems only")
-    vals, vecs = scipy.linalg.eigh(stiffness.toarray(), mass.toarray())
-    return vals[:m], vecs[:, :m]
-
-
 def _pencil(P: ConvexPolygon, levels: int):
     """Mesh width and CSR K and M of P's mesh; the mesh and assembled pair die on return."""
     mesh = mesh_polygon(P, levels)
@@ -196,11 +183,22 @@ def _pencil(P: ConvexPolygon, levels: int):
 
 def neumann_spectrum(P: ConvexPolygon, m: int, levels: int) -> Spectrum:
     """FEM approximation of the first m Neumann eigenvalues of P at the
-    given uniform refinement level."""
+    given uniform refinement level.  P is solved scaled by the power of 16
+    that puts its bounding-box diagonal in [1, 16), as solve_smallest's
+    shift and residual guard are in absolute units; a power of two scales
+    exactly (K is unchanged, M scales by its square), so the values and
+    mesh width scale back exactly."""
+    (x0, y0), (x1, y1) = P.bounding_box
+    factor = math.ldexp(1.0, -4 * ((math.frexp(math.hypot(x1 - x0, y1 - y0))[1] - 1) // 4))
+    if factor != 1.0:
+        P = ConvexPolygon(P.vertices * factor)
     mesh_h, K, M = _pencil(P, levels)
     vals, _, residual = solve_smallest(K, M, m)
     # the continuous zero mode rounds to a tiny number of either sign
     if abs(vals[0]) < 1e-10 * max(abs(vals).max(), 1.0):
         vals[0] = 0.0
+    vals *= factor * factor
     source = f"fem({levels})"
-    return Spectrum(vals, source, mesh_h=mesh_h, refinement_level=levels, solver_residual=residual)
+    return Spectrum(
+        vals, source, mesh_h=mesh_h / factor, refinement_level=levels, solver_residual=residual
+    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,16 @@ import numpy as np
 from . import _kernels
 
 EPS_REL = 1e-12
+
+# Range of a polygon's coordinate scale s (its largest |coordinate|).  At the
+# top, a product of two coordinates is at most s^2 = 1e300 and one of two
+# coordinate differences 4e300, so sums of a million of them stay finite (the
+# largest double is 1.8e308); at the bottom, the cross-product tolerance
+# EPS_REL s^2 is the smallest normal double.  Products of three coordinates
+# (the centroid) overflow from ~1e101 up, so the FEM meshes a copy of the
+# domain scaled to unit size (fem.neumann_spectrum).
+SCALE_MIN = math.sqrt(sys.float_info.min / EPS_REL)
+SCALE_MAX = 1e150
 
 # factor by which the inscribed box of the John ellipse shrinks relative to
 # the enclosing ellipse: 1/2 from the planar John theorem, 1/sqrt(2) from
@@ -81,7 +92,13 @@ def _convex_cells(v: np.ndarray, counts) -> list:
     if (counts < 3).any():
         raise GeometryError("a polygon needs at least 3 vertices")
     starts, owner, _ = _closed_chains(counts)
-    scale = np.maximum(np.maximum.reduceat(np.abs(v).max(axis=1), starts), 1e-300)
+    scale = np.maximum.reduceat(np.abs(v).max(axis=1), starts)
+    # a zero scale (a point) fails as fewer than 3 distinct vertices below
+    bad = scale[(scale > 0.0) & ((scale < SCALE_MIN) | (scale > SCALE_MAX))]
+    if bad.size:
+        raise GeometryError(
+            f"largest |coordinate| {bad[0]:.3g} is outside [{SCALE_MIN:.3g}, {SCALE_MAX:.3g}]"
+        )
     # drop consecutive duplicates (closed chains, so compare to the previous)
     prev = np.arange(-1, v.shape[0] - 1)
     prev[starts] = starts + counts - 1
@@ -607,15 +624,6 @@ class Ellipse:
         if not (self.semi_axis_a > 0 and self.semi_axis_b > 0):
             raise GeometryError("ellipse semi-axes must be positive")
 
-    def quadratic_form(self, points) -> np.ndarray:
-        """(p-c)^T A (p-c); inside means <= 1."""
-        pts = _as_points(points)
-        ca, sa = math.cos(self.rotation), math.sin(self.rotation)
-        rel = pts - self.center.array
-        u = rel[:, 0] * ca + rel[:, 1] * sa
-        v = -rel[:, 0] * sa + rel[:, 1] * ca
-        return (u / self.semi_axis_a) ** 2 + (v / self.semi_axis_b) ** 2
-
 
 # optimality gap at which Khachiyan's iteration stops, and its iteration cap
 _MVEE_TOL = 1e-7
@@ -784,10 +792,6 @@ def ball_packing_count(P: ConvexPolygon, centers, r: float) -> PackingCheck:
 
 # ---------------------------------------------------------------------------
 # serialization and drawing
-
-
-def polygon_to_json(P: ConvexPolygon) -> dict:
-    return {"vertices": P.vertices.tolist()}
 
 
 def polygon_from_json(obj) -> ConvexPolygon:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,26 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"usage error: {option}: ") and "over budget" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--domain", "rect:1e155:1e155"],
+            ["bounds", "--domain", "rect:1e308:1e308"],
+            ["bounds", "--domain", "regular:3:1e300"],
+            ["bounds", "--domain", "rect:1e-170:1e-170"],
+            ["sweep", "--domain", "regular:5:1e-160", "--k-max", "2", "--levels", "1"],
+        ],
+    )
+    def test_coordinates_out_of_range(self, capsys, argv):
+        # refused before any product of coordinates overflows or underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "is outside [1.49e-148, 1e+150]" in err
+        assert "Warning" not in err
+
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_singular_pencil_is_solver_failure(self, capsys, monkeypatch, command):
         # an index no element touches leaves an empty row in K + M, which
@@ -340,6 +361,14 @@ class TestSpectrumCommand:
         rows = report["results"]["eigenvalues"]
         assert rows[1]["value"] == pytest.approx(3.39, rel=1e-2)
         assert rows[1]["provenance"] == "fem(4)"
+
+    @pytest.mark.parametrize("size", [1e-140, 1e150])
+    def test_values_scale_with_the_domain(self, capsys, size):
+        argv = ["spectrum", "--m", "3", "--levels", "1"]
+        unit = run_json(capsys, *argv)["results"]["eigenvalues"]
+        rows = run_json(capsys, *argv, "--domain", f"rect:{size}:{size}")["results"]["eigenvalues"]
+        for row, ref in zip(rows, unit):
+            assert row["value"] * size**2 == pytest.approx(ref["value"], rel=1e-12)
 
     def test_closed_form_column_on_rectangles(self, capsys):
         report = run_json(
@@ -584,6 +613,12 @@ class TestImport:
         # scipy.spatial (which pulls in scipy.special) would add ~0.1 s to
         # every start of the command
         assert self.imported("import sys, spectral_certify.cli") == "False"
+
+    @pytest.mark.parametrize("module", ["spectral_certify", "spectral_certify.geometry"])
+    def test_import_leaves_out_scipy_sparse(self, module):
+        # the package namespace holds only __version__, so importing it or
+        # the geometry does not load the FEM stack
+        assert self.imported(f"import sys, {module}", "scipy.sparse") == "False"
 
     def test_certify_runs_without_scipy_spatial(self):
         # the net, Voronoi and pair checks all use the bucket grid in _kernels

@@ -13,12 +13,13 @@ from spectral_certify.fem import (
     EigensolverError,
     SparseSymmetricMatrix,
     assemble,
-    dense_smallest,
     neumann_spectrum,
     solve_smallest,
 )
 from spectral_certify.geometry import ConvexPolygon, regular_polygon
 from spectral_certify.mesh import TriangleMesh, mesh_polygon
+
+from oracles import dense_smallest, toarray
 
 UNIT_SQUARE = ConvexPolygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
 SLIVER = ConvexPolygon([[-5.0, -0.5], [5.0, -0.5], [5.0, 0.5], [-5.0, 0.5]])
@@ -89,8 +90,8 @@ class TestElementMatrices:
         mesh = reference_triangle_mesh()
         stiffness, mass = assemble(mesh)
         _, kloc, mloc = _kernels.p1_element_matrices(mesh.triangle_coords())
-        assert stiffness.toarray() == pytest.approx(kloc[0], abs=1e-15)
-        assert mass.toarray() == pytest.approx(mloc[0], abs=1e-17)
+        assert toarray(stiffness) == pytest.approx(kloc[0], abs=1e-15)
+        assert toarray(mass) == pytest.approx(mloc[0], abs=1e-17)
 
 
 class TestSparseStorage:
@@ -103,7 +104,7 @@ class TestSparseStorage:
         m = SparseSymmetricMatrix.from_coo(3, rows, cols, data)
         assert (m.rows <= m.cols).all()
         expected = np.array([[2.0, 5.5, -1.0], [5.5, 3.0, 0.5], [-1.0, 0.5, 5.0]])
-        assert m.toarray() == pytest.approx(expected, rel=1e-15)
+        assert toarray(m) == pytest.approx(expected, rel=1e-15)
 
     def test_to_csr_is_symmetric(self):
         mesh = mesh_polygon(UNIT_SQUARE, 2)
@@ -265,6 +266,25 @@ class TestEigensolver:
         second = neumann_spectrum(regular_polygon(6), 8, 4)
         assert np.array_equal(first.values, second.values)
         assert first.solver_residual == second.solver_residual
+
+    @pytest.mark.parametrize("size", [16.0**-3, 16.0**3])
+    def test_power_of_two_scale_is_exact(self, size):
+        # the solve runs on the unit square either way, so the values and
+        # the mesh width scale back without rounding
+        unit = neumann_spectrum(UNIT_SQUARE, 6, 3)
+        scaled = neumann_spectrum(ConvexPolygon(UNIT_SQUARE.vertices * size), 6, 3)
+        assert np.array_equal(scaled.values, unit.values / size**2)
+        assert scaled.mesh_h == unit.mesh_h * size
+        assert scaled.solver_residual == unit.solver_residual
+
+    @pytest.mark.parametrize("size", [1e-3, 1e8])
+    def test_values_scale_with_the_domain(self, size):
+        # the shift and the residual guard are in absolute units, so these
+        # sizes failed the residual check or lost digits unscaled
+        unit = neumann_spectrum(UNIT_SQUARE, 6, 3)
+        scaled = neumann_spectrum(ConvexPolygon(UNIT_SQUARE.vertices * size), 6, 3)
+        assert scaled.values * size**2 == pytest.approx(unit.values, rel=1e-12)
+        assert scaled.values[0] == 0.0
 
     def test_dense_guard(self):
         big = SparseSymmetricMatrix.from_coo(

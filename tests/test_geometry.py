@@ -24,13 +24,14 @@ from spectral_certify.geometry import (
     maximal_separated_net,
     mvee,
     polygon_from_json,
-    polygon_to_json,
     rectangle_from_polygon,
     rectangle_sandwich,
     regular_polygon,
     svg_scene,
     voronoi_partition,
 )
+
+from oracles import polygon_to_json, quadratic_form
 
 UNIT_SQUARE = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
 
@@ -61,6 +62,23 @@ class TestConvexPolygon:
         # triangle is fine
         t = ConvexPolygon([[0, 0], [1e-15, 0], [0, 1e-15]])
         assert t.area == pytest.approx(5e-31, rel=1e-12)
+
+    @pytest.mark.parametrize("size", [1e-148, 1e-160, 3e150, 1e300])
+    def test_coordinate_scale_out_of_range(self, size):
+        # squares and cross products of coordinates would overflow, or the
+        # cross-product tolerance underflow; nothing is formed before the check
+        with np.errstate(all="raise"):
+            with pytest.raises(GeometryError, match=r"outside \[1.49e-148, 1e\+150\]"):
+                ConvexPolygon(np.array(UNIT_SQUARE) * size)
+            with pytest.raises(GeometryError, match="^cell 1: largest"):
+                ConvexPolygon.many([UNIT_SQUARE, np.array(UNIT_SQUARE) * size])
+
+    @pytest.mark.parametrize("size", [geometry.SCALE_MIN, geometry.SCALE_MAX])
+    def test_coordinate_scale_at_range_ends(self, size):
+        with np.errstate(over="raise", invalid="raise"):
+            P = ConvexPolygon([[0.0, 0.0], [size, 0.0], [size, size], [0.0, size]])
+        assert P.scale == size
+        assert P.area == size * size
 
     def test_duplicate_vertices_dropped(self):
         p = ConvexPolygon([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1], [0, 0]])
@@ -712,7 +730,7 @@ class TestMvee:
         semis = sorted([e.semi_axis_a, e.semi_axis_b])
         assert semis[0] == pytest.approx(math.sqrt(2.0), rel=1e-5)
         assert semis[1] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-5)
-        assert e.quadratic_form(box.vertices).max() <= 1.0 + 1e-12
+        assert quadratic_form(e, box.vertices).max() <= 1.0 + 1e-12
 
     def test_minimality_within_axis_aligned_family(self):
         # oracle: among axis-aligned ellipses through the box corners the
@@ -730,7 +748,7 @@ class TestMvee:
     def test_contains_random_hulls(self, random_polygons):
         for poly in random_polygons[:30]:
             e = mvee(poly.vertices)
-            assert e.quadratic_form(poly.vertices).max() <= 1.0 + 3e-7
+            assert quadratic_form(e, poly.vertices).max() <= 1.0 + 3e-7
 
     def test_rejects_collinear(self):
         with pytest.raises(GeometryError):
