@@ -107,7 +107,7 @@ def parse_domain(text: str) -> tuple[str, ConvexPolygon]:
 
 
 def _check_vertices(text: str, count: int) -> None:
-    """A domain's vertex count against DOMAIN_VERTICES, before any n x n array."""
+    """A domain's vertex count against DOMAIN_VERTICES, before any work on it."""
     if count > DOMAIN_VERTICES:
         raise UsageError(f"{text}: {count} vertices, over the limit of {DOMAIN_VERTICES}")
 
@@ -138,10 +138,11 @@ SWEEP_ENTRY_BYTES = 2100
 BOUNDS_ROW_BYTES = 1400
 SPECTRUM_VALUE_BYTES = 32
 
-# geometry.diameters measures an n-gon domain with n x n x 2 arrays: bounds peaks
-# at 85 / 154 / 268 MiB of RSS at 1000 / 2000 / 3000 vertices, 24 n^2 bytes over
-# the interpreter's 62 MiB, so the budget admits 3344 vertices (318 MiB peak).
-DOMAIN_VERTICES = math.isqrt(REPORT_BYTES // 24)
+# geometry.diameters compares the n^2 / 2 vertex pairs of an n-gon domain in
+# O(n) memory, so the limit bounds time: bounds takes 0.26 s at 10,000 vertices
+# and 3.4 s at 33,440 (in process, over the limit).  At 3344 vertices bounds,
+# certify and sweep --levels 1 each take under 1 s and peak at 61-73 MiB of RSS.
+DOMAIN_VERTICES = 3344
 
 
 def _options(args: argparse.Namespace) -> dict:
@@ -350,7 +351,7 @@ def cmd_certify(args) -> int:
         results["sandwich"] = {
             "dilation_factor": sandwich.dilation_factor,
             "note": "domain is not a rectangle; the certificate covers the "
-            "inscribed box of its enclosing-ellipse sandwich",
+            "inner box of its inertia-ellipse sandwich",
         }
     report["results"] = results
     if args.svg:

@@ -29,12 +29,6 @@ EPS_REL = 1e-12
 SCALE_MIN = math.sqrt(sys.float_info.min / EPS_REL)
 SCALE_MAX = 1e150
 
-# factor by which the inscribed box of the John ellipse shrinks relative to
-# the enclosing ellipse: 1/2 from the planar John theorem, 1/sqrt(2) from
-# inscribing a rectangle in an ellipse
-JOHN_SHRINK = 0.5
-BOX_IN_ELLIPSE = 1.0 / math.sqrt(2.0)
-
 
 class GeometryError(ValueError):
     """Raised when an input violates a geometric precondition."""
@@ -224,15 +218,21 @@ def regular_polygon(n: int, circumradius: float = 1.0) -> ConvexPolygon:
 
 def diameters(cells) -> np.ndarray:
     """Largest pairwise vertex distance of each polygon (its diameter, as
-    the polygons are convex); the polygons of one vertex count are
-    measured together."""
+    the polygons are convex).  The polygons of one vertex count n are
+    measured together, vertex i against i + s for one cyclic offset
+    1 <= s <= n/2 at a time, which meets every pair of vertices in
+    O(cells x n) memory."""
     counts = np.array([P.n for P in cells], dtype=np.intp)
     out = np.empty(counts.size)
     for n in set(counts.tolist()):
         same = np.flatnonzero(counts == n)
         v = np.stack([cells[i].vertices for i in same.tolist()])
-        d2 = ((v[:, :, None, :] - v[:, None, :, :]) ** 2).sum(axis=3)
-        out[same] = np.sqrt(d2.max(axis=(1, 2)))
+        twice = np.concatenate([v, v], axis=1)
+        d2 = np.zeros(same.size)
+        for s in range(1, n // 2 + 1):
+            d = v - twice[:, s : s + n]
+            d2 = np.maximum(d2, (d[:, :, 0] ** 2 + d[:, :, 1] ** 2).max(axis=1))
+        out[same] = np.sqrt(d2)
     return out
 
 
@@ -612,88 +612,6 @@ def rectangle_from_polygon(P: ConvexPolygon) -> Rectangle | None:
 
 
 @dataclass
-class Ellipse:
-    """Closed ellipse; rotation is the direction of the first semi-axis."""
-
-    center: Point2
-    semi_axis_a: float
-    semi_axis_b: float
-    rotation: float
-
-    def __post_init__(self):
-        if not (self.semi_axis_a > 0 and self.semi_axis_b > 0):
-            raise GeometryError("ellipse semi-axes must be positive")
-
-
-# optimality gap at which Khachiyan's iteration stops, and its iteration cap
-_MVEE_TOL = 1e-7
-_MVEE_MAX_ITER = 100000
-
-
-def mvee(points) -> Ellipse:
-    """Minimum-volume enclosing ellipse by Khachiyan's multiplicative update.
-
-    Iterates until the barycentric optimality gap drops below _MVEE_TOL, then
-    inflates the result so every input point satisfies the quadratic form,
-    making containment unconditional.  Raises on degenerate (collinear)
-    input.
-    """
-    pts = _as_points(points)
-    n, d = pts.shape
-    if n < 3:
-        raise GeometryError("need at least 3 points for an enclosing ellipse")
-    centered = pts - pts.mean(axis=0)
-    if np.linalg.matrix_rank(centered, tol=1e-12 * max(1.0, np.abs(pts).max())) < 2:
-        raise GeometryError("points are collinear; enclosing ellipse is degenerate")
-    q = np.column_stack([pts, np.ones(n)])
-    u = np.full(n, 1.0 / n)
-    dp1 = d + 1.0
-    for _ in range(_MVEE_MAX_ITER):
-        x = q.T @ (q * u[:, None])
-        m_vals = (q @ np.linalg.inv(x) * q).sum(axis=1)
-        j = int(np.argmax(m_vals))
-        maximum = m_vals[j]
-        if maximum <= dp1 * (1.0 + _MVEE_TOL):
-            break
-        # drop-weight steps on over-weighted support points keep the plain
-        # multiplicative update from stalling on its sublinear tail
-        support = u > 0
-        j_min = int(np.flatnonzero(support)[np.argmin(m_vals[support])])
-        minimum = m_vals[j_min]
-        away_ok = (
-            dp1 - minimum > maximum - dp1 and minimum > 1.0 and u[j_min] < 1.0
-        )
-        if away_ok:
-            step = min(
-                (dp1 - minimum) / (dp1 * (minimum - 1.0)),
-                u[j_min] / (1.0 - u[j_min]),
-            )
-            u *= 1.0 + step
-            u[j_min] = max(u[j_min] - step, 0.0)
-            u /= u.sum()
-        else:
-            step = (maximum - dp1) / (dp1 * (maximum - 1.0))
-            u *= 1.0 - step
-            u[j] += step
-    else:
-        raise GeometryError("enclosing-ellipse iteration did not converge")
-    c = u @ pts
-    sigma = pts.T @ (pts * u[:, None]) - np.outer(c, c)
-    shape = np.linalg.inv(sigma) / d
-    # inflate so the quadratic form is <= 1 at every input point
-    rel = pts - c
-    forms = (rel @ shape * rel).sum(axis=1)
-    worst = float(forms.max())
-    if worst > 1.0:
-        shape = shape / worst
-    evals, evecs = np.linalg.eigh(shape)
-    semi = 1.0 / np.sqrt(evals)
-    # eigh sorts ascending, so the last eigenvalue is the short axis
-    rot = math.atan2(evecs[1, 0], evecs[0, 0])
-    return Ellipse(Point2(*c), float(semi[0]), float(semi[1]), rot % math.pi)
-
-
-@dataclass
 class BoxSandwich:
     """Pair of concentric, co-aligned rectangles with inner subset of the
     domain subset of outer; outer = dilation_factor * inner."""
@@ -716,43 +634,64 @@ class BoxSandwich:
                 raise GeometryError("outer rectangle is not the stated dilation of inner")
 
 
-def rectangle_sandwich(P: ConvexPolygon) -> BoxSandwich:
-    """Inner and outer rectangle for P with a bounded dilation factor.
+def _moments(v: np.ndarray):
+    """Mean and second moment about the origin of the uniform distribution
+    on the polygon with counterclockwise vertices v, summed over the
+    triangles (0, v_i, v_i+1): a triangle (0, a, b) has moment a x b / 6
+    (a + b) and second moment a x b / 24 (a a^T + b b^T + (a + b)(a + b)^T)."""
+    w = np.roll(v, -1, axis=0)
+    cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
+    s = v + w
+    area2 = cross.sum()
+    second = (v.T * cross) @ v + (w.T * cross) @ w + (s.T * cross) @ s
+    return s.T @ cross / (3.0 * area2), second / (12.0 * area2)
 
-    The inner box is inscribed in the half-scaled enclosing ellipse, then
-    clamped exactly into P corner by corner; the outer box is the inner one
-    dilated by the smallest power of two containing all vertices.  The
-    dilation factor never exceeds 8 for convex input.
+
+def rectangle_sandwich(P: ConvexPolygon) -> BoxSandwich:
+    """Inner and outer rectangle for P with a dilation factor of 2 or 4.
+
+    With g and S the centroid and covariance of the uniform distribution
+    on P and E = {x : (x - g)^T S^-1 (x - g) <= 1}, every planar convex body
+    has sqrt(2) E in P in sqrt(8) E (Kannan, Lovasz and Simonovits, Discrete
+    Comput. Geom. 13, 1995).  The inner box lies along the principal axes
+    of S with the standard deviations along them as half-widths, the
+    largest such box in sqrt(2) E; it is clamped exactly into P corner by
+    corner, against rounding.  The outer box is the inner one dilated by
+    the smallest power of two containing all vertices: sqrt(8) E fits in
+    2 sqrt(2) times the inner box, so the factor is 2 or 4; one above 8
+    raises.
+
+    The moments are taken on a copy shifted to a vertex and scaled by a
+    power of two, and the clamp compares products of two coordinate
+    differences, so P scaled by a power of two has the sandwich scaled by
+    the same power exactly.
     """
-    ell = mvee(P.vertices)
-    center = ell.center
-    ha = ell.semi_axis_a * JOHN_SHRINK * BOX_IN_ELLIPSE
-    hb = ell.semi_axis_b * JOHN_SHRINK * BOX_IN_ELLIPSE
-    rot = ell.rotation
-    c = center.array
-    if not P.contains_points(c[None, :])[0]:
-        raise GeometryError("ellipse center fell outside the polygon")
-    # exact clamp: scale corners toward the center until all satisfy the
-    # edge half-planes of P
-    ca, sa = math.cos(rot), math.sin(rot)
-    u = np.array([ca, sa])
-    v = np.array([-sa, ca])
-    corners = np.array(
-        [c + su * ha * u + sv * hb * v for su in (-1.0, 1.0) for sv in (-1.0, 1.0)]
-    )
-    normals, offsets = P.edge_halfplanes()
-    lam = 1.0
-    for corner in corners:
-        dirs = normals @ (corner - c)
-        slack = offsets - normals @ c
-        pos = dirs > 0
-        if pos.any():
-            lam = min(lam, float((slack[pos] / dirs[pos]).min()))
+    v = P.vertices
+    e = math.frexp(float(np.abs(v - v[0]).max()))[1]
+    q = np.ldexp(v - v[0], -e)
+    g, second = _moments(q)
+    S = second - np.outer(g, g)
+    rot = 0.5 * math.atan2(2.0 * S[0, 1], S[0, 0] - S[1, 1])
+    axes = np.array([[math.cos(rot), math.sin(rot)], [-math.sin(rot), math.cos(rot)]])
+    # the variances along the axes, from the moments of the copy turned onto
+    # them, so a thin polygon's small one does not cancel against the large
+    h, second = _moments((q - g) @ axes.T)
+    ha, hb = np.ldexp(np.sqrt(second.diagonal() - h * h), e).tolist()
+    c = v[0] + np.ldexp(g, e)
+    # exact clamp: scale the corners (about c) toward c until all satisfy the
+    # edge half-planes n . (x - v_i) <= 0 of P, n the unnormalized outward normals
+    corners = (np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]]) * [ha, hb]) @ axes
+    edges = np.roll(v, -1, axis=0) - v
+    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+    reach = corners @ normals.T
+    slack = np.broadcast_to(((v - c) * normals).sum(axis=1), reach.shape)
+    out = reach > 0
+    lam = min(1.0, float((slack[out] / reach[out]).min()))
     if lam <= 0:
         raise GeometryError("inner rectangle collapsed while clamping")
-    inner = Rectangle(center, lam * ha, lam * hb, rot)
+    inner = Rectangle(Point2(*c.tolist()), lam * ha, lam * hb, rot)
     dilation = 1.0
-    while not inner.scaled(dilation).contains_points(P.vertices).all():
+    while not inner.scaled(dilation).contains_points(v).all():
         dilation *= 2.0
         if dilation > 8.0:
             raise GeometryError("dilation factor exceeded its guaranteed bound")

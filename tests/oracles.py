@@ -6,8 +6,6 @@ closed-form restatement of something the package computes another way.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.linalg
 
@@ -32,11 +30,29 @@ def polygon_to_json(P) -> dict:
     return {"vertices": P.vertices.tolist()}
 
 
-def quadratic_form(ellipse, points) -> np.ndarray:
-    """(p-c)^T A (p-c) of a geometry.Ellipse; inside means <= 1."""
-    pts = np.asarray(points, dtype=float)
-    ca, sa = math.cos(ellipse.rotation), math.sin(ellipse.rotation)
-    rel = pts - ellipse.center.array
-    u = rel[:, 0] * ca + rel[:, 1] * sa
-    v = -rel[:, 0] * sa + rel[:, 1] * ca
-    return (u / ellipse.semi_axis_a) ** 2 + (v / ellipse.semi_axis_b) ** 2
+def pairwise_diameters(cells) -> np.ndarray:
+    """geometry.diameters from n x n x 2 difference arrays of the polygons
+    of one vertex count; 24 n^2 bytes a polygon."""
+    counts = np.array([P.n for P in cells], dtype=np.intp)
+    out = np.empty(counts.size)
+    for n in set(counts.tolist()):
+        same = np.flatnonzero(counts == n)
+        v = np.stack([cells[i].vertices for i in same.tolist()])
+        d2 = ((v[:, :, None, :] - v[:, None, :, :]) ** 2).sum(axis=3)
+        out[same] = np.sqrt(d2.max(axis=(1, 2)))
+    return out
+
+
+def inertia(P):
+    """Centroid g and covariance S of the uniform distribution on a convex
+    polygon, from the fan of triangles (v_0, v_i, v_i+1): a triangle of area
+    T and vertices p_j has second moment
+    T / 12 (sum p_j p_j^T + (sum p_j)(sum p_j)^T)."""
+    v = P.vertices
+    a, b = v[1:-1] - v[0], v[2:] - v[0]
+    T = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    g = (T[:, None] * (a + b)).sum(axis=0) / (3.0 * T.sum())
+    second = sum(
+        t / 12.0 * (np.outer(x, x) + np.outer(y, y) + np.outer(x + y, x + y)) for t, x, y in zip(T, a, b)
+    )
+    return v[0] + g, second / T.sum() - np.outer(g, g)

@@ -433,6 +433,21 @@ class TestCertifyCommand:
         text = svg.read_text()
         assert text.startswith("<svg") and text.endswith("</svg>")
 
+    def test_tiny_non_rectangles_run(self):
+        # the sandwich is built on a copy of the domain scaled by a power of
+        # two, so a domain far below unit size is swept and certified
+        src = os.path.dirname(os.path.dirname(spectral_certify.__file__))
+        code = (
+            "import contextlib, io, spectral_certify.cli as c\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert c.main(['sweep', '--domain', 'regular:5:1e-13', '--k-max', '4', '--levels', '2']) == 0\n"
+            "    assert c.main(['certify', '--domain', 'regular:6:1e-20', '--k', '4', '--l', '2']) == 0\n"
+            "    assert c.main(['certify', '--domain', 'regular:6:1e-140', '--k', '4', '--l', '2']) == 0"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
     def test_csv_chain_table(self, capsys):
         code, out, _ = run(
             capsys, "certify", "--k", "2", "--l", "1", "--format", "csv"

@@ -22,7 +22,6 @@ from spectral_certify.geometry import (
     diameters,
     inner_offset,
     maximal_separated_net,
-    mvee,
     polygon_from_json,
     rectangle_from_polygon,
     rectangle_sandwich,
@@ -31,7 +30,7 @@ from spectral_certify.geometry import (
     voronoi_partition,
 )
 
-from oracles import polygon_to_json, quadratic_form
+from oracles import inertia, pairwise_diameters, polygon_to_json
 
 UNIT_SQUARE = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
 
@@ -185,12 +184,12 @@ class TestConvexPolygon:
     def test_diameters_match_one_at_a_time(self, monkeypatch):
         _, cells = self._batches(monkeypatch)
         cells += ConvexPolygon.many(self._random_polygons())
+        cells += [regular_polygon(n, r) for n, r in ((7, 1e-9), (256, 3.0), (1001, 1.0))]
         got = diameters(cells)
         assert got.shape == (len(cells),)
+        assert got.tobytes() == pairwise_diameters(cells).tobytes()
         for d, P in zip(got.tolist(), cells):
-            v = P.vertices
-            pairwise = float(np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2).max()))
-            assert d == diameter(P) == pairwise
+            assert d == diameter(P)
         assert diameters([]).shape == (0,)
 
     @pytest.mark.parametrize(
@@ -722,60 +721,89 @@ class TestRectangle:
         assert r.diameter == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-15)
 
 
-class TestMvee:
-    def test_rectangle_axes(self):
-        # the minimal ellipse around a box scales its half-widths by sqrt(2)
-        box = ConvexPolygon([[-1, -2], [1, -2], [1, 2], [-1, 2]])
-        e = mvee(box.vertices)
-        semis = sorted([e.semi_axis_a, e.semi_axis_b])
-        assert semis[0] == pytest.approx(math.sqrt(2.0), rel=1e-5)
-        assert semis[1] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-5)
-        assert quadratic_form(e, box.vertices).max() <= 1.0 + 1e-12
-
-    def test_minimality_within_axis_aligned_family(self):
-        # oracle: among axis-aligned ellipses through the box corners the
-        # area is minimized at the sqrt(2) scaling; the computed ellipse
-        # must not beat the family optimum and must be close to it
-        box = ConvexPolygon([[-1, -2], [1, -2], [1, 2], [-1, 2]])
-        e = mvee(box.vertices)
-        area = math.pi * e.semi_axis_a * e.semi_axis_b
-        s1 = np.append(np.linspace(1.01, 3.9, 2000), math.sqrt(2.0))
-        s2 = 2.0 * s1 / np.sqrt(s1**2 - 1.0)
-        family_best = float((math.pi * s1 * s2).min())
-        assert area >= family_best * (1.0 - 1e-9)
-        assert area == pytest.approx(family_best, rel=1e-4)
-
-    def test_contains_random_hulls(self, random_polygons):
-        for poly in random_polygons[:30]:
-            e = mvee(poly.vertices)
-            assert quadratic_form(e, poly.vertices).max() <= 1.0 + 3e-7
-
-    def test_rejects_collinear(self):
-        with pytest.raises(GeometryError):
-            mvee([[0, 0], [1, 1], [2, 2], [3, 3]])
-
-
 class TestSandwich:
+    @staticmethod
+    def _assert_box_inner(a, b, rot):
+        # a rectangle of half-widths a, b has standard deviations a / sqrt(3)
+        # and b / sqrt(3) along its sides, and its sandwich dilates by 2
+        box = Rectangle(Point2(0.25, -1.0), a, b, rot).polygon()
+        s = rectangle_sandwich(box)
+        assert s.inner.half_width_a == pytest.approx(a / math.sqrt(3.0), rel=1e-15, abs=1e-15)
+        assert s.inner.half_width_b == pytest.approx(b / math.sqrt(3.0), rel=1e-15, abs=1e-15)
+        assert s.dilation_factor == 2.0
+
     def test_unit_square_half_widths(self):
-        sq = ConvexPolygon(UNIT_SQUARE)
-        s = rectangle_sandwich(sq)
-        assert s.inner.half_width_a >= 0.25 - 1e-6
-        assert s.inner.half_width_b >= 0.25 - 1e-6
-        assert s.inner.half_width_b <= 0.25 + 1e-6
+        self._assert_box_inner(0.5, 0.5, 0.0)
 
     def test_tall_box_exact_inner(self):
-        box = ConvexPolygon([[-1, -2], [1, -2], [1, 2], [-1, 2]])
-        s = rectangle_sandwich(box)
-        assert s.inner.half_width_a == pytest.approx(0.5, abs=1e-6)
-        assert s.inner.half_width_b == pytest.approx(1.0, abs=1e-6)
+        self._assert_box_inner(1.0, 2.0, 0.0)
 
-    def test_containment_and_dilation(self, random_polygons):
-        for poly in random_polygons[:40]:
+    def test_turned_box_half_widths(self):
+        self._assert_box_inner(0.3, 1.7, 0.6)
+
+    def test_containment_and_dilation(self, gallery, random_polygons):
+        for poly in list(gallery.values()) + random_polygons:
             s = rectangle_sandwich(poly)
             assert poly.contains_points(s.inner.polygon().vertices).all()
             assert s.outer.contains_points(poly.vertices).all()
-            assert s.dilation_factor <= 8.0
-            assert s.dilation_factor in (1.0, 2.0, 4.0, 8.0)
+            assert s.dilation_factor in (2.0, 4.0)
+
+    def test_inertia_ellipse_sandwich(self, gallery, random_polygons):
+        # sqrt(2) E in P in sqrt(8) E, E the inertia ellipse of an oracle
+        # centroid and covariance, and the inner box is the largest box of
+        # sqrt(2) E along its axes
+        for poly in list(gallery.values()) + random_polygons:
+            g, S = inertia(poly)
+            normals, offsets = poly.edge_halfplanes()
+            support = normals @ g + math.sqrt(2.0) * np.sqrt(((normals @ S) * normals).sum(axis=1))
+            assert (support <= offsets + 1e-12 * poly.scale).all()
+            rel = poly.vertices - g
+            assert ((rel @ np.linalg.inv(S)) * rel).sum(axis=1).max() <= 8.0 * (1.0 + 1e-12)
+            s = rectangle_sandwich(poly)
+            assert s.inner.center.array == pytest.approx(g, rel=1e-12, abs=1e-12 * poly.scale)
+            sigma = np.sqrt(np.linalg.eigvalsh(S))
+            widths = [s.inner.half_width_a, s.inner.half_width_b]
+            assert widths == pytest.approx(sigma.tolist(), rel=1e-9)
+
+    def test_equilateral_triangle_is_tight(self):
+        # both inclusions touch: sqrt(2) E is the incircle (radius 1/2 for
+        # circumradius 1) and sqrt(8) E the circumcircle
+        tri = regular_polygon(3)
+        s = rectangle_sandwich(tri)
+        sigma = 1.0 / math.sqrt(8.0)
+        assert s.inner.half_width_a == pytest.approx(sigma, rel=1e-15)
+        assert s.inner.half_width_b == pytest.approx(sigma, rel=1e-15)
+        g = s.inner.center.array
+        normals, offsets = tri.edge_halfplanes()
+        assert offsets - normals @ g == pytest.approx([math.sqrt(2.0) * sigma] * 3, rel=1e-15)
+        radii = np.hypot(*(tri.vertices - g).T)
+        assert radii == pytest.approx([math.sqrt(8.0) * sigma] * 3, rel=1e-15)
+        assert s.dilation_factor == 4.0
+
+    @pytest.mark.parametrize("height", [1e-3, 1e-6, 1e-9])
+    def test_thin_turned_triangle(self, height):
+        # the standard deviation across a triangle of height h is h / sqrt(18);
+        # at h = 1e-9 it cancels to 0 in the covariance of the unturned copy
+        cos, sin = math.cos(0.5236), math.sin(0.5236)
+        turn = np.array([[cos, -sin], [sin, cos]])
+        tri = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, height]]) @ turn.T + [3.1, 7.7])
+        s = rectangle_sandwich(tri)
+        assert s.inner.half_width_a == pytest.approx(height / math.sqrt(18.0), rel=1e-6)
+        assert tri.contains_points(s.inner.polygon().vertices).all()
+        assert s.outer.contains_points(tri.vertices).all()
+        assert s.dilation_factor in (2.0, 4.0)
+
+    @pytest.mark.parametrize("power", [300, -300])
+    def test_power_of_two_covariance(self, gallery, random_polygons, power):
+        f = 2.0**power
+        for poly in list(gallery.values()) + random_polygons[:30]:
+            s = rectangle_sandwich(poly)
+            t = rectangle_sandwich(ConvexPolygon(poly.vertices * f))
+            for a, b in ((s.inner, t.inner), (s.outer, t.outer)):
+                assert (b.center.x, b.center.y) == (f * a.center.x, f * a.center.y)
+                assert (b.half_width_a, b.half_width_b) == (f * a.half_width_a, f * a.half_width_b)
+                assert b.rotation == a.rotation
+            assert t.dilation_factor == s.dilation_factor
 
     def test_invariant_enforced(self):
         inner = Rectangle(Point2(0, 0), 1.0, 2.0, 0.0)
