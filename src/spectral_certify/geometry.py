@@ -667,8 +667,9 @@ def rectangle_sandwich(P: ConvexPolygon) -> BoxSandwich:
     the same power exactly.
     """
     v = P.vertices
-    e = math.frexp(float(np.abs(v - v[0]).max()))[1]
-    q = np.ldexp(v - v[0], -e)
+    d = v - v[0]
+    e = math.frexp(float(np.abs(d).max()))[1]
+    q = np.ldexp(d, -e)
     g, second = _moments(q)
     S = second - np.outer(g, g)
     rot = 0.5 * math.atan2(2.0 * S[0, 1], S[0, 0] - S[1, 1])
