@@ -99,6 +99,63 @@ def rectangle_spectrum(half_width_a: float, half_width_b: float, count: int) -> 
     return Spectrum(values=vals, source="closed_form")
 
 
+def rectangle_eigenvalue(half_width_a: float, half_width_b: float, k: int) -> float:
+    """The k-th Neumann eigenvalue of a rectangle, bit for bit
+    rectangle_spectrum(half_width_a, half_width_b, k + 1)[k], in O(sqrt k)
+    time and memory.
+
+    A value is fl(base_x p^2 + base_y q^2), nondecreasing in p and in q, so
+    the pairs with value <= t are, for each p, those up to one cut in q.
+    Bisecting t narrows (lo, hi] around the answer until it holds O(sqrt k)
+    values, which are listed and the right one selected.  Addition commutes
+    in floating point, so p runs along the larger base, which has the
+    fewer values.
+    """
+    if not (half_width_a > 0 and half_width_b > 0):
+        raise ValueError("half-widths must be positive")
+    if k < 0:
+        raise ValueError("eigenvalue index must be >= 0")
+    bases = ((math.pi / (2.0 * half_width_a)) ** 2, (math.pi / (2.0 * half_width_b)) ** 2)
+    big, small = max(bases), min(bases)
+
+    def cuts(t: float, p: np.ndarray) -> np.ndarray:
+        """For each p, the largest q with value <= t, or -1."""
+        row = big * p**2
+        q = np.floor(np.sqrt(np.maximum(t - row, 0.0) / small)).astype(np.int64)
+        # the root may be off by one either way
+        while (grow := row + small * (q + 1) ** 2 <= t).any():
+            q += grow
+        while (shrink := (q >= 0) & (row + small * np.maximum(q, 0) ** 2 > t)).any():
+            q -= shrink
+        return q
+
+    hi = small * (k + 1.0)
+    while True:
+        # p past sqrt(hi / big) + 1 has big p^2 > hi whatever the rounding
+        p = np.arange(int(math.sqrt(hi / big)) + 2)
+        q_hi = cuts(hi, p)
+        if (q_hi + 1).sum() > k:
+            break
+        hi *= 2.0
+    lo = -1.0
+    q_lo = cuts(lo, p)
+    while (q_hi - q_lo).sum() > 2 * p.size + 64:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        q_mid = cuts(mid, p)
+        if (q_mid + 1).sum() > k:
+            hi, q_hi = mid, q_mid
+        else:
+            lo, q_lo = mid, q_mid
+    n = q_hi - q_lo
+    rows = np.repeat(p, n)
+    q = np.repeat(q_lo + 1 - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    values = big * rows**2 + small * q**2
+    j = k - int((q_lo + 1).sum())
+    return float(np.partition(values, j)[j])
+
+
 def torus_spectrum(length_x: float, length_y: float, count: int) -> Spectrum:
     """First count eigenvalues of the flat torus with the given periods:
     4 pi^2 (p^2 / Lx^2 + q^2 / Ly^2) with p, q ranging over all integers,

@@ -1,18 +1,22 @@
 """Checkable certificates for the quadratic eigenvalue upper bound.
 
-A certificate witnesses mu_k <= C (k/l)^2 mu_l on a rectangle by
-exhibiting a partition of the domain into at most l pieces of controlled
-diameter.  With R = C k / (l sqrt(mu_k)), a rectangle of short half-width
-a splits either into horizontal strips of height at most R (when
-a <= 2 R) or into the Voronoi cells of a maximal 2R-separated net of the
-inner parallel body at distance R (when a > 2 R).  Each piece has small
-diameter, so its first nonzero Neumann eigenvalue is at least
-pi^2 / diam^2; a domain that splits into l' <= l such pieces has its
-l-th eigenvalue bounded below accordingly, and comparing that lower
-bound with mu_l closes the chain.
+A certificate witnesses mu_k <= C (k/l)^2 mu_l on a rectangle of
+half-widths a <= b by exhibiting an n_x x n_y grid of l' = n_x n_y <= l
+congruent boxes.  Neumann bracketing (Courant-Hilbert) decouples the
+cells, so mu_l >= mu_{l'} of the rectangle is at least the least first
+nonzero eigenvalue of a cell, which Payne-Weinberger (1960) bounds below
+by pi^2 / D_max^2, D_max the largest cell diameter.  So the inequality
+holds with
+
+    C_proved = mu_k^+ D_max^2 l^2 / (pi^2 k^2),
+
+mu_k^+ the closed-form mu_k rounded up.  The grid minimises
+D^2 = (2a / n_x)^2 + (2b / n_y)^2 over n_x n_y <= l, so it depends on the
+domain and l alone, and minimal_constant is its C_proved.
 
 Verification recomputes every recorded quantity from the certificate
-fields alone, so corrupting any field breaks the chain report.
+fields alone, rebuilds the grid bit for bit, and checks C_proved <= C, so
+corrupting any field breaks the chain report.
 
 The measured side works on a spectrum the caller computes once with
 reference_spectrum: quadratic_ratio_sweep tabulates the constant over
@@ -30,36 +34,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .bounds import payne_weinberger_lower, rectangle_spectrum, torus_spectrum
+from .bounds import payne_weinberger_lower, rectangle_eigenvalue, rectangle_spectrum, torus_spectrum
 from .fem import neumann_spectrum
+# the traced benchmark wraps the net names and rectangle_sandwich here
 from .geometry import (
     ConvexPolygon,
-    GeometryError,
     Rectangle,
     ball_packing_count,
     diameters,
     inner_offset,
     maximal_separated_net,
     rectangle_from_polygon,
-    rectangle_sandwich,  # unused here; the traced benchmark wraps this name
+    rectangle_sandwich,
     voronoi_partition,
 )
 from .spectra import Spectrum
 
 GEOMETRY_RTOL = 1e-9
 
-# every cell of a Voronoi partition of a 2R-separated, R-covering net lies
-# in a ball of radius (2 + sqrt(2)) R about its site
-NET_DIAMETER_FACTOR = 2.0 + math.sqrt(2.0)
-
 CERTIFICATE_SCHEMA = 1
 
-# A strip certificate peaks under 2700 traced bytes a strip (its cells and
-# diameters, the report dict and its JSON text; 1948 and 1254 measured with
-# tracemalloc at 3142 and 31416 strips), so the budget admits ~99k strips:
-# rect:0.001:1000 with k = l = 1 reaches it at C ~ 3.2e-5.
-PARTITION_BYTES = 2**28
-STRIP_BYTES = 2700
+# The largest index certify takes and a certificate may state: the k + 1
+# closed-form values a reader may list to check mu_k fill 2^28 bytes at the
+# 32 bytes a value rectangle_spectrum takes (the verifier counts them).
+INDEX_LIMIT = 2**28 // 32 - 1
+
+# The grid is capped at GRID_CELLS cells, so a larger l gets the best grid
+# of that many and a larger C_proved.  At the cap (11184 cells) certify
+# --k 8388607 --l 8388607 peaks at 16.0, 16.0 and 15.2 MB traced (cells,
+# diameters, the rebuilt grid, the report and its JSON text; tracemalloc
+# over the command) on the square, rect:3:1 and rect:0.001:1000, inside
+# PARTITION_BYTES = 16.8 MB; smaller grids carry fixed costs (1704 bytes a
+# cell at 5000 cells, 8.5 MB).
+PARTITION_BYTES = 2**24
+GRID_CELL_BYTES = 1500
+GRID_CELLS = PARTITION_BYTES // GRID_CELL_BYTES
+
+# mu_k^+ = (1 + MU_MARGIN) fl(mu_k), and MU_MARGIN also covers the rounding
+# of the rest of C_proved, so the double C_proved is at least its real
+# value for the float cells.  With u = 2^-53: the closed form
+# fl(fl(fl(pi / 2a)^2 p^2) + fl(pi / 2b)^2 q^2) carries pi's own error
+# (< u) twice, a quotient, a square, a product (p^2, q^2 are exact) and a
+# sum, so <= 8u relative, and the k-th smallest of such values is within
+# 8u of the k-th smallest real one.  The rest: D_max from rounded vertex
+# differences, squares, a sum and a root (3u), its square (7u), pi^2 (3u),
+# four products and quotients (l^2 and k^2 are exact), <= 14u.  So
+# 22u < 2^-48 = 32u covers both, with room for second-order terms.
+MU_MARGIN = 2.0**-48
 
 
 class CertificationError(RuntimeError):
@@ -233,7 +254,8 @@ def _point(value) -> geometry.Point2:
 
 
 def partition_radius(k: int, l: int, C: float, mu_k: float) -> float:
-    """Length scale R = C k / (l sqrt(mu_k)) controlling the partition."""
+    """Length scale R = C k / (l sqrt(mu_k)), recorded in a certificate;
+    the grid does not depend on it."""
     if not (k >= l >= 1):
         raise CertificationError("need k >= l >= 1")
     if not (C > 0 and mu_k > 0):
@@ -241,100 +263,60 @@ def partition_radius(k: int, l: int, C: float, mu_k: float) -> float:
     return C * k / (l * math.sqrt(mu_k))
 
 
-def _strip_cells(rect: Rectangle, count: int):
-    """Split the rectangle into count congruent strips across its long axis."""
-    u, v = rect.axes
-    c = rect.center.array
-    a, b = rect.half_width_a, rect.half_width_b
-    height = 2.0 * b / count
-    lo = -b + np.arange(count) * height
-    hi = np.append(lo[1:], b)[:, None]
-    lo = lo[:, None]
-    corners = np.stack(
-        [c + a * u + hi * v, c - a * u + hi * v, c - a * u + lo * v, c + a * u + lo * v],
-        axis=1,
-    )
-    return ConvexPolygon.many(corners), height
+def grid_shape(a: float, b: float, l: int) -> tuple[int, int]:
+    """(n_x, n_y) with n_x n_y <= m = min(l, GRID_CELLS) minimising
+    (2a / n_x)^2 + (2b / n_y)^2; n_y = floor(m / n_x) is best for each n_x,
+    and ties go to the smaller n_x."""
+    nx = np.arange(1, min(l, GRID_CELLS) + 1)
+    ny = nx[-1] // nx
+    best = int(np.argmin((2.0 * a / nx) ** 2 + (2.0 * b / ny) ** 2))
+    return best + 1, int(ny[best])
+
+
+def grid_corners(domain: Rectangle, l: int):
+    """Counterclockwise corners, shape (n_x n_y, 4, 2), of the box grid of
+    the rectangle for index l, with n_x boxes along the half_width_a axis;
+    neighbouring boxes share their corners bit for bit.  Returns the
+    corners, n_x and n_y."""
+    a, b = domain.half_width_a, domain.half_width_b
+    nx, ny = grid_shape(a, b, l)
+    x = np.linspace(-a, a, nx + 1)
+    y = np.linspace(-b, b, ny + 1)
+    u, v = domain.axes
+    pts = domain.center.array + x[:, None, None] * u + y[None, :, None] * v
+    corners = np.stack([pts[1:, 1:], pts[:-1, 1:], pts[:-1, :-1], pts[1:, :-1]], axis=2)
+    return corners.reshape(-1, 4, 2), nx, ny
+
+
+def proved_constant(domain: Rectangle, k: int, l: int, d_max: float) -> float:
+    """C_proved = mu_k^+ D_max^2 l^2 / (pi^2 k^2) for cells of largest
+    diameter d_max, mu_k^+ the closed form rounded up by MU_MARGIN."""
+    mu_k = rectangle_eigenvalue(domain.half_width_a, domain.half_width_b, k)
+    return (1.0 + MU_MARGIN) * mu_k * d_max**2 * l**2 / (math.pi**2 * k**2)
 
 
 def construct_partition(
-    domain: Rectangle,
-    k: int,
-    l: int,
-    C: float,
-    mu_k: float,
-    *,
-    max_pieces: int | None = None,
-) -> PartitionCertificate | None:
-    """Build the partition certificate for the quadratic bound on a rectangle.
-
-    Strip case (short half-width a <= 2R): cross-axis strips of height
-    2b / ceil(2b / R) <= R, diameter sqrt(4 a^2 + height^2) <= sqrt(17) R.
-    Net case (a > 2R): Voronoi cells of a maximal 2R-separated net of the
-    R-inner parallel body; each cell then lies within (2 + sqrt(2)) R of
-    its site.  The chain_ok flag records the structural checks only; run
-    verify_certificate against a reference mu_l to validate the full chain.
-
-    With max_pieces, a partition of more pieces is not built: the net scan
-    stops at max_pieces + 1 sites and None is returned.  A strip partition
-    over the PARTITION_BYTES budget raises GeometryError before any strip
-    is built, as a net over its grid budget does.
-    """
+    domain: Rectangle, k: int, l: int, C: float, mu_k: float
+) -> PartitionCertificate:
+    """Build the box-grid certificate for the quadratic bound on a
+    rectangle.  The grid depends on the domain and l alone; C and mu_k
+    are recorded, with R = partition_radius(k, l, C, mu_k).  The chain_ok
+    flag records the structural checks only; run verify_certificate
+    against a reference mu_l to validate the full chain, C_proved <= C
+    included."""
     R = partition_radius(k, l, C, mu_k)
     a, b = domain.half_width_a, domain.half_width_b
-    notes = []
-    if a <= 2.0 * R:
-        case_tag = "Strip"
-        strips = 2.0 * b / R  # a float, so a tiny R gives inf, not an OverflowError
-        if max_pieces is not None and strips > max_pieces:
-            return None
-        if strips * STRIP_BYTES > PARTITION_BYTES:
-            raise GeometryError(f"constant {C:.6g} gives {strips:.3g} strips, over budget")
-        count = max(1, math.ceil(strips))
-        cells, height = _strip_cells(domain, count)
-        bound = math.hypot(2.0 * a, height)
-        notes.append(
-            f"strip case: {count} strips of height {height:.6g} across a domain "
-            f"of half-widths ({a:.6g}, {b:.6g})"
-        )
-    else:
-        case_tag = "Net"
-        poly = domain.polygon()
-        shrunk = inner_offset(poly, R)
-        if shrunk is None:
-            raise CertificationError(
-                "inner parallel body vanished in the net case; cannot happen "
-                "for a rectangle with a > 2R"
-            )
-        net = maximal_separated_net(shrunk, 2.0 * R, limit=max_pieces)
-        if max_pieces is not None and len(net) > max_pieces:
-            return None
-        part = voronoi_partition(poly, net)
-        cells = part.cells
-        bound = NET_DIAMETER_FACTOR * R
-        packing = ball_packing_count(poly, net, R)
-        owner = np.repeat(part.sites, [cell.n for cell in cells], axis=0)
-        rel = np.concatenate([cell.vertices for cell in cells]) - owner
-        site_distance = float(np.hypot(rel[:, 0], rel[:, 1]).max())
-        notes.append(
-            f"net case: {len(net)} sites separated by >= 2R over the R-inner "
-            f"parallel body; every cell lies within {site_distance:.6g} of its "
-            f"site (ball radius bound {NET_DIAMETER_FACTOR * R:.6g})"
-        )
-        notes.append(
-            f"packing: {packing.count} * pi R^2 = {packing.total_ball_area:.6g} "
-            f"<= area {packing.domain_area:.6g}: {packing.fits}"
-        )
+    corners, nx, ny = grid_corners(domain, l)
+    cells = ConvexPolygon.many(corners)
+    bound = math.hypot(2.0 * a / nx, 2.0 * b / ny)
     cell_diameters = diameters(cells).tolist()
-    l_prime = len(cells)
     worst = max(cell_diameters)
-    lower = payne_weinberger_lower(worst)
-    notes.append(
-        "the lower bound applies to the eigenvalue whose index equals the "
-        "piece count: each piece contributes pi^2 / diam^2 via its first "
-        "nonzero eigenvalue"
+    notes = (
+        f"grid case: {nx} x {ny} boxes of {2.0 * a / nx:.6g} x {2.0 * b / ny:.6g} "
+        f"over a domain of half-widths ({a:.6g}, {b:.6g}); the lower bound applies "
+        "to the eigenvalue whose index equals the piece count: each piece "
+        "contributes pi^2 / diam^2 via its first nonzero eigenvalue"
     )
-    structural = l_prime <= l and worst <= bound * (1.0 + GEOMETRY_RTOL)
     return PartitionCertificate(
         domain=domain,
         k=int(k),
@@ -343,92 +325,70 @@ def construct_partition(
         mu_k_estimate=float(mu_k),
         mu_source="closed_form",
         R=R,
-        case_tag=case_tag,
+        case_tag="Grid",
         cells=cells,
         cell_diameters=cell_diameters,
         diameter_bound=bound,
-        l_prime=l_prime,
-        lower_bound=lower,
-        chain_ok=bool(structural),
-        notes="; ".join(notes),
+        l_prime=len(cells),
+        lower_bound=payne_weinberger_lower(worst),
+        chain_ok=bool(len(cells) <= l and worst <= bound * (1.0 + GEOMETRY_RTOL)),
+        notes=notes,
     )
 
 
 def verify_certificate(cert: PartitionCertificate, mu_l_reference: float) -> ChainReport:
     """Recompute and check every link of a certificate, each at the
-    geometric tolerance GEOMETRY_RTOL."""
-    links = []
+    geometric tolerance GEOMETRY_RTOL but for the grid and the concluded
+    inequality, which are exact."""
     geo = GEOMETRY_RTOL
-
-    # (i) piece count
-    links.append(ChainLink.check("piece_count", cert.l_prime, cert.l))
-    # (ii) every diameter below the recorded bound
-    worst = max(cert.cell_diameters) if cert.cell_diameters else math.inf
-    links.append(ChainLink.check("cell_diameter_bound", worst, cert.diameter_bound, geo))
-    # (iii) the lower bound is the Payne-Weinberger value of the worst cell
-    links.append(
-        ChainLink.check(
-            "piece_lower_bound",
-            abs(cert.lower_bound - payne_weinberger_lower(worst)),
-            geo * cert.lower_bound,
-        )
-    )
-    # (iv) the lower bound clears the reference eigenvalue
-    links.append(
-        ChainLink.check(
-            "lower_bound_vs_reference", cert.lower_bound, mu_l_reference, geo
-        )
-    )
-
-    # integrity of the recorded fields
+    check, flag = ChainLink.check, lambda name, ok: ChainLink.check(name, 0.0 if ok else 1.0, 0.0)
+    worst = max(cert.cell_diameters, default=math.inf)
+    lower_error = math.inf
+    if 0.0 < worst < math.inf:
+        lower_error = abs(cert.lower_bound - payne_weinberger_lower(worst))
     try:
-        expected_r = partition_radius(cert.k, cert.l, cert.C, cert.mu_k_estimate)
+        radius_error = abs(cert.R - partition_radius(cert.k, cert.l, cert.C, cert.mu_k_estimate))
     except CertificationError:
-        expected_r = math.nan
-    links.append(
-        ChainLink.check(
-            "radius_definition",
-            abs(cert.R - expected_r) if math.isfinite(expected_r) else math.inf,
-            geo * cert.R,
-        )
-    )
-    links.append(
-        ChainLink.check("piece_count_matches_cells", abs(cert.l_prime - len(cert.cells)), 0.0)
-    )
+        radius_error = math.inf
     recomputed = diameters(cert.cells).tolist()
     mismatch = (
         max(abs(d - r) for d, r in zip(cert.cell_diameters, recomputed))
         if len(recomputed) == len(cert.cell_diameters) and recomputed
         else math.inf
     )
-    links.append(
-        ChainLink.check("cell_diameters_recomputed", mismatch, geo * max(recomputed, default=1.0))
-    )
     area_sum = sum(cell.area for cell in cert.cells)
-    links.append(
-        ChainLink.check(
-            "cells_tile_domain",
-            abs(area_sum - cert.domain.area),
-            geo * cert.domain.area,
-        )
+    # the grid of the stored domain and l, and C_proved from the certificate
+    # alone: recomputed diameters and the closed-form mu_k
+    rebuilt = bound = None
+    proved = math.inf
+    if 1 <= cert.l <= cert.k <= INDEX_LIMIT:
+        rebuilt, nx, ny = grid_corners(cert.domain, cert.l)
+        bound = math.hypot(2.0 * cert.domain.half_width_a / nx, 2.0 * cert.domain.half_width_b / ny)
+        if recomputed:
+            proved = proved_constant(cert.domain, cert.k, cert.l, max(recomputed))
+    same_grid = (
+        rebuilt is not None
+        and len(cert.cells) == rebuilt.shape[0]
+        and all(cell.n == 4 for cell in cert.cells)
+        and np.stack([cell.vertices for cell in cert.cells]).tobytes() == rebuilt.tobytes()
     )
-    a = cert.domain.half_width_a
-    if cert.case_tag == "Strip":
-        case_ok = a <= 2.0 * cert.R * (1.0 + geo)
-        height = 2.0 * cert.domain.half_width_b / max(cert.l_prime, 1)
-        bound_ok = abs(cert.diameter_bound - math.hypot(2.0 * a, height)) <= geo * cert.diameter_bound
-    elif cert.case_tag == "Net":
-        case_ok = a > 2.0 * cert.R * (1.0 - geo)
-        bound_ok = abs(cert.diameter_bound - NET_DIAMETER_FACTOR * cert.R) <= geo * cert.diameter_bound
-    else:
-        case_ok = bound_ok = False
-    links.append(ChainLink.check("case_consistent", 0.0 if case_ok else 1.0, 0.0))
-    links.append(ChainLink.check("diameter_bound_formula", 0.0 if bound_ok else 1.0, 0.0))
-    if cert.case_tag == "Net":
-        total = cert.l_prime * math.pi * cert.R**2
-        links.append(
-            ChainLink.check("ball_packing", total, cert.domain.area)
-        )
+    links = [
+        check("piece_count", cert.l_prime, cert.l),
+        # every diameter below the recorded bound, and the lower bound the
+        # Payne-Weinberger value of the worst cell, clearing the reference
+        check("cell_diameter_bound", worst, cert.diameter_bound, geo),
+        check("piece_lower_bound", lower_error, geo * cert.lower_bound),
+        check("lower_bound_vs_reference", cert.lower_bound, mu_l_reference, geo),
+        # integrity of the recorded fields
+        check("radius_definition", radius_error, geo * cert.R),
+        check("piece_count_matches_cells", abs(cert.l_prime - len(cert.cells)), 0.0),
+        check("cell_diameters_recomputed", mismatch, geo * max(recomputed, default=1.0)),
+        check("cells_tile_domain", abs(area_sum - cert.domain.area), geo * cert.domain.area),
+        flag("case_consistent", cert.case_tag == "Grid"),
+        flag("diameter_bound_formula", cert.diameter_bound == bound),
+        flag("grid_rebuilt", same_grid),
+        check("concluded_inequality", proved, cert.C),
+    ]
     return ChainReport(links=links)
 
 
@@ -438,52 +398,14 @@ def certified_chain(cert, mu_l_reference):
     return report, dataclasses.replace(cert, chain_ok=report.holds_all)
 
 
-_C_FLOOR = 0.25
-_C_CEIL = 2.0**14
-_C_FACTOR = 1.05
-
-
 def minimal_constant(domain: Rectangle, k: int, l: int) -> float:
-    """Smallest constant (within factor 1.05) whose certificate verifies
-    against the closed-form rectangle spectrum.
-
-    Doubles C from 1/4 until the chain verifies, then bisects the last
-    factor-2 bracket geometrically.  Raises when no C up to 2^14 works.
-    """
+    """C_proved of the box grid of (domain, l): the smallest constant its
+    certificate verifies at, from the same diameters the verifier
+    recomputes, so the concluded inequality holds with equality."""
     if not (k >= l >= 1):
         raise CertificationError("need k >= l >= 1")
-    spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
-    mu_k = spec[k]
-    mu_l = spec[l]
-    if mu_k <= 0:
-        raise CertificationError("mu_k must be positive to define the scale R")
-
-    def verifies(c: float) -> bool:
-        # more than l pieces fails piece_count, so such a probe stops there
-        cert = construct_partition(domain, k, l, c, mu_k, max_pieces=l)
-        return cert is not None and verify_certificate(cert, mu_l).holds_all
-
-    c = _C_FLOOR
-    found = None
-    while c <= _C_CEIL * (1.0 + 1e-12):
-        if verifies(c):
-            found = c
-            break
-        c *= 2.0
-    if found is None:
-        raise CertificationError(
-            f"no verifying constant in [{_C_FLOOR}, {_C_CEIL}] for k={k}, l={l}"
-        )
-    if found == _C_FLOOR:
-        return found
-    lo, hi = found / 2.0, found
-    while hi / lo > _C_FACTOR:
-        mid = math.sqrt(lo * hi)
-        if verifies(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    cells = ConvexPolygon.many(grid_corners(domain, l)[0])
+    return proved_constant(domain, k, l, float(diameters(cells).max()))
 
 
 @dataclass

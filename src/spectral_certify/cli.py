@@ -28,9 +28,11 @@ from .bounds import (
     kroger_area_upper,
     kroger_diameter_upper,
     payne_weinberger_lower,
+    rectangle_eigenvalue,
     rectangle_spectrum,
 )
 from .certify import (
+    INDEX_LIMIT,
     CertificationError,
     certified_chain,
     construct_partition,
@@ -41,6 +43,7 @@ from .certify import (
 )
 from .fem import EigensolverError, neumann_spectrum
 from .geometry import (
+    BoxSandwich,
     ConvexPolygon,
     GeometryError,
     Point2,
@@ -127,16 +130,15 @@ def default_gallery() -> list[tuple[str, ConvexPolygon]]:
 
 # Reports are built whole before they are printed.  Peak traced memory is
 # under 2100 bytes a sweep table entry (its SweepEntry, report dict and JSON
-# text; 1474 and 945 measured with tracemalloc at 5050 and 45150 entries),
-# 1400 bytes a bounds row (667 and 619 at 20k and 100k rows), and 32 bytes a
-# value of the closed-form spectrum certify computes for --k.  So the budget
-# admits sweep --k-max 505 on one domain and 190 on the gallery of 7, bounds
-# --k-max 191739 and certify --k 8388607 (192, 183 and 307 MiB peak RSS at
-# those limits on rect:2:1, interpreter included).
+# text; 1474 and 945 measured with tracemalloc at 5050 and 45150 entries)
+# and 1400 bytes a bounds row (667 and 619 at 20k and 100k rows).  So the
+# budget admits sweep --k-max 505 on one domain and 190 on the gallery of 7
+# and bounds --k-max 191739 (192 and 183 MiB peak RSS at those limits on
+# rect:2:1, interpreter included).  certify holds its grid to
+# certify.PARTITION_BYTES and --k to certify.INDEX_LIMIT.
 REPORT_BYTES = 2**28
 SWEEP_ENTRY_BYTES = 2100
 BOUNDS_ROW_BYTES = 1400
-SPECTRUM_VALUE_BYTES = 32
 
 # geometry.diameters compares the n^2 / 2 vertex pairs of an n-gon domain in
 # O(n) memory, so the limit bounds time: bounds takes 0.26 s at 10,000 vertices
@@ -308,7 +310,8 @@ def cmd_certify(args) -> int:
     k, l = args.k, args.l
     if not (k >= l >= 1):
         raise UsageError("need --k >= --l >= 1")
-    _check_size("--k", k, k + 1, "spectrum values", SPECTRUM_VALUE_BYTES)
+    if k > INDEX_LIMIT:
+        raise UsageError(f"--k: {k} is over budget; the limit is {INDEX_LIMIT}")
     if args.C is not None and not (math.isfinite(args.C) and args.C > 0):
         raise UsageError("--C must be positive and finite")
     name, P = parse_domain(args.domain)
@@ -319,15 +322,10 @@ def cmd_certify(args) -> int:
         rect = sandwich.inner
     report = _report_skeleton(args, name)
     t0 = time.perf_counter()
-    spec = rectangle_spectrum(rect.half_width_a, rect.half_width_b, k + 1)
-    mu_k, mu_l = spec[k], spec[l]
+    mu_k, mu_l = (rectangle_eigenvalue(rect.half_width_a, rect.half_width_b, i) for i in (k, l))
     searched = args.C is None
     c_value = minimal_constant(rect, k, l) if searched else args.C
-    try:
-        cert = construct_partition(rect, k, l, c_value, mu_k)
-    except GeometryError as exc:
-        # a searched constant was built once already, so this is a given --C
-        raise UsageError(f"--C: {exc}") from None
+    cert = construct_partition(rect, k, l, c_value, mu_k)
     chain, cert = certified_chain(cert, mu_l)
     report["timings"]["certify_s"] = time.perf_counter() - t0
     if searched:
@@ -373,8 +371,9 @@ def _sweep_single(name: str, P: ConvexPolygon, k_max: int, levels: int, ratio_ca
     # one solve serves the sweep table and every chain (they need k_max + 2)
     domain_spectrum = reference_spectrum(P, k_max + 2, levels)
     table = quadratic_ratio_sweep(domain_spectrum, k_max)
-    # and one box sandwich serves every chain
-    sandwich = rectangle_sandwich(P)
+    # and one box sandwich serves every chain; a rectangle is its own
+    rect = rectangle_from_polygon(P)
+    sandwich = BoxSandwich(rect, rect, 1.0) if rect is not None else rectangle_sandwich(P)
     chains = {}
     for k in range(1, min(k_max, 10) + 1):
         chains[k] = weak_chain_report(domain_spectrum, sandwich, k, ratio_cap).to_dict()

@@ -672,12 +672,26 @@ def rectangle_sandwich(P: ConvexPolygon) -> BoxSandwich:
     q = np.ldexp(d, -e)
     g, second = _moments(q)
     S = second - np.outer(g, g)
-    rot = 0.5 * math.atan2(2.0 * S[0, 1], S[0, 0] - S[1, 1])
+    # Below an anisotropy |(S00 - S11, 2 S01)| of 2^10 (n + s / 2^e) u tr S,
+    # u = 2^-53 and s the scale of P, the axis direction is rounding noise (as
+    # on every regular polygon), so it is taken as 0.  Each moment sum adds 3n
+    # terms, of one sign on the diagonal (the fan from a vertex has cross >= 0)
+    # and bounded by them off it, so it rounds by <= 3n u tr(second) <= 27n u tr S
+    # (tr(second) = tr S + |g|^2 and P lies in g + sqrt(8) E); the shift to v_0
+    # moves each vertex of the copy by <= u s / 2^e, so S by <= 4 u s / 2^e,
+    # and tr S >= 2^-7 as the copy reaches 1/2 away from v_0.
+    aniso = math.hypot(2.0 * S[0, 1], S[0, 0] - S[1, 1])
+    noise = 2.0**-43 * (v.shape[0] + math.ldexp(P.scale, -e)) * (S[0, 0] + S[1, 1])
+    isotropic = aniso <= noise
+    rot = 0.0 if isotropic else 0.5 * math.atan2(2.0 * S[0, 1], S[0, 0] - S[1, 1])
     axes = np.array([[math.cos(rot), math.sin(rot)], [-math.sin(rot), math.cos(rot)]])
     # the variances along the axes, from the moments of the copy turned onto
     # them, so a thin polygon's small one does not cancel against the large
     h, second = _moments((q - g) @ axes.T)
     ha, hb = np.ldexp(np.sqrt(second.diagonal() - h * h), e).tolist()
+    if isotropic:
+        # one half-width, so that Rectangle does not turn the box by pi/2 on rounding
+        ha = hb = min(ha, hb)
     c = v[0] + np.ldexp(g, e)
     # exact clamp: scale the corners (about c) toward c until all satisfy the
     # edge half-planes n . (x - v_i) <= 0 of P, n the unnormalized outward normals

@@ -6,6 +6,9 @@ closed-form restatement of something the package computes another way.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import scipy.linalg
 
@@ -56,3 +59,28 @@ def inertia(P):
         t / 12.0 * (np.outer(x, x) + np.outer(y, y) + np.outer(x + y, x + y)) for t, x, y in zip(T, a, b)
     )
     return v[0] + g, second / T.sum() - np.outer(g, g)
+
+
+def rectangle_eigenvalue_exact(length_x: float, length_y: float, k: int) -> float:
+    """mu_k = pi^2 (p^2 / Lx^2 + q^2 / Ly^2) of a rectangle, with the pairs
+    (p, q) ranked by the exact rational p^2 Ly^2 + q^2 Lx^2."""
+    lx2, ly2 = Fraction(length_x) ** 2, Fraction(length_y) ** 2
+    keys = sorted(p * p * ly2 + q * q * lx2 for p in range(k + 1) for q in range(k + 1))
+    return math.pi**2 * float(keys[k] / (lx2 * ly2))
+
+
+def report_proved_constant(results: dict) -> float:
+    """C_proved = mu_k D_max^2 l^2 / (pi^2 k^2) of a certify report, from the
+    report alone: mu_k by integer enumeration over the certified
+    rectangle's side lengths, and D_max as the diagonal of the largest cell
+    extents in x and y, which is the diameter of an axis-aligned box (the
+    certified rectangle must be turned by a multiple of pi / 2)."""
+    cert = results["certificate"]
+    a, b = cert["domain"]["half_width_a"], cert["domain"]["half_width_b"]
+    k, l = cert["k"], cert["l"]
+    d_max = 0.0
+    for cell in cert["cells"]:
+        xs, ys = [x for x, _ in cell], [y for _, y in cell]
+        d_max = max(d_max, math.hypot(max(xs) - min(xs), max(ys) - min(ys)))
+    mu_k = rectangle_eigenvalue_exact(2.0 * a, 2.0 * b, k)
+    return mu_k * d_max**2 * l**2 / (math.pi**2 * k**2)

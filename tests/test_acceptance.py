@@ -23,6 +23,7 @@ from spectral_certify.certify import (
     PartitionCertificate,
     construct_partition,
     minimal_constant,
+    partition_radius,
     quadratic_ratio_sweep,
     reference_spectrum,
     verify_certificate,
@@ -32,7 +33,10 @@ from spectral_certify.fem import neumann_spectrum
 from spectral_certify.geometry import (
     Point2,
     Rectangle,
+    ball_packing_count,
     diameter,
+    inner_offset,
+    maximal_separated_net,
     rectangle_from_polygon,
     rectangle_sandwich,
     voronoi_partition,
@@ -175,8 +179,9 @@ def test_criterion_6_sweep_constant_and_rectangle_certificates(capsys, gallery):
 
 
 def test_criterion_7_net_packing_is_exact(capsys):
-    # every net-case certificate packs l' disjoint R-balls into the
-    # domain: l' pi R^2 <= area with no tolerance
+    # the Voronoi partition of every maximal 2R-separated net of the R-inner
+    # parallel body packs l' disjoint R-balls into the domain: l' pi R^2 <=
+    # area with no tolerance, R = C k / (l sqrt(mu_k)) with a > 2R
     cases = [
         (Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0), 1, 1, 0.3),
         (Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0), 1, 1, 0.15),
@@ -187,20 +192,24 @@ def test_criterion_7_net_packing_is_exact(capsys):
     failures = []
     for domain, k, l, c in cases:
         spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
-        cert = construct_partition(domain, k, l, c, spec[k])
-        if cert.case_tag != "Net":
+        R = partition_radius(k, l, c, spec[k])
+        if not domain.half_width_a > 2.0 * R:
             failures.append("expected net case")
             continue
-        packed = cert.l_prime * math.pi * cert.R**2
-        checked.append(cert.l_prime)
-        if not packed <= domain.area:
+        poly = domain.polygon()
+        net = maximal_separated_net(inner_offset(poly, R), 2.0 * R)
+        l_prime = len(voronoi_partition(poly, net).cells)
+        packing = ball_packing_count(poly, net, R)
+        packed = l_prime * math.pi * R**2
+        checked.append(l_prime)
+        if not (packed <= domain.area and packing.fits and packing.count == l_prime):
             failures.append(f"{packed} > {domain.area}")
     ok = not failures and len(checked) == len(cases)
     report(
         capsys,
         7,
         ok,
-        f"l' pi R^2 <= area exact on {len(checked)} net certificates "
+        f"l' pi R^2 <= area exact on {len(checked)} net partitions "
         f"(cell counts {checked})" if ok else "; ".join(failures),
     )
 

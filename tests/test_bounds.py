@@ -14,6 +14,7 @@ from spectral_certify.bounds import (
     kroger_diameter_upper,
     partition_lower,
     payne_weinberger_lower,
+    rectangle_eigenvalue,
     rectangle_spectrum,
     torus_spectrum,
 )
@@ -145,6 +146,29 @@ class TestRectangleSpectrum:
             rectangle_spectrum(0.0, 1.0, 3)
         with pytest.raises(ValueError):
             rectangle_spectrum(1.0, 1.0, 0)
+
+
+class TestRectangleEigenvalue:
+    def test_bit_for_bit_the_listed_spectrum(self):
+        # squares (many ties), 1:3 (exact coincidences across rows) and
+        # random aspect ratios up to 10^3, every index of the listing
+        rng = np.random.default_rng(7)
+        cases = [(0.5, 0.5, 300), (0.5, 1.5, 300), (2.0, 2.0, 100)]
+        cases += [(a, a * 10.0 ** rng.uniform(-3, 3), 150) for a in 10.0 ** rng.uniform(-3, 3, 12)]
+        for a, b, count in cases:
+            listed = rectangle_spectrum(a, b, count).values
+            counted = [rectangle_eigenvalue(a, b, k) for k in range(count)]
+            assert np.array(counted).tobytes() == listed.tobytes()
+
+    def test_large_index(self):
+        k = 2_000_000
+        assert rectangle_eigenvalue(0.5, 0.5, k) == rectangle_spectrum(0.5, 0.5, k + 1)[k]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            rectangle_eigenvalue(0.0, 1.0, 3)
+        with pytest.raises(ValueError):
+            rectangle_eigenvalue(1.0, 1.0, -1)
 
 
 class TestTorusSpectrum:

@@ -8,6 +8,7 @@ tampering must flip at least one chain link.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from spectral_certify.certify import (
     PartitionCertificate,
     certified_chain,
     construct_partition,
+    grid_shape,
     minimal_constant,
     partition_radius,
     quadratic_ratio_sweep,
@@ -28,11 +30,34 @@ from spectral_certify.certify import (
     verify_certificate,
     weak_chain_report,
 )
-from spectral_certify.geometry import Point2, Rectangle, rectangle_sandwich, regular_polygon
+from spectral_certify.cli import parse_domain
+from spectral_certify.geometry import (
+    Point2,
+    Rectangle,
+    inner_offset,
+    maximal_separated_net,
+    rectangle_from_polygon,
+    rectangle_sandwich,
+    regular_polygon,
+    voronoi_partition,
+)
+
+from oracles import report_proved_constant
 
 PI2 = math.pi**2
 
 UNIT_SQUARE = Rectangle(Point2(0.0, 0.0), 0.5, 0.5, 0.0)
+
+# square k=l=24, rect:10:10 k=l=40, rect:3:1 k=30 l=12, a 10:1 rectangle,
+# and two rotated, translated rectangles
+SEARCH_CASES = [
+    (UNIT_SQUARE, 24, 24),
+    (Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0), 40, 40),
+    (Rectangle(Point2(0.0, 0.0), 0.5, 1.5, 0.0), 30, 12),
+    (Rectangle(Point2(0.0, 0.0), 0.5, 5.0, 0.0), 20, 10),
+    (Rectangle(Point2(1.3, -0.7), 0.8, 2.1, 0.6), 24, 8),
+    (Rectangle(Point2(-3.0, 2.0), 2.0, 2.5, 2.2), 30, 30),
+]
 
 
 def square_chain(k, ratio_cap=100.0):
@@ -64,13 +89,7 @@ class TestPartitionRadius:
 
 
 class TestStripConstruction:
-    def test_single_strip_when_radius_is_large(self):
-        # k=4, l=2, C=4 on the unit square: R = 4/pi, one strip suffices
-        cert = construct_partition(UNIT_SQUARE, 4, 2, 4.0, 4.0 * PI2)
-        assert cert.case_tag == "Strip"
-        assert cert.l_prime == 1
-        assert len(cert.cells) == 1
-        assert cert.chain_ok
+    """On a thin rectangle the best grid is one column of strips."""
 
     def test_identity_indices_single_cell(self):
         cert = construct_partition(UNIT_SQUARE, 1, 1, 8.0, PI2)
@@ -82,60 +101,103 @@ class TestStripConstruction:
         domain = Rectangle(Point2(0.0, 0.0), 0.1, 10.0, 0.0)
         mu6 = rectangle_spectrum(0.1, 10.0, 7).values[6]
         cert = construct_partition(domain, 6, 3, 4.0, mu6)
-        assert cert.case_tag == "Strip"
-        assert cert.l_prime <= 3
+        assert cert.case_tag == "Grid"
+        assert cert.l_prime == 3
         height = 2.0 * domain.half_width_b / cert.l_prime
         assert height <= cert.R * (1.0 + 1e-12)
+        # every cell spans the short side
+        for cell in cert.cells:
+            assert np.ptp(cell.vertices[:, 0]) == 2.0 * domain.half_width_a
         assert sum(c.area for c in cert.cells) == pytest.approx(domain.area, rel=1e-12)
 
     def test_strips_are_congruent_and_tile(self):
-        # mu_8 of the unit square is 8 pi^2; C = 2 gives R ~ 0.45, so the
-        # strip case engages with three strips
-        cert = construct_partition(UNIT_SQUARE, 8, 4, 2.0, 8.0 * PI2)
-        assert cert.case_tag == "Strip"
-        assert cert.l_prime > 1
+        # the 1 x 10 rectangle with k = 12, l = 6 takes six strips of height 10/6
+        domain = Rectangle(Point2(0.0, 0.0), 0.5, 5.0, 0.0)
+        mu12 = rectangle_spectrum(0.5, 5.0, 13)[12]
+        cert = construct_partition(domain, 12, 6, 1.0, mu12)
+        assert cert.l_prime == 6
         areas = [c.area for c in cert.cells]
         assert max(areas) == pytest.approx(min(areas), rel=1e-12)
-        assert sum(areas) == pytest.approx(1.0, rel=1e-12)
+        assert sum(areas) == pytest.approx(10.0, rel=1e-12)
         # recorded diameters match the strip geometry
-        height = 1.0 / cert.l_prime
-        expected = math.hypot(1.0, height)
+        expected = math.hypot(1.0, 10.0 / 6.0)
         assert max(cert.cell_diameters) == pytest.approx(expected, rel=1e-12)
+        assert cert.diameter_bound == expected
 
 
 class TestNetConstruction:
-    @staticmethod
-    def build():
-        # wide square with a small constant drives a > 2R
-        domain = Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0)
-        mu1 = rectangle_spectrum(5.0, 5.0, 2).values[1]
-        return construct_partition(domain, 1, 1, 0.3, mu1), domain
+    """The net partition that certificates were once built on stays in
+    geometry until the net code goes."""
 
     def test_case_and_tiling(self):
-        cert, domain = self.build()
-        assert cert.case_tag == "Net"
-        assert cert.l_prime == len(cert.cells) > 1
-        assert sum(c.area for c in cert.cells) == pytest.approx(domain.area, rel=1e-9)
+        # wide square with a small constant: a > 2R, so the net case
+        domain = Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0)
+        R = partition_radius(1, 1, 0.3, rectangle_spectrum(5.0, 5.0, 2).values[1])
+        assert domain.half_width_a > 2.0 * R
+        poly = domain.polygon()
+        net = maximal_separated_net(inner_offset(poly, R), 2.0 * R)
+        cells = voronoi_partition(poly, net).cells
+        assert len(cells) == len(net) > 1
+        assert sum(c.area for c in cells) == pytest.approx(domain.area, rel=1e-9)
 
-    def test_packing_link_holds(self):
-        cert, _ = self.build()
-        report = verify_certificate(cert, rectangle_spectrum(5.0, 5.0, 2).values[1])
-        packing = link_by_name(report, "ball_packing")
-        assert packing.holds
-        assert packing.lhs == pytest.approx(cert.l_prime * math.pi * cert.R**2, rel=1e-15)
 
-    def test_diameter_failures_are_honest(self):
-        # when the ball-radius bound is violated the recorded diameters
-        # genuinely exceed it; nothing is clipped to make the check pass
-        cert, _ = self.build()
-        report = verify_certificate(cert, rectangle_spectrum(5.0, 5.0, 2).values[1])
-        diam_link = link_by_name(report, "cell_diameter_bound")
-        if not diam_link.holds:
-            assert max(cert.cell_diameters) > cert.diameter_bound
-        # structural links are unaffected either way
-        assert link_by_name(report, "cells_tile_domain").holds
-        assert link_by_name(report, "case_consistent").holds
-        assert link_by_name(report, "diameter_bound_formula").holds
+class TestGridConstruction:
+    def test_single_cell_at_l_one(self):
+        cert = construct_partition(UNIT_SQUARE, 4, 1, 4.0, 4.0 * PI2)
+        assert cert.case_tag == "Grid"
+        assert len(cert.cells) == cert.l_prime == 1
+        assert cert.cells[0].vertices.tolist() == UNIT_SQUARE.polygon().vertices.tolist()
+        assert cert.chain_ok
+
+    @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
+    def test_case_and_tiling(self, case):
+        domain, k, l = SEARCH_CASES[case]
+        cert = construct_partition(domain, k, l, 1.0, rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)[k])
+        nx, ny = grid_shape(domain.half_width_a, domain.half_width_b, l)
+        assert cert.case_tag == "Grid"
+        assert cert.l_prime == len(cert.cells) == nx * ny <= l
+        assert sum(c.area for c in cert.cells) == pytest.approx(domain.area, rel=1e-12)
+        # each corner inside the domain is shared by four cells, bit for bit
+        corners = {}
+        for cell in cert.cells:
+            for x, y in cell.vertices.tolist():
+                corners[(x, y)] = corners.get((x, y), 0) + 1
+        assert sorted(corners.values()).count(4) == (nx - 1) * (ny - 1)
+        assert len(corners) == (nx + 1) * (ny + 1)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (5.0, 5.0), (0.5, 1.5), (0.05, 5.0), (1.0, 1.3)])
+    @pytest.mark.parametrize("l", [1, 2, 3, 7, 10, 24, 40, 97])
+    def test_shape_minimises_the_diameter(self, a, b, l):
+        # against every n_x n_y <= l, ties to the smaller n_x
+        best = min(
+            ((2.0 * a / nx) ** 2 + (2.0 * b / ny) ** 2, nx, ny)
+            for nx in range(1, l + 1)
+            for ny in range(1, l // nx + 1)
+        )
+        assert grid_shape(a, b, l) == best[1:]
+
+    @pytest.mark.parametrize("C", [0.01, 0.5, 6.0, 1e6])
+    def test_same_grid_for_any_constant(self, C):
+        domain, k, l = SEARCH_CASES[1]
+        mu_k = rectangle_spectrum(5.0, 5.0, k + 1)[k]
+        cert = construct_partition(domain, k, l, C, mu_k)
+        reference = construct_partition(domain, k, l, 1.0, mu_k)
+        assert [c.vertices.tobytes() for c in cert.cells] == [c.vertices.tobytes() for c in reference.cells]
+        assert cert.diameter_bound == math.hypot(10.0 / 6.0, 10.0 / 6.0)
+
+    def test_cell_budget_both_sides(self):
+        # at the cap the grid is the best of GRID_CELLS cells; past it, the
+        # same grid, whatever l, and the search never spans l
+        a, b = 0.5, 0.5
+        at_cap = grid_shape(a, b, certify.GRID_CELLS)
+        assert at_cap[0] * at_cap[1] <= certify.GRID_CELLS
+        below = grid_shape(a, b, certify.GRID_CELLS - 1)
+        assert below[0] * below[1] <= certify.GRID_CELLS - 1
+        start = time.perf_counter()
+        for l in (certify.GRID_CELLS + 1, certify.INDEX_LIMIT, 10**18):
+            assert grid_shape(a, b, l) == at_cap
+        assert time.perf_counter() - start < 1.0
+        assert certify.GRID_CELLS * certify.GRID_CELL_BYTES <= certify.PARTITION_BYTES
 
 
 class TestVerificationChain:
@@ -256,12 +318,87 @@ class TestVerificationChain:
         assert all(set(l) >= {"name", "lhs", "rhs", "ratio", "holds"} for l in d["links"])
 
 
+def _fuzzed(obj, corruption):
+    """A copy of a certificate dict with one corruption applied."""
+    obj = json.loads(json.dumps(obj))
+    cells = obj["cells"]
+    if corruption == "translate":
+        obj["cells"] = [[[x + 0.3, y + 0.2] for x, y in cell] for cell in cells]
+    elif corruption == "duplicate":
+        obj["cells"] = cells + [cells[0]]
+        obj["cell_diameters"].append(obj["cell_diameters"][0])
+        obj["l_prime"] += 1
+    elif corruption == "copies_of_cell_0":
+        obj["cells"] = [cells[0]] * len(cells)
+        obj["cell_diameters"] = [obj["cell_diameters"][0]] * len(cells)
+    elif corruption == "drop":
+        del cells[-1], obj["cell_diameters"][-1]
+        obj["l_prime"] -= 1
+    elif corruption == "vertex_outward":
+        # the first corner of cell 0 moves 1% away from the cell's center
+        cx = sum(x for x, _ in cells[0]) / 4.0
+        cy = sum(y for _, y in cells[0]) / 4.0
+        x, y = cells[0][0]
+        cells[0][0] = [x + 0.01 * (x - cx), y + 0.01 * (y - cy)]
+    elif corruption == "lower_C":
+        obj["C"] = float(np.nextafter(obj["C"], 0.0))
+    elif corruption == "raise_l_prime":
+        obj["l_prime"] += 1
+    elif corruption == "no_cells":
+        obj["cells"], obj["cell_diameters"], obj["l_prime"] = [], [], 0
+    return obj
+
+
+FUZZ = [
+    "translate", "duplicate", "copies_of_cell_0", "drop", "vertex_outward", "lower_C", "raise_l_prime", "no_cells"
+]
+
+
+class TestCertificateFuzz:
+    """Each corruption of a verifying certificate is rejected: its chain
+    fails, or it does not load."""
+
+    @pytest.mark.parametrize("corruption", FUZZ)
+    @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
+    def test_rejected(self, case, corruption):
+        domain, k, l = SEARCH_CASES[case]
+        spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
+        cert = construct_partition(domain, k, l, minimal_constant(domain, k, l), spec[k])
+        assert verify_certificate(cert, spec[l]).holds_all
+        try:
+            tampered = PartitionCertificate.from_dict(_fuzzed(cert.to_dict(), corruption))
+        except CertificateFormatError:
+            return
+        report = verify_certificate(tampered, spec[l])
+        assert not report.holds_all
+        failing = {link.name for link in report.links if not link.holds}
+        if corruption in ("translate", "copies_of_cell_0", "vertex_outward", "drop"):
+            # the areas of translated cells and of copies still sum to the domain's
+            assert "grid_rebuilt" in failing
+        if corruption == "lower_C":
+            assert "concluded_inequality" in failing
+
+    def test_concluded_inequality_alone_fails_at_a_small_constant(self):
+        domain, k, l = SEARCH_CASES[1]
+        spec = rectangle_spectrum(5.0, 5.0, k + 1)
+        report = verify_certificate(construct_partition(domain, k, l, 0.5, spec[k]), spec[l])
+        assert [link.name for link in report.links if not link.holds] == ["concluded_inequality"]
+
+    @pytest.mark.parametrize("k, l", [(0, 0), (3, 5), (certify.INDEX_LIMIT + 1, 1), (10**30, 10**29)])
+    def test_indices_out_of_range_fail_without_work(self, k, l):
+        cert = construct_partition(UNIT_SQUARE, 24, 24, 3.0, 25.0 * PI2)
+        obj = cert.to_dict()
+        obj["k"], obj["l"] = k, l
+        report = verify_certificate(PartitionCertificate.from_dict(obj), PI2)
+        failing = {link.name for link in report.links if not link.holds}
+        assert {"grid_rebuilt", "concluded_inequality"} <= failing
+
+
 class TestMinimalConstant:
     def test_square_pair(self):
-        # one strip requires R >= 1, i.e. C >= pi/2; the search returns
-        # the bracket top within its 1.05 factor
+        # one cell of diameter sqrt(2) and mu_2 = pi^2: C = 2 pi^2 / (4 pi^2)
         c = minimal_constant(UNIT_SQUARE, 2, 1)
-        assert math.pi / 2.0 <= c <= math.pi / 2.0 * 1.05 * (1.0 + 1e-12)
+        assert 0.5 <= c <= 0.5 * (1.0 + 1e-14)
         assert verify_certificate(
             construct_partition(UNIT_SQUARE, 2, 1, c, PI2), PI2
         ).holds_all
@@ -272,121 +409,70 @@ class TestMinimalConstant:
         assert not verify_certificate(weak, PI2).holds_all
 
     def test_long_rectangle_needs_double_the_constant(self):
+        # one 1 x 10 cell: D^2 = 101 and mu_2 = 4 pi^2 / 100, so C = 1.01,
+        # 2.02 times the square's
         long_rect = Rectangle(Point2(0.0, 0.0), 5.0, 0.5, 0.0)
         c = minimal_constant(long_rect, 2, 1)
-        assert math.pi <= c <= math.pi * 1.05 * (1.0 + 1e-12)
+        assert c / minimal_constant(UNIT_SQUARE, 2, 1) == pytest.approx(2.02, rel=1e-14)
 
     def test_rejects_bad_indices(self):
         with pytest.raises(CertificationError):
             minimal_constant(UNIT_SQUARE, 1, 2)
 
 
-def uncapped_minimal_constant(domain, k, l):
-    """Reference search: minimal_constant's doubling and bisection, with
-    every probe's partition built and verified in full.  Returns the
-    constant and the (C, verdict) of each probe in order."""
-    spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
-    mu_k, mu_l = spec[k], spec[l]
-    probes = []
-
-    def verifies(c):
-        ok = verify_certificate(construct_partition(domain, k, l, c, mu_k), mu_l).holds_all
-        probes.append((c, ok))
-        return ok
-
-    c = certify._C_FLOOR
-    while not verifies(c):
-        c *= 2.0
-        assert c <= certify._C_CEIL
-    if c == certify._C_FLOOR:
-        return c, probes
-    lo, hi = c / 2.0, c
-    while hi / lo > certify._C_FACTOR:
-        mid = math.sqrt(lo * hi)
-        if verifies(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi, probes
-
-
-def traced_search(monkeypatch, domain, k, l):
-    """minimal_constant with the (C, verdict) of each probe recorded; a
-    probe stopped at the piece cap is never verified, so it reads False."""
-    construct, verify = certify.construct_partition, certify.verify_certificate
-    probes = []
-
-    def constructed(dom, k, l, c, *args, **kwargs):
-        probes.append((c, False))
-        return construct(dom, k, l, c, *args, **kwargs)
-
-    def verified(cert, *args, **kwargs):
-        report = verify(cert, *args, **kwargs)
-        probes[-1] = (probes[-1][0], report.holds_all)
-        return report
-
-    monkeypatch.setattr(certify, "construct_partition", constructed)
-    monkeypatch.setattr(certify, "verify_certificate", verified)
-    return minimal_constant(domain, k, l), probes
-
-
-# square k=l=24, rect:10:10 k=l=40, rect:3:1 k=30 l=12, a 10:1 rectangle,
-# and two rotated, translated rectangles
-SEARCH_CASES = [
-    (UNIT_SQUARE, 24, 24),
-    (Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0), 40, 40),
-    (Rectangle(Point2(0.0, 0.0), 0.5, 1.5, 0.0), 30, 12),
-    (Rectangle(Point2(0.0, 0.0), 0.5, 5.0, 0.0), 20, 10),
-    (Rectangle(Point2(1.3, -0.7), 0.8, 2.1, 0.6), 24, 8),
-    (Rectangle(Point2(-3.0, 2.0), 2.0, 2.5, 2.2), 30, 30),
-]
-
-
 class TestSearchOracle:
-    """The capped search returns the constant and the probe verdicts of
-    the search that builds every partition in full."""
+    """minimal_constant against the report-only oracle: the constant is
+    C_proved from integer-enumerated mu_k and the cell extents, rounded up
+    by at most the margin, and the certificate verifies at it and not one
+    double below it."""
 
     @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
-    def test_same_constant_and_verdicts(self, case, monkeypatch):
+    def test_same_constant_and_verdicts(self, case):
         domain, k, l = SEARCH_CASES[case]
-        want_c, want = uncapped_minimal_constant(domain, k, l)
-        got_c, got = traced_search(monkeypatch, domain, k, l)
-        assert got_c == want_c
-        assert got == want
+        spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
+        c = minimal_constant(domain, k, l)
+        verdicts = [
+            verify_certificate(construct_partition(domain, k, l, C, spec[k]), spec[l]).holds_all
+            for C in (c, np.nextafter(c, 0.0))
+        ]
+        assert verdicts == [True, False]
+        cert = construct_partition(domain, k, l, c, spec[k])
+        if domain.rotation == 0.0:
+            oracle = report_proved_constant({"certificate": cert.to_dict()})
+            assert oracle <= c <= oracle * (1.0 + 2.0**-46)
 
 
 class TestProbeCap:
-    @pytest.mark.parametrize("C, case", [(0.5, "Net"), (6.0, "Strip")])
-    def test_cap_at_piece_count(self, C, case):
-        domain = SEARCH_CASES[1][0]
-        mu_k = rectangle_spectrum(5.0, 5.0, 41)[40]
-        full = construct_partition(domain, 40, 40, C, mu_k)
-        assert full.case_tag == case
-        assert construct_partition(domain, 40, 40, C, mu_k, max_pieces=full.l_prime - 1) is None
-        capped = construct_partition(domain, 40, 40, C, mu_k, max_pieces=full.l_prime)
-        assert capped.to_json() == full.to_json()
-
     def test_search_partitions_no_net_over_l(self, monkeypatch):
-        net, partition = certify.maximal_separated_net, certify.voronoi_partition
-        net_sizes, site_counts = [], []
+        # the search builds the grid alone: no net, no Voronoi partition
+        def no_net(*args, **kwargs):
+            raise AssertionError("a net was built")
 
-        def recorded_net(*args, **kwargs):
-            sites = net(*args, **kwargs)
-            net_sizes.append(len(sites))
-            return sites
+        for name in ("inner_offset", "maximal_separated_net", "voronoi_partition", "ball_packing_count"):
+            monkeypatch.setattr(certify, name, no_net)
+        for domain, k, l in SEARCH_CASES:
+            c = minimal_constant(domain, k, l)
+            mu_k = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)[k]
+            assert construct_partition(domain, k, l, c, mu_k).l_prime <= l
 
-        def counted_partition(P, sites):
-            site_counts.append(len(sites))
-            return partition(P, sites)
 
-        monkeypatch.setattr(certify, "maximal_separated_net", recorded_net)
-        monkeypatch.setattr(certify, "voronoi_partition", counted_partition)
-        minimal_constant(SEARCH_CASES[1][0], 40, 40)
-        # probes met nets over the cap, stopped at 41 sites, and only the
-        # nets within it were partitioned
-        assert max(net_sizes) == 41
-        assert site_counts == [n for n in net_sizes if n <= 40]
-        assert site_counts
+# C_proved of the box grid, as the ROADMAP tabulates it
+ROADMAP_ROWS = [
+    ("square", 24, 24, (4, 6), 2.2569),
+    ("rect:10:10", 40, 40, (6, 6), 2.2778),
+    ("rect:10:10", 40, 10, (3, 3), 0.5694),
+    ("square", 100, 50, (7, 7), 1.1837),
+    ("rect:1:10", 12, 6, (1, 6), 0.9539),
+    ("square", 4, 2, (1, 2), 1.25),
+]
+
+
+class TestRoadmapPins:
+    @pytest.mark.parametrize("domain, k, l, shape, C", ROADMAP_ROWS)
+    def test_proved_constant(self, domain, k, l, shape, C):
+        rect = rectangle_from_polygon(parse_domain(domain)[1])
+        assert grid_shape(rect.half_width_a, rect.half_width_b, l) == shape
+        assert round(minimal_constant(rect, k, l), 4) == C
 
 
 class TestQuadraticRatioSweep:

@@ -28,6 +28,8 @@ from spectral_certify.cli import (
 )
 from spectral_certify.geometry import Point2, Rectangle, regular_polygon
 
+from oracles import report_proved_constant
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -148,8 +150,9 @@ class TestExitCodes:
         assert "--levels" in err and "1.05e+06 triangles" in err
 
     def test_certify_net_grids_over_budget(self, capsys, monkeypatch):
-        # the coarse grid alone has ~10M points and the fine one ~41M: the
-        # net must be refused before any grid is built
+        # a net at this constant would need ~10M coarse and ~41M fine grid
+        # points; the box grid takes no net grid at all, and the constant
+        # fails only the concluded inequality
         def no_grid(*args, **kwargs):
             raise AssertionError("a net grid was built")
 
@@ -158,25 +161,38 @@ class TestExitCodes:
         code, out, err = run(
             capsys, "certify", "--domain", "rect:10:10", "--k", "40", "--l", "40", "--C", "0.025"
         )
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "separation" in err
+        assert code == EXIT_CERTIFY
+        links = json.loads(out)["results"]["chain"]["links"]
+        assert [link["name"] for link in links if not link["holds"]] == ["concluded_inequality"]
         assert time.perf_counter() - start < 10.0
 
-    def test_certify_strips_over_budget(self, capsys, monkeypatch):
-        # 3.1M strips: refused before any strip is built
-        def no_strips(*args, **kwargs):
-            raise AssertionError("a strip was built")
+    def test_certify_strips_over_budget(self, capsys):
+        # the best grid of a 0.001 x 1000 rectangle is one column of l
+        # strips; past the cell budget it has GRID_CELLS strips and a
+        # larger constant, and the command stays fast
+        constants = []
+        for l in (certify.GRID_CELLS - 1, certify.GRID_CELLS, 8388607):
+            start = time.perf_counter()
+            report = run_json(capsys, "certify", "--domain", "rect:0.001:1000", "--k", "8388607", "--l", str(l))
+            assert time.perf_counter() - start < 1.0
+            cert = report["results"]["certificate"]
+            assert cert["l_prime"] == min(l, certify.GRID_CELLS)
+            assert cert["notes"].startswith(f"grid case: 1 x {cert['l_prime']} boxes")
+            assert report["results"]["chain"]["holds_all"]
+            constants.append(report["results"]["C"])
+        # C_proved grows as l^2 at a fixed grid, and slower below the cap
+        assert constants[0] < constants[1] < constants[2]
 
-        monkeypatch.setattr(certify, "_strip_cells", no_strips)
+    def test_certify_cell_budget(self, capsys):
+        # k = l at the index limit: a grid of at most GRID_CELLS cells, under
+        # 1 s, and a constant far above the uncapped grid's ~2.5
         start = time.perf_counter()
-        code, out, err = run(
-            capsys, "certify", "--domain", "rect:0.001:1000", "--k", "1", "--l", "1", "--C", "1e-6"
-        )
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.startswith("usage error: --C: ") and "3.14e+06 strips" in err
+        report = run_json(capsys, "certify", "--domain", "square", "--k", "8388607", "--l", "8388607")
         assert time.perf_counter() - start < 1.0
+        res = report["results"]
+        assert res["chain"]["holds_all"]
+        assert res["certificate"]["l_prime"] <= certify.GRID_CELLS
+        assert res["C"] > 100.0
 
     @pytest.mark.parametrize(
         "option, argv, dofs",
@@ -215,22 +231,26 @@ class TestExitCodes:
         assert err.startswith("invalid input:")
 
     def test_certify_given_constant_builds_every_cell(self, capsys, monkeypatch):
-        # only the search caps its probes: the failing net certificate of a
-        # given constant is built and emitted whole
-        partition = certify.voronoi_partition
-        site_counts = []
+        # the failing certificate of a given constant is built, verified and
+        # emitted whole: the 6 x 6 grid, rebuilt once by the verifier
+        corners = certify.grid_corners
+        cell_counts = []
 
-        def counted(P, sites):
-            site_counts.append(len(sites))
-            return partition(P, sites)
+        def counted(domain, l):
+            built = corners(domain, l)
+            cell_counts.append(built[0].shape[0])
+            return built
 
-        monkeypatch.setattr(certify, "voronoi_partition", counted)
+        monkeypatch.setattr(certify, "grid_corners", counted)
         code, out, _ = run(
             capsys, "certify", "--domain", "rect:10:10", "--k", "40", "--l", "40", "--C", "0.5"
         )
         assert code == EXIT_CERTIFY
-        cert = json.loads(out)["results"]["certificate"]
-        assert site_counts == [cert["l_prime"]] == [len(cert["cells"])] == [394]
+        res = json.loads(out)["results"]
+        cert = res["certificate"]
+        assert cell_counts == [cert["l_prime"]] * 2 == [len(cert["cells"])] * 2 == [36, 36]
+        failing = [link["name"] for link in res["chain"]["links"] if not link["holds"]]
+        assert failing == ["concluded_inequality"]
 
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_meshes_over_budget(self, capsys, monkeypatch, command):
@@ -433,6 +453,32 @@ class TestCertifyCommand:
         text = svg.read_text()
         assert text.startswith("<svg") and text.endswith("</svg>")
 
+    def test_isotropic_sandwich_is_not_turned(self, capsys):
+        # a regular polygon's covariance is isotropic, so the box axis is
+        # not read from rounding noise, at any scale
+        rotations = {
+            run_json(capsys, "certify", "--domain", domain, "--k", "4", "--l", "2")["results"][
+                "certified_rectangle"
+            ]["rotation"]
+            for domain in ("regular:6", "regular:6:1e-20", "regular:6:1e-140", "regular:256:3")
+        }
+        assert rotations == {0.0}
+
+    def test_report_constant_against_oracle(self, capsys, tmp_path):
+        # every exit-0 report states C >= C_proved, recomputed from the report
+        # alone; 50 random axis-aligned, translated rectangles x (k, l)
+        rng = np.random.default_rng(18)
+        for i in range(50):
+            lx, ly = 10.0 ** rng.uniform(-2, 2, 2)
+            cx, cy = rng.uniform(-3, 3, 2)
+            verts = [[cx + sx * lx / 2, cy + sy * ly / 2] for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+            path = tmp_path / f"rect{i}.json"
+            path.write_text(json.dumps({"vertices": verts}))
+            k = int(rng.integers(1, 60))
+            l = int(rng.integers(1, k + 1))
+            report = run_json(capsys, "certify", "--domain", f"file:{path}", "--k", str(k), "--l", str(l))
+            assert report["results"]["C"] >= report_proved_constant(report["results"])
+
     def test_tiny_non_rectangles_run(self):
         # the sandwich is built on a copy of the domain scaled by a power of
         # two, so a domain far below unit size is swept and certified
@@ -545,11 +591,25 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli, "rectangle_sandwich", counting)
         monkeypatch.setattr(certify, "rectangle_sandwich", counting)
-        for domain, sides in (("regular:6", 6), ("square", 4)):
+        # a rectangle is its own box, with dilation 1
+        for domain, sides in (("regular:6", [6]), ("square", [])):
             calls.clear()
             report = run_json(capsys, "sweep", "--domain", domain, "--k-max", "5")
-            assert calls == [sides]
+            assert calls == sides
             assert list(report["results"]["domains"][0]["chains"]) == ["1", "2", "3", "4", "5"]
+
+    def test_gallery_rectangles_take_no_sandwich(self, capsys, monkeypatch):
+        def no_sandwich(P):
+            raise AssertionError("a rectangle was given a sandwich")
+
+        monkeypatch.setattr(cli, "rectangle_sandwich", no_sandwich)
+        monkeypatch.setattr(certify, "rectangle_sandwich", no_sandwich)
+        for domain in ("square", "rect:2:1", "rect:10:1"):
+            report = run_json(capsys, "sweep", "--domain", domain, "--k-max", "4")
+            for chain in report["results"]["domains"][0]["chains"].values():
+                links = {link["name"]: link for link in chain["links"]}
+                assert links["sandwich_dilation"]["lhs"] == 1.0
+                assert links["inner_outer_scaling"]["lhs"] == 0.0
 
     def test_byte_stability_outside_timings(self, capsys):
         for domain, name in (("square", "square"), ("regular:6", "regular_6")):

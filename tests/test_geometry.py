@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spectral_certify import _kernels, certify, cli, geometry
+from spectral_certify import _kernels, certify, geometry
 from spectral_certify.bounds import rectangle_spectrum
 from spectral_certify.certify import partition_radius
 from spectral_certify.geometry import (
@@ -105,10 +105,9 @@ class TestConvexPolygon:
     @staticmethod
     def _batches(monkeypatch):
         """Record every vertex-list batch ConvexPolygon.many receives while
-        the rect:10:10 --C 0.5 net certificate and a strip certificate are
-        built; returns the batches and the cells of both certificates."""
-        from spectral_certify import certify
-
+        the Voronoi partition of the rect:10:10, k = l = 40, C = 0.5 net and
+        the 1 x 10 grid certificate of a moved, turned 1 x 10 rectangle are
+        built; returns the batches and the cells of both."""
         batches = []
         many = ConvexPolygon.many
 
@@ -117,15 +116,11 @@ class TestConvexPolygon:
             return many(vertex_lists)
 
         monkeypatch.setattr(ConvexPolygon, "many", staticmethod(recording))
-        cells = []
-        # rect:10:10 as the CLI builds it, and a moved, turned 1 x 10 rectangle
-        for rect, k, l, C in (
-            (Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0), 40, 40, 0.5),
-            (Rectangle(Point2(0.3, -0.2), 0.5, 5.0, 0.4), 7, 3, 1.0),
-        ):
-            mu_k = rectangle_spectrum(rect.half_width_a, rect.half_width_b, k + 1)[k]
-            cert = certify.construct_partition(rect, k, l, C, mu_k)
-            cells.extend(cert.cells)
+        rect = Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0).polygon()
+        R = partition_radius(40, 40, 0.5, rectangle_spectrum(5.0, 5.0, 41)[40])
+        cells = voronoi_partition(rect, maximal_separated_net(inner_offset(rect, R), 2.0 * R)).cells
+        turned = Rectangle(Point2(0.3, -0.2), 0.5, 5.0, 0.4)
+        cells += certify.construct_partition(turned, 10, 10, 1.0, rectangle_spectrum(0.5, 5.0, 11)[10]).cells
         monkeypatch.setattr(ConvexPolygon, "many", many)
         assert [len(b) for b in batches] == [394, 10]
         return batches, cells
@@ -233,7 +228,7 @@ class TestConvexPolygon:
         )
 
         rect = Rectangle(Point2(0.0, 0.0), 0.5, 5.0, 0.0)
-        cert = construct_partition(rect, 7, 3, 1.0, rectangle_spectrum(0.5, 5.0, 8)[7])
+        cert = construct_partition(rect, 7, 7, 1.0, rectangle_spectrum(0.5, 5.0, 8)[7])
         obj = cert.to_dict()
         assert len(obj["cells"]) > 3
         obj["cells"][3] = obj["cells"][3][::-1]
@@ -426,18 +421,20 @@ class TestNetPins:
         net = maximal_separated_net(inner_offset(rect, R), 2.0 * R)
         assert (len(net), _net_digest(net)) == (sites, digest)
 
-    def test_square_search_probes(self, monkeypatch, capsys):
-        net = certify.maximal_separated_net
+    # the constants at which a search over C once built nets for the square
+    # certificate with k = l = 24, each net capped at l + 1 = 25 sites
+    SQUARE_PROBES = [
+        0.25, 0.5, 1.0, 2.0, 2.8284271247461903, 3.3635856610148585, 3.668016172818685, 3.8304131227942944
+    ]
+
+    def test_square_search_probes(self):
+        square = Rectangle(Point2(0.0, 0.0), 0.5, 0.5, 0.0).polygon()
+        mu_24 = rectangle_spectrum(0.5, 0.5, 25)[24]
         probes = []
-
-        def recorded(P, sep, *, limit=None):
-            sites = net(P, sep, limit=limit)
-            probes.append((limit, len(sites), _net_digest(sites)))
-            return sites
-
-        monkeypatch.setattr(certify, "maximal_separated_net", recorded)
-        assert cli.main(["certify", "--domain", "square", "--k", "24", "--l", "24"]) == 0
-        capsys.readouterr()
+        for C in self.SQUARE_PROBES:
+            R = partition_radius(24, 24, C, mu_24)
+            sites = maximal_separated_net(inner_offset(square, R), 2.0 * R, limit=24)
+            probes.append((24, len(sites), _net_digest(sites)))
         assert probes == [
             (24, 25, "4e528b92006ef5a73adf91bc51667da5f2bcd885aeb7dbab4d2dc0077f40db97"),
             (24, 25, "4cc558e54c05b078c7cd9d5252a8545c1fae5486da53cbf813f1c0c91a2c61a7"),
@@ -471,16 +468,19 @@ class TestNetLattice:
         monkeypatch.setattr(_kernels, "greedy_net", recorded)
         return seen
 
-    def test_candidates_in_lexicographic_order(self, monkeypatch, capsys):
+    def test_candidates_in_lexicographic_order(self, monkeypatch):
         # the lattice is scanned as the meshgrid lays it out, unsorted: it
-        # must come out strictly increasing in (x, y)
+        # must come out strictly increasing in (x, y); the nets are those the
+        # square search probes and the rect:10:10, C = 0.5 net of TestNetPins
         seen = self._scanned(monkeypatch)
-        for argv in (
-            ["certify", "--domain", "square", "--k", "24", "--l", "24"],
-            ["certify", "--domain", "rect:10:10", "--k", "40", "--l", "40", "--C", "0.5"],
-        ):
-            cli.main(argv)  # the rect:10:10 chain fails (exit 4) after its net is built
-        capsys.readouterr()
+        square = Rectangle(Point2(0.0, 0.0), 0.5, 0.5, 0.0).polygon()
+        mu_24 = rectangle_spectrum(0.5, 0.5, 25)[24]
+        for C in TestNetPins.SQUARE_PROBES:
+            R = partition_radius(24, 24, C, mu_24)
+            maximal_separated_net(inner_offset(square, R), 2.0 * R, limit=24)
+        rect = Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0).polygon()
+        R = partition_radius(40, 40, 0.5, rectangle_spectrum(5.0, 5.0, 41)[40])
+        maximal_separated_net(inner_offset(rect, R), 2.0 * R)
         far = ConvexPolygon(regular_polygon(7).vertices + 1e5)
         maximal_separated_net(far, 0.2)
         maximal_separated_net(far, 0.2, limit=30)
