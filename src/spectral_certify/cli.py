@@ -325,7 +325,7 @@ def cmd_certify(args) -> int:
     mu_k, mu_l = (rectangle_eigenvalue(rect.half_width_a, rect.half_width_b, i) for i in (k, l))
     searched = args.C is None
     c_value = minimal_constant(rect, k, l) if searched else args.C
-    cert = construct_partition(rect, k, l, c_value, mu_k)
+    cert = construct_partition(rect, k, l, c_value)
     chain, cert = certified_chain(cert, mu_l)
     report["timings"]["certify_s"] = time.perf_counter() - t0
     if searched:

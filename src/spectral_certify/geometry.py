@@ -216,29 +216,23 @@ def regular_polygon(n: int, circumradius: float = 1.0) -> ConvexPolygon:
     return ConvexPolygon(verts)
 
 
-def diameters(cells) -> np.ndarray:
-    """Largest pairwise vertex distance of each polygon (its diameter, as
-    the polygons are convex).  The polygons of one vertex count n are
-    measured together, vertex i against i + s for one cyclic offset
-    1 <= s <= n/2 at a time, which meets every pair of vertices in
-    O(cells x n) memory."""
-    counts = np.array([P.n for P in cells], dtype=np.intp)
-    out = np.empty(counts.size)
-    for n in set(counts.tolist()):
-        same = np.flatnonzero(counts == n)
-        v = np.stack([cells[i].vertices for i in same.tolist()])
-        twice = np.concatenate([v, v], axis=1)
-        d2 = np.zeros(same.size)
-        for s in range(1, n // 2 + 1):
-            d = v - twice[:, s : s + n]
-            d2 = np.maximum(d2, (d[:, :, 0] ** 2 + d[:, :, 1] ** 2).max(axis=1))
-        out[same] = np.sqrt(d2)
-    return out
+def diameters(v) -> np.ndarray:
+    """Largest pairwise vertex distance of each polygon of a (cells, n, 2)
+    vertex array (its diameter, as the polygons are convex): vertex i
+    against i + s for one cyclic offset 1 <= s <= n/2 at a time, which
+    meets every pair of vertices in O(cells x n) memory."""
+    n = v.shape[1]
+    twice = np.concatenate([v, v], axis=1)
+    d2 = np.zeros(v.shape[0])
+    for s in range(1, n // 2 + 1):
+        d = v - twice[:, s : s + n]
+        d2 = np.maximum(d2, (d[:, :, 0] ** 2 + d[:, :, 1] ** 2).max(axis=1))
+    return np.sqrt(d2)
 
 
 def diameter(P: ConvexPolygon) -> float:
     """Largest pairwise vertex distance (equals the set diameter for convex P)."""
-    return float(diameters([P])[0])
+    return float(diameters(P.vertices[None])[0])
 
 
 def _clip_halfplane(verts, a: float, b: float, c: float, tol: float):

@@ -33,17 +33,17 @@ def polygon_to_json(P) -> dict:
     return {"vertices": P.vertices.tolist()}
 
 
-def pairwise_diameters(cells) -> np.ndarray:
-    """geometry.diameters from n x n x 2 difference arrays of the polygons
-    of one vertex count; 24 n^2 bytes a polygon."""
-    counts = np.array([P.n for P in cells], dtype=np.intp)
-    out = np.empty(counts.size)
-    for n in set(counts.tolist()):
-        same = np.flatnonzero(counts == n)
-        v = np.stack([cells[i].vertices for i in same.tolist()])
-        d2 = ((v[:, :, None, :] - v[:, None, :, :]) ** 2).sum(axis=3)
-        out[same] = np.sqrt(d2.max(axis=(1, 2)))
-    return out
+def pairwise_diameters(v) -> np.ndarray:
+    """geometry.diameters of a (cells, n, 2) vertex array from n x n x 2
+    difference arrays; 24 n^2 bytes a polygon."""
+    d2 = ((v[:, :, None, :] - v[:, None, :, :]) ** 2).sum(axis=3)
+    return np.sqrt(d2.max(axis=(1, 2)))
+
+
+def partition_radius(k: int, l: int, C: float, mu_k: float) -> float:
+    """R = C k / (l sqrt(mu_k)), the length scale the Voronoi-net
+    certificates were built at; the net tests pin their nets at it."""
+    return C * k / (l * math.sqrt(mu_k))
 
 
 def inertia(P):

@@ -3,7 +3,8 @@ minimal-constant search, and the ratio sweeps.
 
 The corruption battery is the heart of this file: every recorded
 certificate field is tampered with through the JSON round trip, and each
-tampering must flip at least one chain link.
+tampered certificate must fail a chain link or state a constant that its
+grid proves.
 """
 
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from spectral_certify import certify
-from spectral_certify.bounds import rectangle_spectrum
+from spectral_certify.bounds import payne_weinberger_lower, rectangle_spectrum
 from spectral_certify.certify import (
     CertificateFormatError,
     CertificationError,
@@ -24,7 +25,6 @@ from spectral_certify.certify import (
     construct_partition,
     grid_shape,
     minimal_constant,
-    partition_radius,
     quadratic_ratio_sweep,
     reference_spectrum,
     verify_certificate,
@@ -42,7 +42,7 @@ from spectral_certify.geometry import (
     voronoi_partition,
 )
 
-from oracles import report_proved_constant
+from oracles import partition_radius, report_proved_constant
 
 PI2 = math.pi**2
 
@@ -72,39 +72,19 @@ def link_by_name(report, name):
     return matches[0]
 
 
-class TestPartitionRadius:
-    def test_formula(self):
-        assert partition_radius(4, 2, 4.0, 4.0 * PI2) == pytest.approx(
-            4.0 / math.pi, rel=1e-15
-        )
-        assert partition_radius(1, 1, 2.0, 4.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(CertificationError):
-            partition_radius(1, 2, 1.0, 1.0)
-        with pytest.raises(CertificationError):
-            partition_radius(2, 1, 0.0, 1.0)
-        with pytest.raises(CertificationError):
-            partition_radius(2, 1, 1.0, 0.0)
-
-
 class TestStripConstruction:
     """On a thin rectangle the best grid is one column of strips."""
 
     def test_identity_indices_single_cell(self):
-        cert = construct_partition(UNIT_SQUARE, 1, 1, 8.0, PI2)
+        cert = construct_partition(UNIT_SQUARE, 1, 1, 8.0)
         assert cert.l_prime == 1
         report = verify_certificate(cert, PI2)
         assert report.holds_all
 
     def test_long_thin_rectangle_strip_postconditions(self):
         domain = Rectangle(Point2(0.0, 0.0), 0.1, 10.0, 0.0)
-        mu6 = rectangle_spectrum(0.1, 10.0, 7).values[6]
-        cert = construct_partition(domain, 6, 3, 4.0, mu6)
-        assert cert.case_tag == "Grid"
+        cert = construct_partition(domain, 6, 3, 4.0)
         assert cert.l_prime == 3
-        height = 2.0 * domain.half_width_b / cert.l_prime
-        assert height <= cert.R * (1.0 + 1e-12)
         # every cell spans the short side
         for cell in cert.cells:
             assert np.ptp(cell.vertices[:, 0]) == 2.0 * domain.half_width_a
@@ -113,16 +93,14 @@ class TestStripConstruction:
     def test_strips_are_congruent_and_tile(self):
         # the 1 x 10 rectangle with k = 12, l = 6 takes six strips of height 10/6
         domain = Rectangle(Point2(0.0, 0.0), 0.5, 5.0, 0.0)
-        mu12 = rectangle_spectrum(0.5, 5.0, 13)[12]
-        cert = construct_partition(domain, 12, 6, 1.0, mu12)
+        cert = construct_partition(domain, 12, 6, 1.0)
         assert cert.l_prime == 6
         areas = [c.area for c in cert.cells]
         assert max(areas) == pytest.approx(min(areas), rel=1e-12)
         assert sum(areas) == pytest.approx(10.0, rel=1e-12)
-        # recorded diameters match the strip geometry
-        expected = math.hypot(1.0, 10.0 / 6.0)
-        assert max(cert.cell_diameters) == pytest.approx(expected, rel=1e-12)
-        assert cert.diameter_bound == expected
+        # the recorded lower bound is that of the strip's diagonal
+        expected = payne_weinberger_lower(math.hypot(1.0, 10.0 / 6.0))
+        assert cert.lower_bound == pytest.approx(expected, rel=1e-12)
 
 
 class TestNetConstruction:
@@ -143,8 +121,7 @@ class TestNetConstruction:
 
 class TestGridConstruction:
     def test_single_cell_at_l_one(self):
-        cert = construct_partition(UNIT_SQUARE, 4, 1, 4.0, 4.0 * PI2)
-        assert cert.case_tag == "Grid"
+        cert = construct_partition(UNIT_SQUARE, 4, 1, 4.0)
         assert len(cert.cells) == cert.l_prime == 1
         assert cert.cells[0].vertices.tolist() == UNIT_SQUARE.polygon().vertices.tolist()
         assert cert.chain_ok
@@ -152,9 +129,8 @@ class TestGridConstruction:
     @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
     def test_case_and_tiling(self, case):
         domain, k, l = SEARCH_CASES[case]
-        cert = construct_partition(domain, k, l, 1.0, rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)[k])
+        cert = construct_partition(domain, k, l, 1.0)
         nx, ny = grid_shape(domain.half_width_a, domain.half_width_b, l)
-        assert cert.case_tag == "Grid"
         assert cert.l_prime == len(cert.cells) == nx * ny <= l
         assert sum(c.area for c in cert.cells) == pytest.approx(domain.area, rel=1e-12)
         # each corner inside the domain is shared by four cells, bit for bit
@@ -179,11 +155,11 @@ class TestGridConstruction:
     @pytest.mark.parametrize("C", [0.01, 0.5, 6.0, 1e6])
     def test_same_grid_for_any_constant(self, C):
         domain, k, l = SEARCH_CASES[1]
-        mu_k = rectangle_spectrum(5.0, 5.0, k + 1)[k]
-        cert = construct_partition(domain, k, l, C, mu_k)
-        reference = construct_partition(domain, k, l, 1.0, mu_k)
+        cert = construct_partition(domain, k, l, C)
+        reference = construct_partition(domain, k, l, 1.0)
         assert [c.vertices.tobytes() for c in cert.cells] == [c.vertices.tobytes() for c in reference.cells]
-        assert cert.diameter_bound == math.hypot(10.0 / 6.0, 10.0 / 6.0)
+        assert cert.lower_bound == reference.lower_bound
+        assert cert.lower_bound == pytest.approx(payne_weinberger_lower(math.hypot(10.0 / 6.0, 10.0 / 6.0)), rel=1e-15)
 
     def test_cell_budget_both_sides(self):
         # at the cap the grid is the best of GRID_CELLS cells; past it, the
@@ -204,7 +180,7 @@ class TestVerificationChain:
     @staticmethod
     def verifying_certificate():
         c_star = minimal_constant(UNIT_SQUARE, 2, 1)
-        cert = construct_partition(UNIT_SQUARE, 2, 1, c_star, PI2)
+        cert = construct_partition(UNIT_SQUARE, 2, 1, c_star)
         return cert, PI2
 
     def test_round_trip_preserves_verification(self):
@@ -219,9 +195,11 @@ class TestVerificationChain:
     def test_schema_guard(self):
         cert, _ = self.verifying_certificate()
         obj = json.loads(cert.to_json())
-        obj["schema"] = 99
-        with pytest.raises(CertificateFormatError, match="unknown certificate schema"):
-            PartitionCertificate.from_dict(obj)
+        # schema 1 (with R, case_tag, diameters and mu_k_estimate) is not read either
+        for schema in (1, 99):
+            obj["schema"] = schema
+            with pytest.raises(CertificateFormatError, match="unknown certificate schema"):
+                PartitionCertificate.from_dict(obj)
 
     @pytest.mark.parametrize(
         "field,mutate",
@@ -231,6 +209,29 @@ class TestVerificationChain:
             ("'cells' is malformed", lambda d: d.__setitem__("cells", {"0": d["cells"][0]})),
             ("'domain.center' is malformed", lambda d: d["domain"].__setitem__("center", [0.0])),
             ("'domain.center' is malformed", lambda d: d["domain"].__setitem__("center", 0.0)),
+            # indices are JSON ints: no float, string or bool is truncated or read
+            ("'k' is malformed", lambda d: d.__setitem__("k", 2.7)),
+            ("'k' is malformed", lambda d: d.__setitem__("k", "2")),
+            ("'k' is malformed", lambda d: d.__setitem__("k", True)),
+            ("'l' is malformed", lambda d: d.__setitem__("l", 1.9)),
+            ("'l_prime' is malformed", lambda d: d.__setitem__("l_prime", 1.0)),
+            # C and the lower bound are finite positive JSON numbers
+            ("'C' is malformed", lambda d: d.__setitem__("C", math.inf)),
+            ("'C' is malformed", lambda d: d.__setitem__("C", math.nan)),
+            ("'C' is malformed", lambda d: d.__setitem__("C", 0.0)),
+            ("'C' is malformed", lambda d: d.__setitem__("C", "0.5")),
+            ("'C' is malformed", lambda d: d.__setitem__("C", 10**400)),
+            ("'lower_bound' is malformed", lambda d: d.__setitem__("lower_bound", -1.0)),
+            ("'lower_bound' is malformed", lambda d: d.__setitem__("lower_bound", False)),
+            # the domain is one a polygon may have
+            ("'domain.half_width_b' is malformed", lambda d: d["domain"].__setitem__("half_width_b", math.inf)),
+            ("'domain' is malformed", lambda d: d["domain"].__setitem__("half_width_b", 1e308)),
+            ("'domain' is malformed", lambda d: d["domain"].__setitem__("half_width_b", 1e-300)),
+            ("'domain.half_width_a' is malformed", lambda d: d["domain"].__setitem__("half_width_a", -0.5)),
+            ("'domain' is malformed", lambda d: d["domain"].__setitem__("rotation", math.nan)),
+            # and chain_ok is a JSON bool
+            ("'chain_ok' is malformed", lambda d: d.__setitem__("chain_ok", "no")),
+            ("'chain_ok' is malformed", lambda d: d.__setitem__("chain_ok", 1)),
         ],
     )
     def test_malformed_field_named(self, field, mutate):
@@ -251,14 +252,12 @@ class TestVerificationChain:
     @pytest.mark.parametrize(
         "name,mutate",
         [
-            ("R", lambda d: d.__setitem__("R", d["R"] * 1.01)),
             ("C", lambda d: d.__setitem__("C", d["C"] * 0.5)),
+            # a larger k states a true inequality: C_proved(3) = 4/9 < C = 1/2
             ("k", lambda d: d.__setitem__("k", d["k"] + 1)),
+            # a smaller one a false one: C_proved(1) = 2 > C
+            ("k_down", lambda d: d.__setitem__("k", d["k"] - 1)),
             ("l", lambda d: d.__setitem__("l", d["l"] + 1)),
-            (
-                "mu_k_estimate",
-                lambda d: d.__setitem__("mu_k_estimate", d["mu_k_estimate"] * 2.0),
-            ),
             (
                 "lower_bound",
                 lambda d: d.__setitem__("lower_bound", d["lower_bound"] * 1.1),
@@ -271,17 +270,6 @@ class TestVerificationChain:
                 ),
             ),
             (
-                "cell_diameters",
-                lambda d: d["cell_diameters"].__setitem__(
-                    0, d["cell_diameters"][0] * 1.1
-                ),
-            ),
-            ("case_tag", lambda d: d.__setitem__("case_tag", "Net")),
-            (
-                "diameter_bound",
-                lambda d: d.__setitem__("diameter_bound", d["diameter_bound"] * 0.5),
-            ),
-            (
                 "domain",
                 lambda d: d["domain"].__setitem__(
                     "half_width_b", d["domain"]["half_width_b"] * 1.2
@@ -290,13 +278,17 @@ class TestVerificationChain:
         ],
     )
     def test_any_corruption_flips_the_chain(self, name, mutate):
+        # a tampered certificate fails a link, or states a constant no
+        # smaller than the one its own grid proves, by the report oracle
         cert, mu_l = self.verifying_certificate()
         obj = json.loads(cert.to_json())
         mutate(obj)
         tampered = PartitionCertificate.from_dict(obj)
         report, updated = certified_chain(tampered, mu_l)
-        assert not report.holds_all, f"corrupting {name} went undetected"
-        assert updated.chain_ok is False
+        assert updated.chain_ok is report.holds_all
+        assert not report.holds_all or obj["C"] >= report_proved_constant({"certificate": obj})
+        if name == "k_down":
+            assert not report.holds_all
 
     def test_small_reference_fails_final_link(self):
         cert, mu_l = self.verifying_certificate()
@@ -326,13 +318,11 @@ def _fuzzed(obj, corruption):
         obj["cells"] = [[[x + 0.3, y + 0.2] for x, y in cell] for cell in cells]
     elif corruption == "duplicate":
         obj["cells"] = cells + [cells[0]]
-        obj["cell_diameters"].append(obj["cell_diameters"][0])
         obj["l_prime"] += 1
     elif corruption == "copies_of_cell_0":
         obj["cells"] = [cells[0]] * len(cells)
-        obj["cell_diameters"] = [obj["cell_diameters"][0]] * len(cells)
     elif corruption == "drop":
-        del cells[-1], obj["cell_diameters"][-1]
+        del cells[-1]
         obj["l_prime"] -= 1
     elif corruption == "vertex_outward":
         # the first corner of cell 0 moves 1% away from the cell's center
@@ -340,53 +330,69 @@ def _fuzzed(obj, corruption):
         cy = sum(y for _, y in cells[0]) / 4.0
         x, y = cells[0][0]
         cells[0][0] = [x + 0.01 * (x - cx), y + 0.01 * (y - cy)]
+    elif corruption == "vertex_ulp":
+        # the same corner moves outward by one ulp in each coordinate
+        cx = sum(x for x, _ in cells[0]) / 4.0
+        cy = sum(y for _, y in cells[0]) / 4.0
+        x, y = cells[0][0]
+        cells[0][0] = [float(np.nextafter(x, x + (x - cx))), float(np.nextafter(y, y + (y - cy)))]
     elif corruption == "lower_C":
         obj["C"] = float(np.nextafter(obj["C"], 0.0))
+    elif corruption == "lower_bound_ulp":
+        obj["lower_bound"] = float(np.nextafter(obj["lower_bound"], math.inf))
     elif corruption == "raise_l_prime":
         obj["l_prime"] += 1
     elif corruption == "no_cells":
-        obj["cells"], obj["cell_diameters"], obj["l_prime"] = [], [], 0
+        obj["cells"], obj["l_prime"] = [], 0
     return obj
 
 
 FUZZ = [
-    "translate", "duplicate", "copies_of_cell_0", "drop", "vertex_outward", "lower_C", "raise_l_prime", "no_cells"
+    "translate",
+    "duplicate",
+    "copies_of_cell_0",
+    "drop",
+    "vertex_outward",
+    "vertex_ulp",
+    "lower_C",
+    "lower_bound_ulp",
+    "raise_l_prime",
+    "no_cells",
 ]
 
 
 class TestCertificateFuzz:
-    """Each corruption of a verifying certificate is rejected: its chain
-    fails, or it does not load."""
+    """Each corruption of a verifying certificate loads and is rejected:
+    its chain fails."""
 
     @pytest.mark.parametrize("corruption", FUZZ)
     @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
     def test_rejected(self, case, corruption):
         domain, k, l = SEARCH_CASES[case]
         spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
-        cert = construct_partition(domain, k, l, minimal_constant(domain, k, l), spec[k])
+        cert = construct_partition(domain, k, l, minimal_constant(domain, k, l))
         assert verify_certificate(cert, spec[l]).holds_all
-        try:
-            tampered = PartitionCertificate.from_dict(_fuzzed(cert.to_dict(), corruption))
-        except CertificateFormatError:
-            return
+        tampered = PartitionCertificate.from_dict(_fuzzed(cert.to_dict(), corruption))
         report = verify_certificate(tampered, spec[l])
         assert not report.holds_all
         failing = {link.name for link in report.links if not link.holds}
-        if corruption in ("translate", "copies_of_cell_0", "vertex_outward", "drop"):
+        if corruption in ("translate", "copies_of_cell_0", "vertex_outward", "vertex_ulp", "drop"):
             # the areas of translated cells and of copies still sum to the domain's
             assert "grid_rebuilt" in failing
         if corruption == "lower_C":
             assert "concluded_inequality" in failing
+        if corruption == "lower_bound_ulp":
+            assert failing == {"piece_lower_bound"}
 
     def test_concluded_inequality_alone_fails_at_a_small_constant(self):
         domain, k, l = SEARCH_CASES[1]
         spec = rectangle_spectrum(5.0, 5.0, k + 1)
-        report = verify_certificate(construct_partition(domain, k, l, 0.5, spec[k]), spec[l])
+        report = verify_certificate(construct_partition(domain, k, l, 0.5), spec[l])
         assert [link.name for link in report.links if not link.holds] == ["concluded_inequality"]
 
     @pytest.mark.parametrize("k, l", [(0, 0), (3, 5), (certify.INDEX_LIMIT + 1, 1), (10**30, 10**29)])
     def test_indices_out_of_range_fail_without_work(self, k, l):
-        cert = construct_partition(UNIT_SQUARE, 24, 24, 3.0, 25.0 * PI2)
+        cert = construct_partition(UNIT_SQUARE, 24, 24, 3.0)
         obj = cert.to_dict()
         obj["k"], obj["l"] = k, l
         report = verify_certificate(PartitionCertificate.from_dict(obj), PI2)
@@ -400,12 +406,12 @@ class TestMinimalConstant:
         c = minimal_constant(UNIT_SQUARE, 2, 1)
         assert 0.5 <= c <= 0.5 * (1.0 + 1e-14)
         assert verify_certificate(
-            construct_partition(UNIT_SQUARE, 2, 1, c, PI2), PI2
+            construct_partition(UNIT_SQUARE, 2, 1, c), PI2
         ).holds_all
 
     def test_halving_below_minimum_fails(self):
         c = minimal_constant(UNIT_SQUARE, 2, 1)
-        weak = construct_partition(UNIT_SQUARE, 2, 1, c / 2.0, PI2)
+        weak = construct_partition(UNIT_SQUARE, 2, 1, c / 2.0)
         assert not verify_certificate(weak, PI2).holds_all
 
     def test_long_rectangle_needs_double_the_constant(self):
@@ -432,11 +438,11 @@ class TestSearchOracle:
         spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
         c = minimal_constant(domain, k, l)
         verdicts = [
-            verify_certificate(construct_partition(domain, k, l, C, spec[k]), spec[l]).holds_all
+            verify_certificate(construct_partition(domain, k, l, C), spec[l]).holds_all
             for C in (c, np.nextafter(c, 0.0))
         ]
         assert verdicts == [True, False]
-        cert = construct_partition(domain, k, l, c, spec[k])
+        cert = construct_partition(domain, k, l, c)
         if domain.rotation == 0.0:
             oracle = report_proved_constant({"certificate": cert.to_dict()})
             assert oracle <= c <= oracle * (1.0 + 2.0**-46)
@@ -452,8 +458,7 @@ class TestProbeCap:
             monkeypatch.setattr(certify, name, no_net)
         for domain, k, l in SEARCH_CASES:
             c = minimal_constant(domain, k, l)
-            mu_k = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)[k]
-            assert construct_partition(domain, k, l, c, mu_k).l_prime <= l
+            assert construct_partition(domain, k, l, c).l_prime <= l
 
 
 # C_proved of the box grid, as the ROADMAP tabulates it

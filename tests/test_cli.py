@@ -744,9 +744,11 @@ class TestReadme:
         block = text.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
         namespace = {}
         exec(compile(block, "README.md", "exec"), namespace)
-        # the example certifies mu_4 of the unit square, and verifies against mu_2
-        mu = rectangle_spectrum(0.5, 0.5, 5)
-        assert namespace["cert"].mu_k_estimate == mu[4] == pytest.approx(4 * math.pi**2)
+        # the example certifies k = 4, l = 2 on the unit square at the grid's
+        # constant, and verifies against mu_2
+        cert = namespace["cert"]
+        assert (cert.k, cert.l, cert.C) == (4, 2, namespace["C"])
+        assert namespace["mu"][2] == rectangle_spectrum(0.5, 0.5, 3)[2] == pytest.approx(math.pi**2)
         assert namespace["report"].holds_all
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from spectral_certify import _kernels, certify, geometry
 from spectral_certify.bounds import rectangle_spectrum
-from spectral_certify.certify import partition_radius
 from spectral_certify.geometry import (
     BoxSandwich,
     ConvexPolygon,
@@ -30,7 +29,7 @@ from spectral_certify.geometry import (
     voronoi_partition,
 )
 
-from oracles import inertia, pairwise_diameters, polygon_to_json
+from oracles import inertia, pairwise_diameters, partition_radius, polygon_to_json
 
 UNIT_SQUARE = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
 
@@ -120,7 +119,7 @@ class TestConvexPolygon:
         R = partition_radius(40, 40, 0.5, rectangle_spectrum(5.0, 5.0, 41)[40])
         cells = voronoi_partition(rect, maximal_separated_net(inner_offset(rect, R), 2.0 * R)).cells
         turned = Rectangle(Point2(0.3, -0.2), 0.5, 5.0, 0.4)
-        cells += certify.construct_partition(turned, 10, 10, 1.0, rectangle_spectrum(0.5, 5.0, 11)[10]).cells
+        cells += certify.construct_partition(turned, 10, 10, 1.0).cells
         monkeypatch.setattr(ConvexPolygon, "many", many)
         assert [len(b) for b in batches] == [394, 10]
         return batches, cells
@@ -180,12 +179,15 @@ class TestConvexPolygon:
         _, cells = self._batches(monkeypatch)
         cells += ConvexPolygon.many(self._random_polygons())
         cells += [regular_polygon(n, r) for n, r in ((7, 1e-9), (256, 3.0), (1001, 1.0))]
-        got = diameters(cells)
-        assert got.shape == (len(cells),)
-        assert got.tobytes() == pairwise_diameters(cells).tobytes()
-        for d, P in zip(got.tolist(), cells):
-            assert d == diameter(P)
-        assert diameters([]).shape == (0,)
+        # diameters takes the polygons of one vertex count as one array
+        for n in {P.n for P in cells}:
+            v = np.stack([P.vertices for P in cells if P.n == n])
+            got = diameters(v)
+            assert got.shape == (v.shape[0],)
+            assert got.tobytes() == pairwise_diameters(v).tobytes()
+            for d, P in zip(got.tolist(), (P for P in cells if P.n == n)):
+                assert d == diameter(P)
+        assert diameters(np.empty((0, 4, 2))).shape == (0,)
 
     @pytest.mark.parametrize(
         "bad",
@@ -228,7 +230,7 @@ class TestConvexPolygon:
         )
 
         rect = Rectangle(Point2(0.0, 0.0), 0.5, 5.0, 0.0)
-        cert = construct_partition(rect, 7, 7, 1.0, rectangle_spectrum(0.5, 5.0, 8)[7])
+        cert = construct_partition(rect, 7, 7, 1.0)
         obj = cert.to_dict()
         assert len(obj["cells"]) > 3
         obj["cells"][3] = obj["cells"][3][::-1]
