@@ -61,89 +61,102 @@ def partition_lower(first_eigenvalues) -> float:
     return float(vals.min())
 
 
-def _product_spectrum(base_x: float, base_y: float, count: int, signed: bool) -> np.ndarray:
-    """Smallest count values of base_x p^2 + base_y q^2 over integer
-    lattice indices, p, q >= 0 (signed=False) or p, q in Z with each signed
-    pair counted separately (signed=True)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    small = min(base_x, base_y)
-    # Weyl's law: the count-th value grows linearly in count; doubling
-    # below widens the cutoff when the lattice falls short
-    cutoff = small * float(count)
+def _bases(scale: float, length_x: float, length_y: float, count: int) -> tuple[float, float]:
+    """(big, small), the larger and smaller of (scale / L)^2 over the two
+    lengths.  They must be normal doubles at most 2^1019, and so must the
+    threshold _counted reaches, below 4 sqrt(big small) count, so that no
+    sum in _cuts passes 2^1022: otherwise a ValueError names the lengths.
+    The roots are checked before squaring: a float square past the largest
+    double raises OverflowError, and a numpy one only warns."""
+    lx, ly = float(length_x), float(length_y)
+    if not (lx > 0 and ly > 0 and count >= 1):
+        raise ValueError(f"need positive lengths and a count >= 1, got {lx!r} x {ly!r} and {count}")
+    big, small = sorted((scale / lx, scale / ly), reverse=True)  # the roots, until squared
+    if not (2.0**-511 <= small and big <= 2.0**509.5 and 4.0 * big * small * count <= 2.0**1019):
+        raise ValueError(
+            f"lengths {lx!r} x {ly!r}: the first {count} closed-form eigenvalues "
+            "leave the floating-point range"
+        )
+    return big**2, small**2
+
+
+def _cuts(big: float, small: float, t: float, p: np.ndarray) -> np.ndarray:
+    """For each row p, the largest q >= 0 with fl(big p^2 + small q^2) <= t,
+    or -1: a value is nondecreasing in p and in q, so the pairs at or below
+    t are, row by row, those up to one cut."""
+    row = big * p**2
+    q = np.floor(np.sqrt(np.maximum(t - row, 0.0) / small)).astype(np.int64)
+    # the root may be off by one either way
+    while (grow := row + small * (q + 1) ** 2 <= t).any():
+        q += grow
+    while (shrink := (q >= 0) & (row + small * np.maximum(q, 0) ** 2 > t)).any():
+        q -= shrink
+    return q
+
+
+def _counted(big: float, small: float, count: int, signed: bool):
+    """A threshold t holding at least count values, its rows p, their cuts
+    and the values each row holds, each of (+-p, +-q) apart when signed.
+    t starts at the smaller of small (count - 1)^2, which the row p = 0
+    alone reaches, and 4 sqrt(big small) count / pi: the quarter ellipse
+    below it holds at least its area of lattice pairs.  Doubling covers the
+    rounding of the second, so t < 8 sqrt(big small) count / pi."""
+    t = min(small * float(count - 1) ** 2, 4.0 / math.pi * math.sqrt(big) * math.sqrt(small) * count)
     while True:
-        pmax = int(math.floor(math.sqrt(cutoff / base_x)))
-        qmax = int(math.floor(math.sqrt(cutoff / base_y)))
-        if signed:
-            p = np.arange(-pmax, pmax + 1)
-            q = np.arange(-qmax, qmax + 1)
-        else:
-            p = np.arange(0, pmax + 1)
-            q = np.arange(0, qmax + 1)
-        vals = base_x * (p[:, None] ** 2) + base_y * (q[None, :] ** 2)
-        vals = vals[vals <= cutoff]
-        if vals.size >= count:
-            return np.sort(vals.ravel())[:count]
-        cutoff *= 2.0
+        # p past sqrt(t / big) + 1 has big p^2 > t whatever the rounding
+        p = np.arange(int(math.sqrt(t / big)) + 2)
+        q = _cuts(big, small, t, p)
+        held = (2 * q + 1).clip(0) * (1 + (p > 0)) if signed else q + 1
+        if held.sum() >= count:
+            return t, p, q, held
+        t *= 2.0
+
+
+def _listed(scale: float, length_x: float, length_y: float, count: int, signed: bool) -> np.ndarray:
+    """The count smallest lattice values, ascending: every pair at or below
+    the counted threshold, listed one p-row at a time into one array that
+    is sorted in place.  Addition commutes in floating point, so p runs
+    along the larger base, which has the fewer rows."""
+    big, small = _bases(scale, length_x, length_y, count)
+    _, p, q, held = _counted(big, small, count, signed)
+    tail = small * np.arange(q[0] + 1) ** 2
+    if signed:
+        # q = 0 once, every other q as +q and -q
+        tail = np.repeat(tail, 2)[1:]
+    values = np.empty(int(held.sum()))
+    at = 0
+    for row, n in zip((big * p**2).tolist(), held.tolist()):
+        # a signed row p > 0 holds the row -p too
+        w = n // 2 if signed and row > 0 else n
+        np.add(row, tail[:w], out=values[at : at + w])
+        values[at + w : at + n] = values[at : at + n - w]
+        at += n
+    values.sort()
+    return values[:count].copy()
 
 
 def rectangle_spectrum(half_width_a: float, half_width_b: float, count: int) -> Spectrum:
     """First count Neumann eigenvalues of a rectangle with the given
     half-widths: pi^2 (p^2 / Lx^2 + q^2 / Ly^2) with side lengths
     Lx = 2 half_width_a, Ly = 2 half_width_b and p, q >= 0."""
-    if not (half_width_a > 0 and half_width_b > 0):
-        raise ValueError("half-widths must be positive")
-    lx = 2.0 * half_width_a
-    ly = 2.0 * half_width_b
-    vals = _product_spectrum((math.pi / lx) ** 2, (math.pi / ly) ** 2, count, signed=False)
-    return Spectrum(values=vals, source="closed_form")
+    return Spectrum(_listed(math.pi, 2.0 * half_width_a, 2.0 * half_width_b, count, signed=False))
 
 
 def rectangle_eigenvalue(half_width_a: float, half_width_b: float, k: int) -> float:
     """The k-th Neumann eigenvalue of a rectangle, bit for bit
     rectangle_spectrum(half_width_a, half_width_b, k + 1)[k], in O(sqrt k)
-    time and memory.
-
-    A value is fl(base_x p^2 + base_y q^2), nondecreasing in p and in q, so
-    the pairs with value <= t are, for each p, those up to one cut in q.
-    Bisecting t narrows (lo, hi] around the answer until it holds O(sqrt k)
-    values, which are listed and the right one selected.  Addition commutes
-    in floating point, so p runs along the larger base, which has the
-    fewer values.
-    """
-    if not (half_width_a > 0 and half_width_b > 0):
-        raise ValueError("half-widths must be positive")
-    if k < 0:
-        raise ValueError("eigenvalue index must be >= 0")
-    bases = ((math.pi / (2.0 * half_width_a)) ** 2, (math.pi / (2.0 * half_width_b)) ** 2)
-    big, small = max(bases), min(bases)
-
-    def cuts(t: float, p: np.ndarray) -> np.ndarray:
-        """For each p, the largest q with value <= t, or -1."""
-        row = big * p**2
-        q = np.floor(np.sqrt(np.maximum(t - row, 0.0) / small)).astype(np.int64)
-        # the root may be off by one either way
-        while (grow := row + small * (q + 1) ** 2 <= t).any():
-            q += grow
-        while (shrink := (q >= 0) & (row + small * np.maximum(q, 0) ** 2 > t)).any():
-            q -= shrink
-        return q
-
-    hi = small * (k + 1.0)
-    while True:
-        # p past sqrt(hi / big) + 1 has big p^2 > hi whatever the rounding
-        p = np.arange(int(math.sqrt(hi / big)) + 2)
-        q_hi = cuts(hi, p)
-        if (q_hi + 1).sum() > k:
-            break
-        hi *= 2.0
+    time and memory: bisecting the threshold narrows (lo, hi] around the
+    answer until it holds O(sqrt k) values, which are listed and the right
+    one selected."""
+    big, small = _bases(math.pi, 2.0 * half_width_a, 2.0 * half_width_b, k + 1)
+    hi, p, q_hi, _ = _counted(big, small, k + 1, signed=False)
     lo = -1.0
-    q_lo = cuts(lo, p)
+    q_lo = _cuts(big, small, lo, p)
     while (q_hi - q_lo).sum() > 2 * p.size + 64:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        q_mid = cuts(mid, p)
+        q_mid = _cuts(big, small, mid, p)
         if (q_mid + 1).sum() > k:
             hi, q_hi = mid, q_mid
         else:
@@ -160,12 +173,4 @@ def torus_spectrum(length_x: float, length_y: float, count: int) -> Spectrum:
     """First count eigenvalues of the flat torus with the given periods:
     4 pi^2 (p^2 / Lx^2 + q^2 / Ly^2) with p, q ranging over all integers,
     so each (+-p, +-q) combination contributes its own multiplicity."""
-    if not (length_x > 0 and length_y > 0):
-        raise ValueError("periods must be positive")
-    vals = _product_spectrum(
-        (2.0 * math.pi / length_x) ** 2,
-        (2.0 * math.pi / length_y) ** 2,
-        count,
-        signed=True,
-    )
-    return Spectrum(values=vals, source="closed_form")
+    return Spectrum(_listed(2.0 * math.pi, length_x, length_y, count, signed=True))

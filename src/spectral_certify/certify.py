@@ -55,18 +55,19 @@ GEOMETRY_RTOL = 1e-9
 
 CERTIFICATE_SCHEMA = 2
 
-# The largest index certify takes and a certificate may state: the k + 1
-# closed-form values a reader may list to check mu_k fill 2^28 bytes at the
-# 32 bytes a value rectangle_spectrum takes (the verifier counts them).
+# The largest index certify takes and a certificate may state: a reader may
+# list the k + 1 closed-form values to check mu_k (the verifier counts them)
+# in 2^28 bytes at 32 bytes a value; rectangle_spectrum peaks at 25 traced
+# bytes a value (2,000,001 values of the square, Spectrum checks included).
 INDEX_LIMIT = 2**28 // 32 - 1
 
 # The grid is capped at GRID_CELLS cells, so a larger l gets the best grid
 # of that many and a larger C_proved.  At the cap (11184 cells) certify
-# --k 8388607 --l 8388607 peaks at 15.1, 15.0 and 14.2 MB traced (cells,
+# --k 8388607 --l 8388607 peaks at 15.1, 15.1 and 14.4 MB traced (cells,
 # diameters, the rebuilt grid, the report and its JSON text; tracemalloc
 # over the command) on the square, rect:3:1 and rect:0.001:1000, inside
-# PARTITION_BYTES = 16.8 MB; smaller grids carry fixed costs (1648 bytes a
-# cell at 4970 cells, 8.2 MB).
+# PARTITION_BYTES = 16.8 MB, which CI checks; smaller grids carry fixed
+# costs (1648 bytes a cell at 4970 cells, 8.2 MB).
 PARTITION_BYTES = 2**24
 GRID_CELL_BYTES = 1500
 GRID_CELLS = PARTITION_BYTES // GRID_CELL_BYTES
@@ -285,17 +286,19 @@ def proved_constant(domain: Rectangle, k: int, l: int, d_max: float) -> float:
     return (1.0 + MU_MARGIN) * mu_k * d_max**2 * l**2 / (math.pi**2 * k**2)
 
 
-def construct_partition(domain: Rectangle, k: int, l: int, C: float) -> PartitionCertificate:
+def construct_partition(domain: Rectangle, k: int, l: int, C: float | None = None) -> PartitionCertificate:
     """Build the box-grid certificate for the quadratic bound on a
-    rectangle.  The grid depends on the domain and l alone, and C is
-    recorded.  The chain_ok flag records the piece count only; run
-    verify_certificate against a reference mu_l to validate the full
-    chain, C_proved <= C included."""
+    rectangle.  The grid depends on the domain and l alone.  C is recorded,
+    or when omitted the grid's own C_proved (minimal_constant), the least
+    constant it verifies at.  The chain_ok flag records the piece count
+    only; run verify_certificate against a reference mu_l to validate the
+    full chain, C_proved <= C included."""
     if not (k >= l >= 1):
         raise CertificationError("need k >= l >= 1")
     a, b = domain.half_width_a, domain.half_width_b
     corners, nx, ny = grid_corners(domain, l)
     cells = ConvexPolygon.many(corners)
+    d_max = float(diameters(corners).max())
     notes = (
         f"grid case: {nx} x {ny} boxes of {2.0 * a / nx:.6g} x {2.0 * b / ny:.6g} "
         f"over a domain of half-widths ({a:.6g}, {b:.6g}); the lower bound applies "
@@ -306,10 +309,10 @@ def construct_partition(domain: Rectangle, k: int, l: int, C: float) -> Partitio
         domain=domain,
         k=int(k),
         l=int(l),
-        C=float(C),
+        C=float(proved_constant(domain, k, l, d_max) if C is None else C),
         cells=cells,
         l_prime=len(cells),
-        lower_bound=payne_weinberger_lower(float(diameters(corners).max())),
+        lower_bound=payne_weinberger_lower(d_max),
         chain_ok=len(cells) <= l,
         notes=notes,
     )
@@ -356,12 +359,11 @@ def certified_chain(cert, mu_l_reference):
 
 
 def minimal_constant(domain: Rectangle, k: int, l: int) -> float:
-    """C_proved of the box grid of (domain, l): the smallest constant its
-    certificate verifies at, from the same corners the verifier rebuilds,
-    so the concluded inequality holds with equality."""
-    if not (k >= l >= 1):
-        raise CertificationError("need k >= l >= 1")
-    return proved_constant(domain, k, l, float(diameters(grid_corners(domain, l)[0]).max()))
+    """C_proved of the box grid of (domain, l), the C construct_partition
+    records when none is given: the smallest constant its certificate
+    verifies at, from the same corners the verifier rebuilds, so the
+    concluded inequality holds with equality."""
+    return construct_partition(domain, k, l).C
 
 
 @dataclass
@@ -432,9 +434,7 @@ def weak_chain_report(
     delta = sandwich.dilation_factor
     inner_spec = rectangle_spectrum(inner.half_width_a, inner.half_width_b, k + 2)
     outer_spec = rectangle_spectrum(outer.half_width_a, outer.half_width_b, k + 2)
-    torus = torus_spectrum(
-        4.0 * inner.half_width_a, 4.0 * inner.half_width_b, k + 2
-    )
+    torus = torus_spectrum(4.0 * inner.half_width_a, 4.0 * inner.half_width_b, k + 2)
     mu_dom_k = domain_spectrum[k]
     mu_dom_k1 = domain_spectrum[k + 1]
     links = [

@@ -18,6 +18,7 @@ from spectral_certify.bounds import (
     rectangle_spectrum,
     torus_spectrum,
 )
+from oracles import lattice_spectrum
 
 PI2 = math.pi**2
 J01 = float(scipy.special.jn_zeros(0, 1)[0])
@@ -148,14 +149,34 @@ class TestRectangleSpectrum:
             rectangle_spectrum(1.0, 1.0, 0)
 
 
+def lattice_cases():
+    """(half_width_a, half_width_b, count): squares (many ties), 1:3 (exact
+    coincidences across rows) and random aspect ratios up to 10^3."""
+    rng = np.random.default_rng(7)
+    cases = [(0.5, 0.5, 300), (0.5, 1.5, 300), (2.0, 2.0, 100)]
+    return cases + [(a, a * 10.0 ** rng.uniform(-3, 3), 150) for a in 10.0 ** rng.uniform(-3, 3, 12)]
+
+
+class TestLatticeOracle:
+    """The listings against a sort of the whole lattice box, which shares no
+    code with the counter both listings and rectangle_eigenvalue use."""
+
+    def test_rectangle_bit_for_bit(self):
+        for a, b, count in lattice_cases():
+            expected = lattice_spectrum((math.pi / (2.0 * a)) ** 2, (math.pi / (2.0 * b)) ** 2, count, False)
+            assert rectangle_spectrum(a, b, count).values.tobytes() == expected.tobytes()
+
+    def test_torus_bit_for_bit(self):
+        for a, b, count in lattice_cases():
+            lx, ly = 2.0 * a, 2.0 * b
+            expected = lattice_spectrum((2.0 * math.pi / lx) ** 2, (2.0 * math.pi / ly) ** 2, count, True)
+            assert torus_spectrum(lx, ly, count).values.tobytes() == expected.tobytes()
+
+
 class TestRectangleEigenvalue:
     def test_bit_for_bit_the_listed_spectrum(self):
-        # squares (many ties), 1:3 (exact coincidences across rows) and
-        # random aspect ratios up to 10^3, every index of the listing
-        rng = np.random.default_rng(7)
-        cases = [(0.5, 0.5, 300), (0.5, 1.5, 300), (2.0, 2.0, 100)]
-        cases += [(a, a * 10.0 ** rng.uniform(-3, 3), 150) for a in 10.0 ** rng.uniform(-3, 3, 12)]
-        for a, b, count in cases:
+        # every index of the listing
+        for a, b, count in lattice_cases():
             listed = rectangle_spectrum(a, b, count).values
             counted = [rectangle_eigenvalue(a, b, k) for k in range(count)]
             assert np.array(counted).tobytes() == listed.tobytes()

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -26,7 +27,13 @@ from spectral_certify.cli import (
     main,
     parse_domain,
 )
-from spectral_certify.geometry import Point2, Rectangle, regular_polygon
+from spectral_certify.geometry import (
+    Point2,
+    Rectangle,
+    polygon_from_json,
+    rectangle_sandwich,
+    regular_polygon,
+)
 
 from oracles import report_proved_constant
 
@@ -251,6 +258,14 @@ class TestExitCodes:
         assert cell_counts == [cert["l_prime"]] * 2 == [len(cert["cells"])] * 2 == [36, 36]
         failing = [link["name"] for link in res["chain"]["links"] if not link["holds"]]
         assert failing == ["concluded_inequality"]
+        # a searched C is the constructed grid's own C_proved, so the grid is
+        # built twice there too: once to construct, once to verify
+        cell_counts.clear()
+        code, out, _ = run(capsys, "certify", "--domain", "rect:10:10", "--k", "40", "--l", "40")
+        assert code == EXIT_OK
+        res = json.loads(out)["results"]
+        assert cell_counts == [res["certificate"]["l_prime"]] * 2 == [36, 36]
+        assert res["C"] == res["chain"]["minimal_C"] == res["certificate"]["C"]
 
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_meshes_over_budget(self, capsys, monkeypatch, command):
@@ -334,6 +349,48 @@ class TestExitCodes:
         assert out == ""
         assert "is outside [1.49e-148, 1e+150]" in err
         assert "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "command, domain, options",
+        [
+            ("certify", "rect:1e-155:1e-144", ["--k", "4", "--l", "2"]),
+            ("certify", "triangle", []),
+            ("sweep", "rect:1e-155:1e-144", ["--k-max", "3", "--levels", "1"]),
+        ],
+    )
+    def test_closed_form_out_of_range(self, tmp_path, command, domain, options):
+        # domains in the coordinate range whose closed-form eigenvalues are
+        # not: pi / L squares past the largest double below L ~ 2.3e-154 (the
+        # triangle's certified box is its sandwich's inner one).  Each command
+        # runs in a child with its address space capped, so an allocation
+        # that runs away fails the test instead of the machine.
+        lengths = "lengths 1e-155 x 1e-144"
+        if domain == "triangle":
+            triangle = {"vertices": [[0, 0], [1e-147, 0], [0, 1e-158]]}
+            path = tmp_path / "thin.json"
+            path.write_text(json.dumps(triangle))
+            domain = f"file:{path}"
+            box = rectangle_sandwich(polygon_from_json(triangle)).inner
+            lengths = f"lengths {2.0 * box.half_width_a!r} x {2.0 * box.half_width_b!r}"
+        argv = [command, "--domain", domain, *options]
+        src = os.path.dirname(os.path.dirname(spectral_certify.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "spectral_certify.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=cap_address_space,
+        )
+        assert out.returncode == EXIT_USAGE, out.stderr
+        assert out.stdout == ""
+        assert out.stderr.startswith(f"invalid input: {lengths}: ")
+        assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_singular_pencil_is_solver_failure(self, capsys, monkeypatch, command):
