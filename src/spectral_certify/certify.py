@@ -1,23 +1,22 @@
 """Checkable certificates for the quadratic eigenvalue upper bound.
 
 A certificate witnesses mu_k <= C (k/l)^2 mu_l on a rectangle of
-half-widths a <= b by exhibiting an n_x x n_y grid of l' = n_x n_y <= l
-congruent boxes.  Neumann bracketing (Courant-Hilbert) decouples the
-cells, so mu_l >= mu_{l'} of the rectangle is at least the least first
-nonzero eigenvalue of a cell, which Payne-Weinberger (1960) bounds below
-by pi^2 / D_max^2, D_max the largest cell diameter.  So the inequality
-holds with
+half-widths a <= b by an n_x x n_y grid of l' = n_x n_y <= l congruent
+boxes of diagonal D, D^2 = (2a / n_x)^2 + (2b / n_y)^2.  Neumann
+bracketing (Courant-Hilbert) decouples the cells, so mu_l >= mu_{l'} of
+the rectangle is at least the least first nonzero eigenvalue of a cell,
+which Payne-Weinberger (1960) bounds below by pi^2 / D^2.  So the
+inequality holds with
 
-    C_proved = mu_k^+ D_max^2 l^2 / (pi^2 k^2),
+    C_proved = mu_k^+ D^2 l^2 / (pi^2 k^2),
 
-mu_k^+ the closed-form mu_k rounded up.  The grid minimises
-D^2 = (2a / n_x)^2 + (2b / n_y)^2 over n_x n_y <= l, so it depends on the
-domain and l alone, and minimal_constant is its C_proved.
+mu_k^+ the closed-form mu_k rounded up.  The grid minimises D^2 over
+n_x n_y <= l, so C_proved is a function of (a, b, k, l) alone, and
+minimal_constant is its value.
 
-Verification rebuilds the grid from the stored domain and l, requires
-the stored cells to be that grid bit for bit, and takes D_max, the piece
-lower bound and C_proved from the rebuilt corners, so a certificate
-verifies only if C_proved <= C for the grid it stores.
+The proof reads the domain, k, l and C.  The stored cells are the
+grid's corners, an echo the verifier compares bit for bit with the grid
+it rebuilds (grid_rebuilt); they carry no evidence of their own.
 
 The measured side works on a spectrum the caller computes once with
 reference_spectrum: quadratic_ratio_sweep tabulates the constant over
@@ -28,6 +27,7 @@ through a box sandwich of the domain.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -35,14 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .bounds import payne_weinberger_lower, rectangle_eigenvalue, rectangle_spectrum, torus_spectrum
+from .bounds import _bases, payne_weinberger_lower, rectangle_eigenvalue, rectangle_spectrum, torus_spectrum
 from .fem import neumann_spectrum
 # the traced benchmark wraps the net names and rectangle_sandwich here
 from .geometry import (
     ConvexPolygon,
     Rectangle,
     ball_packing_count,
-    diameters,
     inner_offset,
     maximal_separated_net,
     rectangle_from_polygon,
@@ -53,7 +52,7 @@ from .spectra import Spectrum
 
 GEOMETRY_RTOL = 1e-9
 
-CERTIFICATE_SCHEMA = 2
+CERTIFICATE_SCHEMA = 3
 
 # The largest index certify takes and a certificate may state: a reader may
 # list the k + 1 closed-form values to check mu_k (the verifier counts them)
@@ -63,25 +62,28 @@ INDEX_LIMIT = 2**28 // 32 - 1
 
 # The grid is capped at GRID_CELLS cells, so a larger l gets the best grid
 # of that many and a larger C_proved.  At the cap (11184 cells) certify
-# --k 8388607 --l 8388607 peaks at 15.1, 15.1 and 14.4 MB traced (cells,
-# diameters, the rebuilt grid, the report and its JSON text; tracemalloc
+# --k 8388607 --l 8388607 peaks at 11.8, 11.8 and 11.1 MB traced (the
+# corner array, the rebuilt grid, the report and its JSON text; tracemalloc
 # over the command) on the square, rect:3:1 and rect:0.001:1000, inside
 # PARTITION_BYTES = 16.8 MB, which CI checks; smaller grids carry fixed
-# costs (1648 bytes a cell at 4970 cells, 8.2 MB).
+# costs (1288 bytes a cell at 4970 cells, 6.4 MB).
 PARTITION_BYTES = 2**24
 GRID_CELL_BYTES = 1500
 GRID_CELLS = PARTITION_BYTES // GRID_CELL_BYTES
 
 # mu_k^+ = (1 + MU_MARGIN) fl(mu_k), and MU_MARGIN also covers the rounding
-# of the rest of C_proved, so the double C_proved is at least its real
-# value for the float cells.  With u = 2^-53: the closed form
-# fl(fl(fl(pi / 2a)^2 p^2) + fl(pi / 2b)^2 q^2) carries pi's own error
-# (< u) twice, a quotient, a square, a product (p^2, q^2 are exact) and a
-# sum, so <= 8u relative, and the k-th smallest of such values is within
-# 8u of the k-th smallest real one.  The rest: D_max from rounded vertex
-# differences, squares, a sum and a root (3u), its square (7u), pi^2 (3u),
-# four products and quotients (l^2 and k^2 are exact), <= 14u.  So
-# 22u < 2^-48 = 32u covers both, with room for second-order terms.
+# of the rest of C_proved, so the double C_proved is at least the real
+# mu_k D^2 l^2 / (pi^2 k^2) of the ideal grid; no corner enters it.  With
+# u = 2^-53: the closed form fl(fl(fl(pi / 2a)^2 p^2) + fl(pi / 2b)^2 q^2)
+# carries pi's own error (< u) twice, a quotient, a square, a product (p^2,
+# q^2 are exact) and a sum, so <= 8u relative, and the k-th smallest of such
+# values is within 8u of the k-th smallest real one.  The rest, evaluated as
+# ((1 + MU_MARGIN) mu_k D^2 l^2) / (pi^2 k^2): D^2 from 2a and 2b (exact),
+# two quotients by n_x and n_y, two squares and a sum (4u); three products,
+# as 1 + MU_MARGIN, l^2 and k^2 are exact (l, k < 2^23); pi^2 from fl(pi),
+# within u/2 of pi, squared (2u); its product with k^2 and the quotient
+# (2u); <= 11u.  So 19u < 2^-48 = 32u covers both, with room for
+# second-order terms.
 MU_MARGIN = 2.0**-48
 
 
@@ -119,41 +121,42 @@ class ChainLink:
 
 @dataclass
 class ChainReport:
-    """Ordered list of checked inequalities plus an optional constant."""
+    """Ordered list of checked inequalities."""
 
     links: list
-    minimal_C: float | None = None
 
     @property
     def holds_all(self) -> bool:
         return all(link.holds for link in self.links)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "links": [dataclasses.asdict(link) for link in self.links],
             "holds_all": self.holds_all,
         }
-        if self.minimal_C is not None:
-            out["minimal_C"] = self.minimal_C
-        return out
 
 
 @dataclass
 class PartitionCertificate:
-    """Self-contained witness for mu_k <= C (k/l)^2 mu_l on a rectangle:
-    the box grid of (domain, l), its cell count l_prime and the
-    Payne-Weinberger bound of its largest cell, all of which the verifier
-    recomputes from (domain, k, l)."""
+    """Self-contained witness for mu_k <= C (k/l)^2 mu_l on a rectangle.
+    The proof reads the domain, k, l and C; corners, the (N, 4, 2)
+    counterclockwise cell corners of the box grid of (domain, l), is an
+    echo the verifier compares with the grid it rebuilds."""
 
     domain: Rectangle
     k: int
     l: int
     C: float
-    cells: list
-    l_prime: int
-    lower_bound: float
+    corners: np.ndarray
     chain_ok: bool
     notes: str = ""
+
+    @functools.cached_property
+    def cells(self) -> list:
+        """The cells as polygons, built on first read.  No command reads
+        them; they stay because the benchmark's worker reads
+        cert.cells[i].vertices."""
+        return ConvexPolygon.many(self.corners)
 
     def to_dict(self) -> dict:
         return {
@@ -167,9 +170,7 @@ class PartitionCertificate:
             "k": self.k,
             "l": self.l,
             "C": self.C,
-            "cells": [c.vertices.tolist() for c in self.cells],
-            "l_prime": self.l_prime,
-            "lower_bound": self.lower_bound,
+            "cells": self.corners.tolist(),
             "chain_ok": self.chain_ok,
             "notes": self.notes,
         }
@@ -198,21 +199,23 @@ class PartitionCertificate:
         center = get("domain.center", _point)
         a, b = get("domain.half_width_a", _positive), get("domain.half_width_b", _positive)
         rotation = get("domain.rotation", float)
+        k = get("k", _exactly(int))
         try:
             rect = Rectangle(center, a, b, rotation)
             # a domain no polygon may have (out of the coordinate range, or
-            # flat) has no grid to rebuild
+            # flat) has no grid to rebuild, and one whose first k + 1
+            # closed-form values leave the float range has no mu_k
             rect.polygon()
-        except geometry.GeometryError as exc:
+            if 1 <= k <= INDEX_LIMIT:
+                _bases(math.pi, 2.0 * rect.half_width_a, 2.0 * rect.half_width_b, k + 1)
+        except ValueError as exc:  # GeometryError is one
             raise CertificateFormatError(f"certificate field 'domain' is malformed: {exc}") from None
         return cls(
             domain=rect,
-            k=get("k", _exactly(int)),
+            k=k,
             l=get("l", _exactly(int)),
             C=get("C", _positive),
-            cells=get("cells", lambda v: ConvexPolygon.many(_exactly(list)(v))),
-            l_prime=get("l_prime", _exactly(int)),
-            lower_bound=get("lower_bound", _positive),
+            corners=get("cells", _corners),
             chain_ok=get("chain_ok", _exactly(bool)),
             notes=str(obj.get("notes", "")),
         )
@@ -254,6 +257,19 @@ def _point(value) -> geometry.Point2:
     return geometry.Point2(float(x), float(y))
 
 
+def _corners(value) -> np.ndarray:
+    """Cell corners as one (N, 4, 2) float array, N >= 1, from JSON
+    numbers: a ragged list, a string or an integer past int64 does not make
+    a numeric array of that shape."""
+    corners = np.array(_exactly(list)(value))
+    if corners.dtype.kind not in "if" or corners.ndim != 3 or corners.shape[1:] != (4, 2) or not corners.size:
+        raise ValueError("expected a nonempty list of cells of 4 [x, y] corners")
+    corners = corners.astype(float)
+    if not np.isfinite(corners).all():
+        raise ValueError("corners must be finite")
+    return corners
+
+
 def grid_shape(a: float, b: float, l: int) -> tuple[int, int]:
     """(n_x, n_y) with n_x n_y <= m = min(l, GRID_CELLS) minimising
     (2a / n_x)^2 + (2b / n_y)^2; n_y = floor(m / n_x) is best for each n_x,
@@ -279,11 +295,19 @@ def grid_corners(domain: Rectangle, l: int):
     return corners.reshape(-1, 4, 2), nx, ny
 
 
-def proved_constant(domain: Rectangle, k: int, l: int, d_max: float) -> float:
-    """C_proved = mu_k^+ D_max^2 l^2 / (pi^2 k^2) for cells of largest
-    diameter d_max, mu_k^+ the closed form rounded up by MU_MARGIN."""
+def _cell_diagonal_squared(domain: Rectangle, l: int) -> float:
+    """D^2 = (2a / n_x)^2 + (2b / n_y)^2 of the boxes of the grid of
+    (domain, l): the same for every centre and rotation."""
+    a, b = domain.half_width_a, domain.half_width_b
+    nx, ny = grid_shape(a, b, l)
+    return (2.0 * a / nx) ** 2 + (2.0 * b / ny) ** 2
+
+
+def proved_constant(domain: Rectangle, k: int, l: int) -> float:
+    """C_proved = mu_k^+ D^2 l^2 / (pi^2 k^2) of the grid of (domain, l),
+    mu_k^+ the closed form rounded up by MU_MARGIN."""
     mu_k = rectangle_eigenvalue(domain.half_width_a, domain.half_width_b, k)
-    return (1.0 + MU_MARGIN) * mu_k * d_max**2 * l**2 / (math.pi**2 * k**2)
+    return (1.0 + MU_MARGIN) * mu_k * _cell_diagonal_squared(domain, l) * l**2 / (math.pi**2 * k**2)
 
 
 def construct_partition(domain: Rectangle, k: int, l: int, C: float | None = None) -> PartitionCertificate:
@@ -297,8 +321,6 @@ def construct_partition(domain: Rectangle, k: int, l: int, C: float | None = Non
         raise CertificationError("need k >= l >= 1")
     a, b = domain.half_width_a, domain.half_width_b
     corners, nx, ny = grid_corners(domain, l)
-    cells = ConvexPolygon.many(corners)
-    d_max = float(diameters(corners).max())
     notes = (
         f"grid case: {nx} x {ny} boxes of {2.0 * a / nx:.6g} x {2.0 * b / ny:.6g} "
         f"over a domain of half-widths ({a:.6g}, {b:.6g}); the lower bound applies "
@@ -309,43 +331,30 @@ def construct_partition(domain: Rectangle, k: int, l: int, C: float | None = Non
         domain=domain,
         k=int(k),
         l=int(l),
-        C=float(proved_constant(domain, k, l, d_max) if C is None else C),
-        cells=cells,
-        l_prime=len(cells),
-        lower_bound=payne_weinberger_lower(d_max),
-        chain_ok=len(cells) <= l,
+        C=float(proved_constant(domain, k, l) if C is None else C),
+        corners=corners,
+        chain_ok=corners.shape[0] <= l,
         notes=notes,
     )
 
 
 def verify_certificate(cert: PartitionCertificate, mu_l_reference: float) -> ChainReport:
-    """Check the 7 links of a certificate.  The grid of the stored domain
-    and l is rebuilt once, and D_max, the piece lower bound and C_proved
-    come from its corners: that is sound because no certificate verifies
-    unless its cells are that grid bit for bit (grid_rebuilt).  Only the
-    reference and the area sum compare at GEOMETRY_RTOL."""
-    geo = GEOMETRY_RTOL
+    """Check the 4 links of a certificate.  The piece lower bound and
+    C_proved come from (domain, k, l) alone, and the stored corners must be
+    the grid of (domain, l) bit for bit (grid_rebuilt), so they tile the
+    domain by construction.  Only the reference compares at GEOMETRY_RTOL."""
     check, flag = ChainLink.check, lambda name, ok: ChainLink.check(name, 0.0 if ok else 1.0, 0.0)
     lower = proved = math.inf
     same_grid = False
     if 1 <= cert.l <= cert.k <= INDEX_LIMIT:
         rebuilt = grid_corners(cert.domain, cert.l)[0]
-        d_max = float(diameters(rebuilt).max())
-        lower = payne_weinberger_lower(d_max)
-        proved = proved_constant(cert.domain, cert.k, cert.l, d_max)
-        same_grid = (
-            len(cert.cells) == rebuilt.shape[0]
-            and all(cell.n == 4 for cell in cert.cells)
-            and np.stack([cell.vertices for cell in cert.cells]).tobytes() == rebuilt.tobytes()
-        )
-    area_sum = sum(cell.area for cell in cert.cells)
+        same_grid = cert.corners.shape == rebuilt.shape and cert.corners.tobytes() == rebuilt.tobytes()
+        lower = payne_weinberger_lower(math.sqrt(_cell_diagonal_squared(cert.domain, cert.l)))
+        proved = proved_constant(cert.domain, cert.k, cert.l)
     links = [
-        check("piece_count", cert.l_prime, cert.l),
-        # the Payne-Weinberger value of the largest cell, clearing the reference
-        check("piece_lower_bound", abs(cert.lower_bound - lower), 0.0),
-        check("lower_bound_vs_reference", cert.lower_bound, mu_l_reference, geo),
-        check("piece_count_matches_cells", abs(cert.l_prime - len(cert.cells)), 0.0),
-        check("cells_tile_domain", abs(area_sum - cert.domain.area), geo * cert.domain.area),
+        check("piece_count", cert.corners.shape[0], cert.l),
+        # the Payne-Weinberger value of a grid box, clearing the reference
+        check("lower_bound_vs_reference", lower, mu_l_reference, GEOMETRY_RTOL),
         flag("grid_rebuilt", same_grid),
         check("concluded_inequality", proved, cert.C),
     ]
@@ -361,7 +370,7 @@ def certified_chain(cert, mu_l_reference):
 def minimal_constant(domain: Rectangle, k: int, l: int) -> float:
     """C_proved of the box grid of (domain, l), the C construct_partition
     records when none is given: the smallest constant its certificate
-    verifies at, from the same corners the verifier rebuilds, so the
+    verifies at, as the verifier computes the same C_proved, so the
     concluded inequality holds with equality."""
     return construct_partition(domain, k, l).C
 

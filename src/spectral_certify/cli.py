@@ -319,21 +319,11 @@ def cmd_certify(args) -> int:
     report = _report_skeleton(args, name)
     t0 = time.perf_counter()
     mu_k, mu_l = (rectangle_eigenvalue(rect.half_width_a, rect.half_width_b, i) for i in (k, l))
-    searched = args.C is None
     chain, cert = certified_chain(construct_partition(rect, k, l, args.C), mu_l)
     report["timings"]["certify_s"] = time.perf_counter() - t0
-    if searched:
-        chain.minimal_C = cert.C
     results = {
         "domain": name,
-        "certified_rectangle": {
-            "center": [rect.center.x, rect.center.y],
-            "half_width_a": rect.half_width_a,
-            "half_width_b": rect.half_width_b,
-            "rotation": rect.rotation,
-        },
         "C": cert.C,
-        "C_searched": searched,
         "mu_k": mu_k,
         "mu_l": mu_l,
         "certificate": cert.to_dict(),
@@ -348,7 +338,7 @@ def cmd_certify(args) -> int:
     report["results"] = results
     if args.svg:
         boxes = [sandwich.inner, sandwich.outer] if sandwich is not None else None
-        drawing = svg_scene(P, cells=cert.cells, boxes=boxes)
+        drawing = svg_scene(P, cells=cert.corners, boxes=boxes)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(drawing)
     header = ["name", "lhs", "rhs", "ratio", "holds"]

@@ -752,7 +752,7 @@ def polygon_from_json(obj) -> ConvexPolygon:
 
 def svg_scene(domain: ConvexPolygon, cells=None, boxes=None) -> str:
     """Standalone 640-pixel-wide SVG drawing of a domain with optional
-    cells and boxes."""
+    cells, given by their (n, 2) vertex arrays, and boxes."""
     (x0, y0), (x1, y1) = domain.bounding_box
     if boxes:
         for box in boxes:
@@ -784,11 +784,8 @@ def svg_scene(domain: ConvexPolygon, cells=None, boxes=None) -> str:
     parts.append(
         f'<polygon points="{path(domain.vertices)}" fill="#f5f5f0" stroke="#222" stroke-width="2"/>'
     )
-    if cells:
-        for cell in cells:
-            parts.append(
-                f'<polygon points="{path(cell.vertices)}" fill="none" stroke="#3366aa" stroke-width="1"/>'
-            )
+    for cell in [] if cells is None else cells:
+        parts.append(f'<polygon points="{path(cell)}" fill="none" stroke="#3366aa" stroke-width="1"/>')
     if boxes:
         for box in boxes:
             parts.append(

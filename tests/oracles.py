@@ -83,17 +83,18 @@ def lattice_spectrum(base_x: float, base_y: float, count: int, signed: bool) -> 
 
 
 def report_proved_constant(results: dict) -> float:
-    """C_proved = mu_k D_max^2 l^2 / (pi^2 k^2) of a certify report, from the
+    """C_proved = mu_k D^2 l^2 / (pi^2 k^2) of a certify report, from the
     report alone: mu_k by integer enumeration over the certified
-    rectangle's side lengths, and D_max as the diagonal of the largest cell
-    extents in x and y, which is the diameter of an axis-aligned box (the
-    certified rectangle must be turned by a multiple of pi / 2)."""
+    rectangle's side lengths, and D^2 = (2a / n_x)^2 + (2b / n_y)^2 in
+    rationals, with n_x and n_y read off the largest cell extents in x and
+    y (the certified rectangle must be turned by a multiple of pi / 2)."""
     cert = results["certificate"]
     a, b = cert["domain"]["half_width_a"], cert["domain"]["half_width_b"]
     k, l = cert["k"], cert["l"]
-    d_max = 0.0
-    for cell in cert["cells"]:
-        xs, ys = [x for x, _ in cell], [y for _, y in cell]
-        d_max = max(d_max, math.hypot(max(xs) - min(xs), max(ys) - min(ys)))
+    extents = [max(max(c[i] for c in cell) - min(c[i] for c in cell) for cell in cert["cells"]) for i in (0, 1)]
+    if round(cert["domain"]["rotation"] / (math.pi / 2.0)) % 2:
+        extents.reverse()  # the half_width_a axis is y
+    nx, ny = round(2.0 * a / extents[0]), round(2.0 * b / extents[1])
+    d2 = (2 * Fraction(a) / nx) ** 2 + (2 * Fraction(b) / ny) ** 2
     mu_k = rectangle_eigenvalue_exact(2.0 * a, 2.0 * b, k)
-    return mu_k * d_max**2 * l**2 / (math.pi**2 * k**2)
+    return mu_k * float(d2) * l**2 / (math.pi**2 * k**2)

@@ -165,7 +165,7 @@ def test_criterion_6_sweep_constant_and_rectangle_certificates(capsys, gallery):
             spec = rectangle_spectrum(rect.half_width_a, rect.half_width_b, k + 1)
             cert = construct_partition(rect, k, l, c_star)
             chain = verify_certificate(cert, spec[l])
-            if not chain.holds_all or cert.l_prime > l:
+            if not chain.holds_all or len(cert.corners) > l:
                 cert_failures.append(f"{name} (k={k}, l={l})")
     cert_ok = not cert_failures
     ok = sweep_ok and cert_ok
@@ -272,30 +272,42 @@ def test_criterion_10_negative_controls_and_random_domains(
 ):
     # corrupted certificates must fail; meshes and clipped Voronoi
     # partitions stay consistent over 100 random convex polygons
-    c_star = minimal_constant(UNIT_SQUARE, 2, 1)
-    cert = construct_partition(UNIT_SQUARE, 2, 1, c_star)
+    # the 1 x 2 grid of the unit square at k = 4, l = 2; mu_2 = pi^2
+    c_star = minimal_constant(UNIT_SQUARE, 4, 2)
+    cert = construct_partition(UNIT_SQUARE, 4, 2, c_star)
     assert verify_certificate(cert, PI2).holds_all
 
     def lower_c(obj):
         obj["C"] = float(np.nextafter(obj["C"], 0.0))
 
-    def raise_l_prime(obj):
-        obj["l_prime"] += 1
+    def lower_l(obj):
+        obj["l"] -= 1
 
     def translate_cell(obj):
         obj["cells"][0] = [[x + 0.3, y + 0.2] for x, y in obj["cells"][0]]
 
     def duplicate_cell(obj):
         obj["cells"].append(obj["cells"][0])
-        obj["l_prime"] += 1
 
-    def raise_lower_bound(obj):
-        obj["lower_bound"] *= 1.1
+    def widen_by_an_ulp(obj):
+        obj["domain"]["half_width_b"] = float(np.nextafter(obj["domain"]["half_width_b"], 1.0))
 
     def move_vertex(obj):
         obj["cells"][0][0] = [obj["cells"][0][0][0] + 0.05, obj["cells"][0][0][1]]
 
-    corruptions = [lower_c, raise_l_prime, translate_cell, duplicate_cell, raise_lower_bound, move_vertex]
+    def reverse_cells(obj):
+        obj["cells"].reverse()
+
+    def transpose_grid(obj):
+        # the 2 x 1 grid of the same square, with cells of the same diameter
+        obj["cells"] = [
+            [[0.0, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.0, -0.5]],
+            [[0.5, 0.5], [0.0, 0.5], [0.0, -0.5], [0.5, -0.5]],
+        ]
+
+    corruptions = [
+        lower_c, lower_l, translate_cell, duplicate_cell, widen_by_an_ulp, move_vertex, reverse_cells, transpose_grid
+    ]
     detected = 0
     for corrupt in corruptions:
         obj = json.loads(cert.to_json())

@@ -72,35 +72,46 @@ def link_by_name(report, name):
     return matches[0]
 
 
+def areas(corners):
+    """Shoelace areas of an (N, 4, 2) corner array."""
+    x, y = corners[:, :, 0], corners[:, :, 1]
+    return 0.5 * (x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y).sum(axis=1)
+
+
+def piece_bound(cert):
+    """The Payne-Weinberger value of a grid box, as the verifier reports it."""
+    return link_by_name(verify_certificate(cert, math.inf), "lower_bound_vs_reference").lhs
+
+
 class TestStripConstruction:
     """On a thin rectangle the best grid is one column of strips."""
 
     def test_identity_indices_single_cell(self):
         cert = construct_partition(UNIT_SQUARE, 1, 1, 8.0)
-        assert cert.l_prime == 1
+        assert cert.corners.shape == (1, 4, 2)
         report = verify_certificate(cert, PI2)
         assert report.holds_all
 
     def test_long_thin_rectangle_strip_postconditions(self):
         domain = Rectangle(Point2(0.0, 0.0), 0.1, 10.0, 0.0)
         cert = construct_partition(domain, 6, 3, 4.0)
-        assert cert.l_prime == 3
+        assert cert.corners.shape == (3, 4, 2)
         # every cell spans the short side
-        for cell in cert.cells:
-            assert np.ptp(cell.vertices[:, 0]) == 2.0 * domain.half_width_a
-        assert sum(c.area for c in cert.cells) == pytest.approx(domain.area, rel=1e-12)
+        for cell in cert.corners:
+            assert np.ptp(cell[:, 0]) == 2.0 * domain.half_width_a
+        assert areas(cert.corners).sum() == pytest.approx(domain.area, rel=1e-12)
 
     def test_strips_are_congruent_and_tile(self):
         # the 1 x 10 rectangle with k = 12, l = 6 takes six strips of height 10/6
         domain = Rectangle(Point2(0.0, 0.0), 0.5, 5.0, 0.0)
         cert = construct_partition(domain, 12, 6, 1.0)
-        assert cert.l_prime == 6
-        areas = [c.area for c in cert.cells]
-        assert max(areas) == pytest.approx(min(areas), rel=1e-12)
-        assert sum(areas) == pytest.approx(10.0, rel=1e-12)
-        # the recorded lower bound is that of the strip's diagonal
+        assert cert.corners.shape == (6, 4, 2)
+        cell_areas = areas(cert.corners)
+        assert max(cell_areas) == pytest.approx(min(cell_areas), rel=1e-12)
+        assert sum(cell_areas) == pytest.approx(10.0, rel=1e-12)
+        # the piece lower bound is that of the strip's diagonal
         expected = payne_weinberger_lower(math.hypot(1.0, 10.0 / 6.0))
-        assert cert.lower_bound == pytest.approx(expected, rel=1e-12)
+        assert piece_bound(cert) == pytest.approx(expected, rel=1e-12)
 
 
 class TestNetConstruction:
@@ -122,8 +133,7 @@ class TestNetConstruction:
 class TestGridConstruction:
     def test_single_cell_at_l_one(self):
         cert = construct_partition(UNIT_SQUARE, 4, 1, 4.0)
-        assert len(cert.cells) == cert.l_prime == 1
-        assert cert.cells[0].vertices.tolist() == UNIT_SQUARE.polygon().vertices.tolist()
+        assert cert.corners.tolist() == [UNIT_SQUARE.polygon().vertices.tolist()]
         assert cert.chain_ok
 
     @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
@@ -131,12 +141,12 @@ class TestGridConstruction:
         domain, k, l = SEARCH_CASES[case]
         cert = construct_partition(domain, k, l, 1.0)
         nx, ny = grid_shape(domain.half_width_a, domain.half_width_b, l)
-        assert cert.l_prime == len(cert.cells) == nx * ny <= l
-        assert sum(c.area for c in cert.cells) == pytest.approx(domain.area, rel=1e-12)
+        assert len(cert.corners) == nx * ny <= l
+        assert areas(cert.corners).sum() == pytest.approx(domain.area, rel=1e-12)
         # each corner inside the domain is shared by four cells, bit for bit
         corners = {}
-        for cell in cert.cells:
-            for x, y in cell.vertices.tolist():
+        for cell in cert.corners:
+            for x, y in cell.tolist():
                 corners[(x, y)] = corners.get((x, y), 0) + 1
         assert sorted(corners.values()).count(4) == (nx - 1) * (ny - 1)
         assert len(corners) == (nx + 1) * (ny + 1)
@@ -157,9 +167,33 @@ class TestGridConstruction:
         domain, k, l = SEARCH_CASES[1]
         cert = construct_partition(domain, k, l, C)
         reference = construct_partition(domain, k, l, 1.0)
-        assert [c.vertices.tobytes() for c in cert.cells] == [c.vertices.tobytes() for c in reference.cells]
-        assert cert.lower_bound == reference.lower_bound
-        assert cert.lower_bound == pytest.approx(payne_weinberger_lower(math.hypot(10.0 / 6.0, 10.0 / 6.0)), rel=1e-15)
+        assert cert.corners.tobytes() == reference.corners.tobytes()
+        assert piece_bound(cert) == piece_bound(reference)
+        assert piece_bound(cert) == pytest.approx(payne_weinberger_lower(math.hypot(10.0 / 6.0, 10.0 / 6.0)), rel=1e-15)
+
+    @pytest.mark.parametrize("k, l", [(6, 3), (24, 24), (100, 50)])
+    def test_constant_independent_of_position(self, k, l):
+        # C_proved reads a, b, k and l alone: any centre and rotation of the
+        # same rectangle states the same constant, bit for bit
+        a, b = 0.23516875155613254, 0.28672868996454287
+        at_origin = construct_partition(Rectangle(Point2(0.0, 0.0), a, b, 0.0), k, l).C
+        for center in (Point2(-290490.07214372436, -119856.49968524654), Point2(3e5, 0.0), Point2(1.3, -0.7)):
+            for rotation in (0.0, 0.3, 0.7857688320918057, 2.2):
+                assert construct_partition(Rectangle(center, a, b, rotation), k, l).C == at_origin
+
+    def test_turned_far_rectangle_verifies(self):
+        # far from the origin the float corners of this grid understate D^2 by
+        # 9e-11 relative, far past MU_MARGIN, and their areas miss the
+        # domain's by 4e-6 relative; the proof reads neither
+        domain = Rectangle(
+            Point2(-290490.07214372436, -119856.49968524654), 0.23516875155613254, 0.28672868996454287, 0.7857688320918057
+        )
+        cert = construct_partition(domain, 6, 3)
+        assert cert.C == 1.1651735732956905
+        mu = rectangle_spectrum(domain.half_width_a, domain.half_width_b, 4)
+        assert verify_certificate(cert, mu[3]).holds_all
+        clone = PartitionCertificate.from_json(cert.to_json())
+        assert verify_certificate(clone, mu[3]).holds_all
 
     def test_cell_budget_both_sides(self):
         # at the cap the grid is the best of GRID_CELLS cells; past it, the
@@ -195,8 +229,8 @@ class TestVerificationChain:
     def test_schema_guard(self):
         cert, _ = self.verifying_certificate()
         obj = json.loads(cert.to_json())
-        # schema 1 (with R, case_tag, diameters and mu_k_estimate) is not read either
-        for schema in (1, 99):
+        # schemas 1 and 2 (with l_prime and lower_bound) are not read either
+        for schema in (1, 2, 99):
             obj["schema"] = schema
             with pytest.raises(CertificateFormatError, match="unknown certificate schema"):
                 PartitionCertificate.from_dict(obj)
@@ -204,7 +238,6 @@ class TestVerificationChain:
     @pytest.mark.parametrize(
         "field,mutate",
         [
-            ("'l_prime' is missing", lambda d: d.pop("l_prime")),
             ("'domain.rotation' is missing", lambda d: d["domain"].pop("rotation")),
             ("'cells' is malformed", lambda d: d.__setitem__("cells", {"0": d["cells"][0]})),
             ("'domain.center' is malformed", lambda d: d["domain"].__setitem__("center", [0.0])),
@@ -214,15 +247,12 @@ class TestVerificationChain:
             ("'k' is malformed", lambda d: d.__setitem__("k", "2")),
             ("'k' is malformed", lambda d: d.__setitem__("k", True)),
             ("'l' is malformed", lambda d: d.__setitem__("l", 1.9)),
-            ("'l_prime' is malformed", lambda d: d.__setitem__("l_prime", 1.0)),
-            # C and the lower bound are finite positive JSON numbers
+            # C is a finite positive JSON number
             ("'C' is malformed", lambda d: d.__setitem__("C", math.inf)),
             ("'C' is malformed", lambda d: d.__setitem__("C", math.nan)),
             ("'C' is malformed", lambda d: d.__setitem__("C", 0.0)),
             ("'C' is malformed", lambda d: d.__setitem__("C", "0.5")),
             ("'C' is malformed", lambda d: d.__setitem__("C", 10**400)),
-            ("'lower_bound' is malformed", lambda d: d.__setitem__("lower_bound", -1.0)),
-            ("'lower_bound' is malformed", lambda d: d.__setitem__("lower_bound", False)),
             # the domain is one a polygon may have
             ("'domain.half_width_b' is malformed", lambda d: d["domain"].__setitem__("half_width_b", math.inf)),
             ("'domain' is malformed", lambda d: d["domain"].__setitem__("half_width_b", 1e308)),
@@ -239,6 +269,34 @@ class TestVerificationChain:
         obj = json.loads(cert.to_json())
         mutate(obj)
         with pytest.raises(CertificateFormatError, match=field):
+            PartitionCertificate.from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d["cells"][0].append([0.0, 0.0]),  # a 5-vertex cell
+            lambda d: d["cells"][0][1].append(0.0),  # a ragged row
+            lambda d: d["cells"][0][1].__setitem__(0, "0.5"),
+            lambda d: d["cells"][0][1].__setitem__(0, math.nan),
+            lambda d: d.__setitem__("cells", []),
+        ],
+        ids=["five_vertices", "ragged", "string", "nan", "empty"],
+    )
+    def test_malformed_cells_named(self, mutate):
+        # the cells are JSON numbers of shape (N, 4, 2), N >= 1, read in one
+        # array; no cell is validated as a polygon
+        cert, _ = self.verifying_certificate()
+        obj = json.loads(cert.to_json())
+        mutate(obj)
+        with pytest.raises(CertificateFormatError, match="'cells' is malformed"):
+            PartitionCertificate.from_dict(obj)
+
+    def test_domain_out_of_float_range_named(self):
+        # a domain in the coordinate range whose first k + 1 closed-form
+        # values are not: pi / 1e-155 squares past the largest double
+        obj = json.loads(construct_partition(UNIT_SQUARE, 4, 2).to_json())
+        obj["domain"]["half_width_a"], obj["domain"]["half_width_b"] = 5e-156, 5e-145
+        with pytest.raises(CertificateFormatError, match="'domain' is malformed: lengths 1e-155 x 1e-144"):
             PartitionCertificate.from_dict(obj)
 
     @pytest.mark.parametrize("text", ["{not json", "", "[1, 2", "{\"schema\": 1,}"])
@@ -258,11 +316,13 @@ class TestVerificationChain:
             # a smaller one a false one: C_proved(1) = 2 > C
             ("k_down", lambda d: d.__setitem__("k", d["k"] - 1)),
             ("l", lambda d: d.__setitem__("l", d["l"] + 1)),
+            ("l_down", lambda d: d.__setitem__("l", d["l"] - 1)),
             (
-                "lower_bound",
-                lambda d: d.__setitem__("lower_bound", d["lower_bound"] * 1.1),
+                "half_width_ulp",
+                lambda d: d["domain"].__setitem__(
+                    "half_width_b", float(np.nextafter(d["domain"]["half_width_b"], math.inf))
+                ),
             ),
-            ("l_prime", lambda d: d.__setitem__("l_prime", d["l_prime"] + 1)),
             (
                 "cell_vertex",
                 lambda d: d["cells"][0].__setitem__(
@@ -318,12 +378,10 @@ def _fuzzed(obj, corruption):
         obj["cells"] = [[[x + 0.3, y + 0.2] for x, y in cell] for cell in cells]
     elif corruption == "duplicate":
         obj["cells"] = cells + [cells[0]]
-        obj["l_prime"] += 1
     elif corruption == "copies_of_cell_0":
         obj["cells"] = [cells[0]] * len(cells)
     elif corruption == "drop":
         del cells[-1]
-        obj["l_prime"] -= 1
     elif corruption == "vertex_outward":
         # the first corner of cell 0 moves 1% away from the cell's center
         cx = sum(x for x, _ in cells[0]) / 4.0
@@ -338,13 +396,22 @@ def _fuzzed(obj, corruption):
         cells[0][0] = [float(np.nextafter(x, x + (x - cx))), float(np.nextafter(y, y + (y - cy)))]
     elif corruption == "lower_C":
         obj["C"] = float(np.nextafter(obj["C"], 0.0))
-    elif corruption == "lower_bound_ulp":
-        obj["lower_bound"] = float(np.nextafter(obj["lower_bound"], math.inf))
-    elif corruption == "raise_l_prime":
-        obj["l_prime"] += 1
+    elif corruption == "half_width_ulp":
+        obj["domain"]["half_width_b"] = float(np.nextafter(obj["domain"]["half_width_b"], math.inf))
+    elif corruption == "reversed":
+        cells.reverse()
     elif corruption == "no_cells":
-        obj["cells"], obj["l_prime"] = [], 0
+        obj["cells"] = []
     return obj
+
+
+def transposed_cells(cert):
+    """The cells of the grid of the certificate's domain and l with n_x and
+    n_y swapped."""
+    nx, ny = grid_shape(cert.domain.half_width_a, cert.domain.half_width_b, cert.l)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certify, "grid_shape", lambda a, b, l: (ny, nx))
+        return certify.grid_corners(cert.domain, cert.l)[0].tolist()
 
 
 FUZZ = [
@@ -355,15 +422,15 @@ FUZZ = [
     "vertex_outward",
     "vertex_ulp",
     "lower_C",
-    "lower_bound_ulp",
-    "raise_l_prime",
+    "half_width_ulp",
+    "reversed",
     "no_cells",
 ]
 
 
 class TestCertificateFuzz:
-    """Each corruption of a verifying certificate loads and is rejected:
-    its chain fails."""
+    """Each corruption of a verifying certificate is rejected: it loads and
+    its chain fails, or, with no cells at all, it does not load."""
 
     @pytest.mark.parametrize("corruption", FUZZ)
     @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
@@ -372,17 +439,33 @@ class TestCertificateFuzz:
         spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
         cert = construct_partition(domain, k, l, minimal_constant(domain, k, l))
         assert verify_certificate(cert, spec[l]).holds_all
-        tampered = PartitionCertificate.from_dict(_fuzzed(cert.to_dict(), corruption))
-        report = verify_certificate(tampered, spec[l])
+        obj = _fuzzed(cert.to_dict(), corruption)
+        if corruption == "no_cells":
+            with pytest.raises(CertificateFormatError, match="'cells' is malformed"):
+                PartitionCertificate.from_dict(obj)
+            return
+        report = verify_certificate(PartitionCertificate.from_dict(obj), spec[l])
         assert not report.holds_all
         failing = {link.name for link in report.links if not link.holds}
-        if corruption in ("translate", "copies_of_cell_0", "vertex_outward", "vertex_ulp", "drop"):
+        if corruption != "lower_C":
             # the areas of translated cells and of copies still sum to the domain's
             assert "grid_rebuilt" in failing
-        if corruption == "lower_C":
-            assert "concluded_inequality" in failing
-        if corruption == "lower_bound_ulp":
-            assert failing == {"piece_lower_bound"}
+        else:
+            assert failing == {"concluded_inequality"}
+
+    @pytest.mark.parametrize(
+        "case",
+        [i for i, (d, _, l) in enumerate(SEARCH_CASES) if len(set(grid_shape(d.half_width_a, d.half_width_b, l))) == 2],
+    )
+    def test_transposed_grid_rejected(self, case):
+        # n_y x n_x boxes tile the domain too, but they are not its grid
+        domain, k, l = SEARCH_CASES[case]
+        cert = construct_partition(domain, k, l)
+        obj = cert.to_dict()
+        obj["cells"] = transposed_cells(cert)
+        spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
+        report = verify_certificate(PartitionCertificate.from_dict(obj), spec[l])
+        assert [link.name for link in report.links if not link.holds] == ["grid_rebuilt"]
 
     def test_concluded_inequality_alone_fails_at_a_small_constant(self):
         domain, k, l = SEARCH_CASES[1]
@@ -458,7 +541,7 @@ class TestProbeCap:
             monkeypatch.setattr(certify, name, no_net)
         for domain, k, l in SEARCH_CASES:
             c = minimal_constant(domain, k, l)
-            assert construct_partition(domain, k, l, c).l_prime <= l
+            assert len(construct_partition(domain, k, l, c).corners) <= l
 
 
 # C_proved of the box grid, as the ROADMAP tabulates it

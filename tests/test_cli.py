@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import spectral_certify
-from spectral_certify import certify, cli, fem, mesh
+from spectral_certify import certify, cli, fem, geometry, mesh
 from spectral_certify.bounds import rectangle_spectrum
 from spectral_certify.cli import (
     EXIT_CERTIFY,
@@ -183,8 +183,8 @@ class TestExitCodes:
             report = run_json(capsys, "certify", "--domain", "rect:0.001:1000", "--k", "8388607", "--l", str(l))
             assert time.perf_counter() - start < 1.0
             cert = report["results"]["certificate"]
-            assert cert["l_prime"] == min(l, certify.GRID_CELLS)
-            assert cert["notes"].startswith(f"grid case: 1 x {cert['l_prime']} boxes")
+            assert len(cert["cells"]) == min(l, certify.GRID_CELLS)
+            assert cert["notes"].startswith(f"grid case: 1 x {len(cert['cells'])} boxes")
             assert report["results"]["chain"]["holds_all"]
             constants.append(report["results"]["C"])
         # C_proved grows as l^2 at a fixed grid, and slower below the cap
@@ -198,7 +198,7 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         res = report["results"]
         assert res["chain"]["holds_all"]
-        assert res["certificate"]["l_prime"] <= certify.GRID_CELLS
+        assert len(res["certificate"]["cells"]) <= certify.GRID_CELLS
         assert res["C"] > 100.0
 
     @pytest.mark.parametrize(
@@ -255,7 +255,7 @@ class TestExitCodes:
         assert code == EXIT_CERTIFY
         res = json.loads(out)["results"]
         cert = res["certificate"]
-        assert cell_counts == [cert["l_prime"]] * 2 == [len(cert["cells"])] * 2 == [36, 36]
+        assert cell_counts == [len(cert["cells"])] * 2 == [36, 36]
         failing = [link["name"] for link in res["chain"]["links"] if not link["holds"]]
         assert failing == ["concluded_inequality"]
         # a searched C is the constructed grid's own C_proved, so the grid is
@@ -264,8 +264,8 @@ class TestExitCodes:
         code, out, _ = run(capsys, "certify", "--domain", "rect:10:10", "--k", "40", "--l", "40")
         assert code == EXIT_OK
         res = json.loads(out)["results"]
-        assert cell_counts == [res["certificate"]["l_prime"]] * 2 == [36, 36]
-        assert res["C"] == res["chain"]["minimal_C"] == res["certificate"]["C"]
+        assert cell_counts == [len(res["certificate"]["cells"])] * 2 == [36, 36]
+        assert res["C"] == res["certificate"]["C"]
 
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_meshes_over_budget(self, capsys, monkeypatch, command):
@@ -487,15 +487,23 @@ class TestCertifyCommand:
     def test_square_pair_verifies(self, capsys):
         report = run_json(capsys, "certify", "--domain", "square", "--k", "4", "--l", "2")
         res = report["results"]
-        assert res["C_searched"] is True
+        # the report restates nothing the certificate holds
+        assert set(res) == {"domain", "C", "mu_k", "mu_l", "certificate", "chain"}
+        assert set(res["chain"]) == {"links", "holds_all"}
+        assert list(res["certificate"]) == ["schema", "domain", "k", "l", "C", "cells", "chain_ok", "notes"]
+        assert [link["name"] for link in res["chain"]["links"]] == [
+            "piece_count",
+            "lower_bound_vs_reference",
+            "grid_rebuilt",
+            "concluded_inequality",
+        ]
         assert res["certificate"]["chain_ok"] is True
         assert res["chain"]["holds_all"] is True
-        assert res["chain"]["minimal_C"] == res["C"]
+        assert res["certificate"]["C"] == res["C"]
 
     def test_identity_pair_single_cell(self, capsys):
         report = run_json(capsys, "certify", "--k", "1", "--l", "1")
         cert = report["results"]["certificate"]
-        assert cert["l_prime"] == 1
         assert len(cert["cells"]) == 1
 
     def test_non_rectangle_uses_sandwich(self, capsys, tmp_path):
@@ -514,8 +522,8 @@ class TestCertifyCommand:
         # a regular polygon's covariance is isotropic, so the box axis is
         # not read from rounding noise, at any scale
         rotations = {
-            run_json(capsys, "certify", "--domain", domain, "--k", "4", "--l", "2")["results"][
-                "certified_rectangle"
+            run_json(capsys, "certify", "--domain", domain, "--k", "4", "--l", "2")["results"]["certificate"][
+                "domain"
             ]["rotation"]
             for domain in ("regular:6", "regular:6:1e-20", "regular:6:1e-140", "regular:256:3")
         }
@@ -535,6 +543,51 @@ class TestCertifyCommand:
             l = int(rng.integers(1, k + 1))
             report = run_json(capsys, "certify", "--domain", f"file:{path}", "--k", str(k), "--l", str(l))
             assert report["results"]["C"] >= report_proved_constant(report["results"])
+
+    @pytest.mark.parametrize(
+        "vertices, k, l",
+        [
+            ([[800000.5, 0.5], [799999.5, 0.5], [799999.5, -0.5], [800000.5, -0.5]], 4, 2),
+            (
+                [
+                    [3e5 + math.cos(0.3) * x - math.sin(0.3) * y, math.sin(0.3) * x + math.cos(0.3) * y]
+                    for x, y in ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5))
+                ],
+                24,
+                24,
+            ),
+        ],
+        ids=["off_centre", "turned_off_centre"],
+    )
+    def test_off_centre_square_certifies(self, capsys, tmp_path, vertices, k, l):
+        # far from the origin the grid's cells are too small for a polygon
+        # check at the domain's coordinate scale; the proof reads none, and
+        # the constant is the unit square's up to the rounding of the
+        # half-widths read from the file
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        res = run_json(capsys, "certify", "--domain", f"file:{path}", "--k", str(k), "--l", str(l))["results"]
+        assert res["chain"]["holds_all"]
+        unit = run_json(capsys, "certify", "--k", str(k), "--l", str(l))["results"]["C"]
+        assert res["C"] == pytest.approx(unit, rel=1e-9)
+        reloaded = certify.PartitionCertificate.from_dict(res["certificate"])
+        assert certify.verify_certificate(reloaded, res["mu_l"]).to_dict() == res["chain"]
+
+    def test_no_cell_polygons_or_diameters(self, capsys, monkeypatch, tmp_path):
+        # the certificate is built, verified, printed, drawn and reloaded from
+        # its corner array: no cell becomes a polygon and nothing is measured
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cell polygon was built or measured")
+
+        monkeypatch.setattr(geometry.ConvexPolygon, "many", forbidden)
+        monkeypatch.setattr(geometry, "diameters", forbidden)
+        monkeypatch.setattr(certify, "diameters", forbidden, raising=False)
+        for argv in (["--k", "24", "--l", "24"], ["--k", "8388607", "--l", "8388607"], ["--k", "40", "--l", "40", "--C", "0.5"]):
+            code, out, err = run(capsys, "certify", "--domain", "rect:10:10", *argv, "--svg", str(tmp_path / "grid.svg"))
+            assert code in (EXIT_OK, EXIT_CERTIFY), err
+            res = json.loads(out)["results"]
+            reloaded = certify.PartitionCertificate.from_json(json.dumps(res["certificate"]))
+            assert certify.verify_certificate(reloaded, res["mu_l"]).to_dict() == res["chain"]
 
     def test_tiny_non_rectangles_run(self):
         # the sandwich is built on a copy of the domain scaled by a power of

@@ -223,19 +223,17 @@ class TestConvexPolygon:
         assert ConvexPolygon.many([]) == []
 
     def test_certificate_with_a_corrupted_cell(self):
-        from spectral_certify.certify import (
-            CertificateFormatError,
-            PartitionCertificate,
-            construct_partition,
-        )
+        from spectral_certify.certify import PartitionCertificate, construct_partition, verify_certificate
 
         rect = Rectangle(Point2(0.0, 0.0), 0.5, 5.0, 0.0)
-        cert = construct_partition(rect, 7, 7, 1.0)
+        cert = construct_partition(rect, 7, 7)
         obj = cert.to_dict()
         assert len(obj["cells"]) > 3
         obj["cells"][3] = obj["cells"][3][::-1]
-        with pytest.raises(CertificateFormatError, match="'cells'.*cell 3: vertices are not"):
-            PartitionCertificate.from_dict(obj)
+        # no cell is checked as a polygon: a clockwise cell loads, and is
+        # not the grid
+        report = verify_certificate(PartitionCertificate.from_dict(obj), rectangle_spectrum(0.5, 5.0, 8)[7])
+        assert [link.name for link in report.links if not link.holds] == ["grid_rebuilt"]
 
     def test_json_round_trip(self):
         p = regular_polygon(7, circumradius=2.5)
@@ -1105,7 +1103,7 @@ class TestSvg:
         net = maximal_separated_net(hexa, 0.5)
         part = voronoi_partition(hexa, net)
         s = rectangle_sandwich(hexa)
-        out = svg_scene(hexa, cells=part.cells, boxes=[s.inner, s.outer])
+        out = svg_scene(hexa, cells=[cell.vertices for cell in part.cells], boxes=[s.inner, s.outer])
         assert out.startswith("<svg")
         assert out.endswith("</svg>")
         assert out.count("<polygon") == 1 + len(part.cells) + 2
