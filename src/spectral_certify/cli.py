@@ -444,63 +444,93 @@ def cmd_sweep(args) -> int:
 # argument parsing
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_options(p, func, domain="square"):
+    """The function and the options every subcommand has."""
+    p.set_defaults(func=func)
+    p.add_argument(
+        "--domain",
+        default=domain,
+        help="square | rect:LX:LY | regular:N[:R] | file:PATH "
+        f"(default {domain or 'the gallery'})",
+    )
+    p.add_argument(
+        "--config", help="JSON file of option values, parsed as flags; explicit flags win"
+    )
+
+
+def _format_option(p):
+    p.add_argument("--format", choices=["json", "csv"], default="json", help="report format")
+
+
+# Each adds a subcommand's options in the order its report's config block
+# lists them.  The command functions are looked up when a parser is built,
+# so that profilers can wrap them.
+def _spectrum_options(p):
+    _common_options(p, cmd_spectrum)
+    p.add_argument("--m", type=int, default=8, help="number of eigenvalues (default %(default)s)")
+    p.add_argument("--levels", type=int, default=5, help="uniform refinements (default %(default)s)")
+    _format_option(p)
+
+
+def _bounds_options(p):
+    _common_options(p, cmd_bounds)
+    p.add_argument("--k-max", type=int, default=10, help="largest index (default %(default)s)")
+    _format_option(p)
+
+
+def _certify_options(p):
+    _common_options(p, cmd_certify)
+    p.add_argument("--k", type=int, default=2, help="upper index (default %(default)s)")
+    p.add_argument("--l", type=int, default=1, help="lower index (default %(default)s)")
+    p.add_argument("--C", type=float, help="constant; searched when omitted")
+    _format_option(p)
+    p.add_argument("--svg", help="write a drawing of the partition here")
+
+
+def _sweep_options(p):
+    _common_options(p, cmd_sweep, domain=None)
+    p.add_argument("--k-max", type=int, default=12, help="largest index (default %(default)s)")
+    p.add_argument("--levels", type=int, default=4, help="uniform refinements (default %(default)s)")
+    _format_option(p)
+    p.add_argument("--plot-dir", help="directory for ratio plot CSV files")
+    p.add_argument(
+        "--ratio-cap", type=float, default=100.0, help="largest acceptable measured constant (default %(default)s)"
+    )
+
+
+COMMANDS = {
+    "spectrum": ("FEM eigenvalues with bounds", _spectrum_options),
+    "bounds": ("closed-form bound table", _bounds_options),
+    "certify": ("build and verify a partition certificate", _certify_options),
+    "sweep": ("measured constants over a domain gallery", _sweep_options),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of the command line.  Given a subcommand, it holds that
+    subcommand alone, with its options; otherwise every subcommand with its
+    options, so that --help lists them all and a bad name is refused among
+    them."""
     parser = argparse.ArgumentParser(
         prog="spectral-certify",
         description="Neumann spectra, eigenvalue bounds and partition "
         "certificates for planar convex domains.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, domain="square"):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        p.add_argument(
-            "--domain",
-            default=domain,
-            help="square | rect:LX:LY | regular:N[:R] | file:PATH "
-            f"(default {domain or 'the gallery'})",
-        )
-        p.add_argument(
-            "--config", help="JSON file of option values, parsed as flags; explicit flags win"
-        )
-        return p
-
-    # each command adds its options in the order its report's config block lists them
-    def report_format(p):
-        p.add_argument("--format", choices=["json", "csv"], default="json", help="report format")
-
-    p = command("spectrum", cmd_spectrum, "FEM eigenvalues with bounds")
-    p.add_argument("--m", type=int, default=8, help="number of eigenvalues (default %(default)s)")
-    p.add_argument("--levels", type=int, default=5, help="uniform refinements (default %(default)s)")
-    report_format(p)
-
-    p = command("bounds", cmd_bounds, "closed-form bound table")
-    p.add_argument("--k-max", type=int, default=10, help="largest index (default %(default)s)")
-    report_format(p)
-
-    p = command("certify", cmd_certify, "build and verify a partition certificate")
-    p.add_argument("--k", type=int, default=2, help="upper index (default %(default)s)")
-    p.add_argument("--l", type=int, default=1, help="lower index (default %(default)s)")
-    p.add_argument("--C", type=float, help="constant; searched when omitted")
-    report_format(p)
-    p.add_argument("--svg", help="write a drawing of the partition here")
-
-    p = command("sweep", cmd_sweep, "measured constants over a domain gallery", domain=None)
-    p.add_argument("--k-max", type=int, default=12, help="largest index (default %(default)s)")
-    p.add_argument("--levels", type=int, default=4, help="uniform refinements (default %(default)s)")
-    report_format(p)
-    p.add_argument("--plot-dir", help="directory for ratio plot CSV files")
-    p.add_argument(
-        "--ratio-cap", type=float, default=100.0, help="largest acceptable measured constant (default %(default)s)"
-    )
+    # a subcommand built alone leaves every name in the usage line
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, options) in COMMANDS.items():
+        if command in (None, name):
+            options(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line that starts with its subcommand needs that one alone;
+    # any other ends in help, the version or a usage error
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if args.config:

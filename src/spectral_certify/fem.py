@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from . import _kernels
 from .geometry import ConvexPolygon
@@ -101,14 +100,19 @@ def _residuals(K, M, vals, vecs):
 def _factor(K, M):
     """Pivot-free LU of K + M in a symmetric fill-reducing order, and the order;
     K + M and its permuted copy die on return (the factor holds its own L, U)."""
-    # imported here: certify imports fem but never factors, and a module-level
-    # import costs every process ~0.8 MiB and 6-10 ms
+    # The solver stack is imported where a solve first needs it, here and in
+    # solve_smallest: certify, bounds and verify import fem but never solve.
+    # At module level scipy.sparse.csgraph would cost every process ~0.8 MiB
+    # and 6-10 ms, and scipy.sparse.linalg with the scipy.linalg it loads
+    # (LAPACK, ARPACK, SuperLU) 0.09 s and 10.3 MiB.  Names are looked up on
+    # the module at call time, so that profilers can wrap them.
+    import scipy.sparse.linalg
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     # K is PSD and M is PD, so A is SPD and elimination without pivoting is
     # stable (Higham, Accuracy and Stability, 10.1): minimum degree on A + A^T
     # after a bandwidth pre-order, without which MMD takes minutes on the fan
-    # meshes.  splu is looked up on the module so that profilers can wrap it.
+    # meshes.
     A = K + M
     perm = reverse_cuthill_mckee(A, symmetric_mode=True)
     try:
@@ -137,6 +141,8 @@ def solve_smallest(
     residual), ascending.  Deterministic: the start vector is seeded, so
     runs of the same problem agree bit for bit.
     """
+    import scipy.sparse.linalg  # at the first solve; see _factor
+
     K, M = (A.to_csr() if isinstance(A, SparseSymmetricMatrix) else A for A in (stiffness, mass))
     n = K.shape[0]
     if not (1 <= m <= n // 2):

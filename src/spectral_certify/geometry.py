@@ -22,8 +22,9 @@ EPS_REL = 1e-12
 # Range of a polygon's coordinate scale s (its largest |coordinate|).  At the
 # top, a product of two coordinates is at most s^2 = 1e300 and one of two
 # coordinate differences 4e300, so sums of a million of them stay finite (the
-# largest double is 1.8e308); at the bottom, the cross-product tolerance
-# EPS_REL s^2 is the smallest normal double.  Products of three coordinates
+# largest double is 1.8e308); at the bottom, EPS_REL s^2, the cross-product
+# tolerance of a polygon centred at the origin (_convex_cells), is the
+# smallest normal double.  Products of three coordinates
 # (the centroid) overflow from ~1e101 up, so the FEM meshes a copy of the
 # domain scaled to unit size (fem.neumann_spectrum).
 SCALE_MIN = math.sqrt(sys.float_info.min / EPS_REL)
@@ -93,11 +94,27 @@ def _convex_cells(v: np.ndarray, counts) -> list:
         raise GeometryError(
             f"largest |coordinate| {bad[0]:.3g} is outside [{SCALE_MIN:.3g}, {SCALE_MAX:.3g}]"
         )
+    vmin, vmax = np.minimum.reduceat(v, starts), np.maximum.reduceat(v, starts)
+    # Tolerances.  s is the scale, r half the larger side of the bounding
+    # box (r <= s) and u = 2^-53.  A coordinate of magnitude <= s stands for
+    # its point to within u s, and the difference of two rounds by at most
+    # u 2r, so an edge vector is known to 4 u s a component.  A cross product
+    # of two edges (components <= 2r) then moves by at most 4 (4 u s)(2r),
+    # and its two products and their difference round by 16 u r^2 more: in
+    # all 48 u s r < rho r with rho = 2^-47 s.  So a length is tested
+    # against EPS_REL r + rho, and a cross product against
+    # (EPS_REL r + rho) r plus the smallest normal double, so that one that
+    # passes carries full precision.  Both follow the polygon's own size
+    # wherever it sits; centred at the origin, r = s and they are EPS_REL s
+    # and EPS_REL s^2 up to the rounding terms.
+    r = 0.5 * (vmax - vmin).max(axis=1)
+    tol_len = EPS_REL * r + 2.0**-47 * scale
+    tol_cross = tol_len * r + sys.float_info.min
     # drop consecutive duplicates (closed chains, so compare to the previous)
     prev = np.arange(-1, v.shape[0] - 1)
     prev[starts] = starts + counts - 1
     d = v - v[prev]
-    keep = np.hypot(d[:, 0], d[:, 1]) > (EPS_REL * scale)[owner]
+    keep = np.hypot(d[:, 0], d[:, 1]) > tol_len[owner]
     v = v[keep]
     counts = np.bincount(owner[keep], minlength=counts.size)
     if (counts < 3).any():
@@ -107,7 +124,6 @@ def _convex_cells(v: np.ndarray, counts) -> list:
     e = w - v
     e_nxt = e[nxt]
     cross = e[:, 0] * e_nxt[:, 1] - e[:, 1] * e_nxt[:, 0]
-    tol_cross = EPS_REL * scale * scale
     tol = tol_cross[owner]
     if (cross < -tol).any():
         raise GeometryError("vertices are not in convex counterclockwise order")
@@ -120,7 +136,13 @@ def _convex_cells(v: np.ndarray, counts) -> list:
     for n in set(counts.tolist()):
         same = np.flatnonzero(counts == n)
         area2[same] = terms[starts[same, None] + np.arange(n)].sum(axis=1)
-    if (area2 <= 2.0 * tol_cross).any():
+    # The shoelace sum is taken at the coordinates themselves.  With
+    # products of at most m = max|x| max|y|, each of the n terms rounds by at
+    # most 4 u m, and each addition by u (2 m + 8 r^2), as a partial sum is
+    # twice a fan area from the origin; so the sum is known to
+    # 8 u n (m + r^2), and the area must clear twice that.
+    m = np.maximum(np.abs(vmin), np.abs(vmax)).prod(axis=1)
+    if (area2 <= 2.0 * tol_cross + 2.0**-49 * counts * (m + r * r)).any():
         raise GeometryError("polygon area is not positive")
     v.setflags(write=False)
     ends = (starts + counts).tolist()
@@ -294,10 +316,8 @@ def _lattice_blocks(P: ConvexPolygon, pitch: float):
 
     The meshgrid lays them out x-major, y-minor, which is lexicographic
     order, as x0 + pitch * i strictly increases with i: rounding is
-    monotone, and a step loses at most a few ulps, ~1e-15 * scale.  A
-    ConvexPolygon has area > EPS_REL * scale^2, and so has its bounding box,
-    w * h; NET_GRID_BYTES admits w * h / pitch^2 < 3.6M fine points (75
-    bytes a point at E >= 3), so pitch > 5e-10 * scale.
+    monotone, and a step loses at most a few ulps, ~1e-15 * scale, while
+    maximal_separated_net takes no pitch below 2^-40 * scale.
     """
     (x0, y0), (x1, y1) = P.bounding_box
     xs = x0 + pitch * np.arange(int(math.floor(float(x1 - x0) / pitch)) + 1)
@@ -355,6 +375,11 @@ def maximal_separated_net(P: ConvexPolygon, sep: float, *, limit: int | None = N
     points = sum((w / p + 1.0) * (h / p + 1.0) for p in (sep / 8.0, sep / 16.0))
     if points * (48 + 9 * P.n) > NET_GRID_BYTES:
         raise GeometryError(f"separation {sep:.6g} is too small: net grids of {points:.3g} points")
+    # a lattice step must stay thousands of ulps of the coordinates; on a
+    # polygon centred at the origin the budget above already holds the
+    # pitch over 5e-10 scale, as its area exceeds EPS_REL scale^2
+    if sep / 16.0 < 2.0**-40 * P.scale:
+        raise GeometryError(f"separation {sep:.6g} is below the resolution of coordinates near {P.scale:.6g}")
     sep = float(sep)
     net = _greedy_lattice(P, sep / 8.0, np.empty((0, 2)), sep, False, limit)
     if net.shape[0] == 0:

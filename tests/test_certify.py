@@ -195,6 +195,12 @@ class TestGridConstruction:
         clone = PartitionCertificate.from_json(cert.to_json())
         assert verify_certificate(clone, mu[3]).holds_all
 
+    def test_far_cells_are_polygons(self):
+        # the grid cells of a unit square 800,000 units off the origin pass
+        # the polygon checks at their own extent
+        cells = construct_partition(Rectangle(Point2(800000.0, 0.0), 0.5, 0.5, 0.0), 4, 2).cells
+        assert [cell.area for cell in cells] == [0.5, 0.5]
+
     def test_cell_budget_both_sides(self):
         # at the cap the grid is the best of GRID_CELLS cells; past it, the
         # same grid, whatever l, and the search never spans l

@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, report shape, determinism, config
 precedence, and the JSON/CSV number round trip."""
 
+import argparse
 import csv
 import io
 import json
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import spectral_certify
-from spectral_certify import certify, cli, fem, geometry, mesh
+from spectral_certify import bounds, certify, cli, fem, geometry, mesh
 from spectral_certify.bounds import rectangle_spectrum
 from spectral_certify.cli import (
     EXIT_CERTIFY,
@@ -476,6 +477,18 @@ class TestBoundsCommand:
         assert "lower_diameter" in rows[0]
         assert all("lower_diameter" not in row for row in rows[1:])
 
+    def test_small_square_far_from_origin(self, capsys, tmp_path):
+        # a 0.25 x 0.25 square 800,000 units off the origin is a polygon
+        path = tmp_path / "far.json"
+        verts = [[800000.0 + x, y] for x, y in ((0.125, 0.125), (-0.125, 0.125), (-0.125, -0.125), (0.125, -0.125))]
+        path.write_text(json.dumps({"vertices": verts}))
+        results = run_json(capsys, "bounds", "--domain", f"file:{path}")["results"]
+        assert results["area"] == 0.0625
+        assert results["diameter"] == pytest.approx(math.sqrt(0.125), rel=1e-15)
+        results = run_json(capsys, "certify", "--domain", f"file:{path}", "--k", "4", "--l", "2")["results"]
+        assert results["chain"]["holds_all"]
+        assert results["mu_l"] == pytest.approx(16.0 * math.pi**2, rel=1e-9)
+
     def test_csv_header(self, capsys):
         code, out, _ = run(capsys, "bounds", "--format", "csv")
         assert code == EXIT_OK
@@ -560,9 +573,8 @@ class TestCertifyCommand:
         ids=["off_centre", "turned_off_centre"],
     )
     def test_off_centre_square_certifies(self, capsys, tmp_path, vertices, k, l):
-        # far from the origin the grid's cells are too small for a polygon
-        # check at the domain's coordinate scale; the proof reads none, and
-        # the constant is the unit square's up to the rounding of the
+        # far from the origin the proof reads no cell polygon, and the
+        # constant is the unit square's up to the rounding of the
         # half-widths read from the file
         path = tmp_path / "square.json"
         path.write_text(json.dumps({"vertices": vertices}))
@@ -572,6 +584,23 @@ class TestCertifyCommand:
         assert res["C"] == pytest.approx(unit, rel=1e-9)
         reloaded = certify.PartitionCertificate.from_dict(res["certificate"])
         assert certify.verify_certificate(reloaded, res["mu_l"]).to_dict() == res["chain"]
+
+    def test_closed_form_evaluated_once(self, capsys, monkeypatch):
+        # mu_k and mu_l of the report, the searched constant and the
+        # verifier's own constant all read one evaluation of the square's
+        # mu_8388607 (the lattice count behind every closed form runs once)
+        calls = []
+        counted = bounds._counted
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_counted", spy)
+        bounds.rectangle_eigenvalue.cache_clear()
+        report = run_json(capsys, "certify", "--domain", "square", "--k", "8388607", "--l", "8388607")
+        assert len(calls) == 1
+        assert report["results"]["chain"]["holds_all"]
 
     def test_no_cell_polygons_or_diameters(self, capsys, monkeypatch, tmp_path):
         # the certificate is built, verified, printed, drawn and reloaded from
@@ -784,15 +813,19 @@ class TestConfigFile:
 
 class TestImport:
     @staticmethod
-    def imported(code, module="scipy.spatial"):
-        """Whether module is in sys.modules after running code in a fresh interpreter."""
+    def printed(code):
+        """The lines code prints in a fresh interpreter."""
         src = os.path.dirname(os.path.dirname(spectral_certify.__file__))
-        code += f"\nprint({module!r} in sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        return out.stdout.strip().splitlines()[-1]
+        return out.stdout.strip().splitlines()
+
+    @classmethod
+    def imported(cls, code, module="scipy.spatial"):
+        """Whether module is in sys.modules after running code in a fresh interpreter."""
+        return cls.printed(code + f"\nprint({module!r} in sys.modules)")[-1]
 
     def test_scipy_spatial_not_imported(self):
         # scipy.spatial (which pulls in scipy.special) would add ~0.1 s to
@@ -816,6 +849,34 @@ class TestImport:
         )
         assert self.imported(code) == "False"
 
+    def test_certificates_run_without_the_solver_stack(self):
+        # certify, bounds and verify use closed forms only; scipy.sparse.linalg
+        # and the scipy.linalg it loads (LAPACK, ARPACK, SuperLU) load at the
+        # first solve
+        code = (
+            "import sys, contextlib, io, json, spectral_certify.cli as c\n"
+            "from spectral_certify.certify import PartitionCertificate, verify_certificate\n"
+            "def run(*argv):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = c.main(list(argv))\n"
+            "    return code, out.getvalue()\n"
+            "def loaded():\n"
+            "    print([m in sys.modules for m in ('scipy.sparse.linalg', 'scipy.linalg')])\n"
+            "reports = [run('certify', '--domain', 'square', '--k', '24', '--l', '24'),\n"
+            "           run('certify', '--domain', 'rect:10:10', '--k', '40', '--l', '40', '--C', '0.5')]\n"
+            "assert [code for code, _ in reports] == [0, 4]\n"
+            "assert run('bounds')[0] == 0\n"
+            "for _, text in reports:\n"
+            "    results = json.loads(text)['results']\n"
+            "    cert = PartitionCertificate.from_json(json.dumps(results['certificate']))\n"
+            "    assert verify_certificate(cert, results['mu_l']).to_dict() == results['chain']\n"
+            "loaded()\n"
+            "assert run('spectrum', '--levels', '2')[0] == 0\n"
+            "loaded()"
+        )
+        assert self.printed(code) == ["[False, False]", "[True, True]"]
+
     def test_commands_run_without_scipy_special(self):
         # Bessel values are only needed by the disk oracle and the tests;
         # the diameter bound takes j_{0,1} as a constant
@@ -828,6 +889,35 @@ class TestImport:
             "    assert c.main(['sweep', '--domain', 'regular:6', '--k-max', '4', '--levels', '1']) == 0"
         )
         assert self.imported(code, "scipy.special") == "False"
+
+
+class TestParser:
+    def test_builds_only_the_commands_options(self, capsys, monkeypatch):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def spy(parser, *args, **kwargs):
+            added.extend(args)
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        run_json(capsys, "bounds", "--k-max", "2")
+        assert "--k-max" in added
+        others = {"--m", "--levels", "--k", "--l", "--C", "--svg", "--plot-dir", "--ratio-cap"}
+        assert not others & set(added)
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{spectrum,bounds,certify,sweep}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["certify", "--m", "3"], ["--bogus", "bounds"], ["bounds", "--bogus"]])
+    def test_unknown_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBenchmarkTracer:

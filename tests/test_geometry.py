@@ -78,6 +78,34 @@ class TestConvexPolygon:
         assert P.scale == size
         assert P.area == size * size
 
+    # a polygon 800,000 units off the origin, where coordinates are spaced
+    # 1.2e-10 apart
+    FAR = 800000.0
+
+    def test_small_polygon_far_from_origin(self):
+        # the tolerances follow the polygon's own extent and the rounding of
+        # coordinates where it sits, not its distance from the origin
+        P = ConvexPolygon(np.array(UNIT_SQUARE) * 0.25 + [self.FAR, 0.0])
+        assert P.n == 4
+        assert P.area == 0.0625
+        assert P.scale == self.FAR + 0.125
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ([[0.0, 0.0], [0.125, 0.0], [0.25, 0.0]], "degenerate"),  # flat
+            # collinear to within the coordinate spacing, and four collinear
+            ([[0.0, 0.0], [0.25, 0.0], [0.125, 1e-12]], "degenerate"),
+            ([[0.0, 0.0], [0.125, 0.0], [0.25, 0.0], [0.25, 1e-12]], "degenerate"),
+            (np.array(UNIT_SQUARE[::-1]) * 0.25, "counterclockwise"),
+            ([[0.0, 0.0], [1e-10, 0.0], [0.0, 1e-10]], "distinct"),  # one spacing wide
+        ],
+        ids=["flat", "sliver", "collinear", "clockwise", "unresolved"],
+    )
+    def test_degenerate_far_from_origin_rejected(self, vertices, message):
+        with pytest.raises(GeometryError, match=message):
+            ConvexPolygon(np.array(vertices) + [self.FAR, 0.0])
+
     def test_duplicate_vertices_dropped(self):
         p = ConvexPolygon([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1], [0, 0]])
         assert p.n == 4
