@@ -147,7 +147,8 @@ def rectangle_spectrum(half_width_a: float, half_width_b: float, count: int) -> 
 # constant it searches and again when it verifies the certificate from the
 # certificate's own fields; each read at k = 8388607 takes 2 ms.  The value
 # is a pure function of its arguments, so a small memo keyed by them serves
-# every read of one (a, b, k) from one evaluation.
+# every read of one (a, b, k) from one evaluation; cli.main clears it when
+# the command returns.
 @functools.lru_cache(maxsize=16)
 def rectangle_eigenvalue(half_width_a: float, half_width_b: float, k: int) -> float:
     """The k-th Neumann eigenvalue of a rectangle, bit for bit

@@ -555,6 +555,10 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFY
+    finally:
+        # the closed-form memo serves one command: a later command in the
+        # same process evaluates (and a verifier checks) its values anew
+        rectangle_eigenvalue.cache_clear()
 
 
 def entry() -> None:

@@ -23,8 +23,8 @@ EPS_REL = 1e-12
 # top, a product of two coordinates is at most s^2 = 1e300 and one of two
 # coordinate differences 4e300, so sums of a million of them stay finite (the
 # largest double is 1.8e308); at the bottom, EPS_REL s^2, the cross-product
-# tolerance of a polygon centred at the origin (_convex_cells), is the
-# smallest normal double.  Products of three coordinates
+# tolerance of a polygon about the origin (_tolerance), is the smallest
+# normal double.  Products of three coordinates
 # (the centroid) overflow from ~1e101 up, so the FEM meshes a copy of the
 # domain scaled to unit size (fem.neumann_spectrum).
 SCALE_MIN = math.sqrt(sys.float_info.min / EPS_REL)
@@ -77,6 +77,28 @@ def _closed_chains(counts: np.ndarray):
     return starts, np.repeat(np.arange(counts.size), counts), nxt
 
 
+def _tolerance(rel: float, scale, r):
+    """(t, L): the length tolerance t at relative tolerance rel, and the
+    length L that scales it, of polygons of scale s whose bounding box has
+    half its larger side r; numpy arrays or scalars, elementwise.
+
+    With u = 2^-53, a coordinate of magnitude <= s stands for its point to
+    within u s and the difference of two rounds by at most 2 u r, so an
+    edge vector is known to 4 u s a component and a length to well within
+    rho = 2^-47 s = 64 u s.  A cross or dot product of two edges
+    (components <= 2r) then moves by at most 4 (4 u s)(2r), and its two
+    products and their sum round by 16 u r^2 more: in all 48 u s r.
+    L = min(s, 2r) is the polygon's width, but no more than its scale, so
+    t = max(rel L, rho) and the product tolerance t L clear these roundings
+    (t L >= 64 u s min(s, 2r) >= 48 u s r, as r <= s).  Far from the
+    origin they follow the polygon's own size; for a polygon about the
+    origin (s <= 2r, so that its bounding box holds the origin or nearly
+    does) L = s, and they are rel s and rel s^2, as rel >= 1e-12 > 2^-47.
+    """
+    L = np.minimum(scale, 2.0 * r)
+    return np.maximum(rel * L, 2.0**-47 * scale), L
+
+
 def _convex_cells(v: np.ndarray, counts) -> list:
     """(vertices, area, scale) of each polygon of a batch given as one
     finite (N, 2) vertex array and the vertex count of each.  The checks
@@ -95,21 +117,10 @@ def _convex_cells(v: np.ndarray, counts) -> list:
             f"largest |coordinate| {bad[0]:.3g} is outside [{SCALE_MIN:.3g}, {SCALE_MAX:.3g}]"
         )
     vmin, vmax = np.minimum.reduceat(v, starts), np.maximum.reduceat(v, starts)
-    # Tolerances.  s is the scale, r half the larger side of the bounding
-    # box (r <= s) and u = 2^-53.  A coordinate of magnitude <= s stands for
-    # its point to within u s, and the difference of two rounds by at most
-    # u 2r, so an edge vector is known to 4 u s a component.  A cross product
-    # of two edges (components <= 2r) then moves by at most 4 (4 u s)(2r),
-    # and its two products and their difference round by 16 u r^2 more: in
-    # all 48 u s r < rho r with rho = 2^-47 s.  So a length is tested
-    # against EPS_REL r + rho, and a cross product against
-    # (EPS_REL r + rho) r plus the smallest normal double, so that one that
-    # passes carries full precision.  Both follow the polygon's own size
-    # wherever it sits; centred at the origin, r = s and they are EPS_REL s
-    # and EPS_REL s^2 up to the rounding terms.
     r = 0.5 * (vmax - vmin).max(axis=1)
-    tol_len = EPS_REL * r + 2.0**-47 * scale
-    tol_cross = tol_len * r + sys.float_info.min
+    tol_len, length = _tolerance(EPS_REL, scale, r)
+    # a cross product that passes carries full precision
+    tol_cross = np.maximum(tol_len * length, sys.float_info.min)
     # drop consecutive duplicates (closed chains, so compare to the previous)
     prev = np.arange(-1, v.shape[0] - 1)
     prev[starts] = starts + counts - 1
@@ -140,9 +151,11 @@ def _convex_cells(v: np.ndarray, counts) -> list:
     # products of at most m = max|x| max|y|, each of the n terms rounds by at
     # most 4 u m, and each addition by u (2 m + 8 r^2), as a partial sum is
     # twice a fan area from the origin; so the sum is known to
-    # 8 u n (m + r^2), and the area must clear twice that.
+    # 8 u n (m + r^2), and the area must clear twice that as well as the
+    # floor 2 tol_cross.  About the origin m + r^2 <= 2 s^2, so the floor,
+    # 2 EPS_REL s^2, is the larger below 563 vertices.
     m = np.maximum(np.abs(vmin), np.abs(vmax)).prod(axis=1)
-    if (area2 <= 2.0 * tol_cross + 2.0**-49 * counts * (m + r * r)).any():
+    if (area2 <= np.maximum(2.0 * tol_cross, 2.0**-49 * counts * (m + r * r))).any():
         raise GeometryError("polygon area is not positive")
     v.setflags(write=False)
     ends = (starts + counts).tolist()
@@ -376,7 +389,7 @@ def maximal_separated_net(P: ConvexPolygon, sep: float, *, limit: int | None = N
     if points * (48 + 9 * P.n) > NET_GRID_BYTES:
         raise GeometryError(f"separation {sep:.6g} is too small: net grids of {points:.3g} points")
     # a lattice step must stay thousands of ulps of the coordinates; on a
-    # polygon centred at the origin the budget above already holds the
+    # polygon about the origin the budget above already holds the
     # pitch over 5e-10 scale, as its area exceeds EPS_REL scale^2
     if sep / 16.0 < 2.0**-40 * P.scale:
         raise GeometryError(f"separation {sep:.6g} is below the resolution of coordinates near {P.scale:.6g}")
@@ -614,16 +627,17 @@ class Rectangle:
 
 def rectangle_from_polygon(P: ConvexPolygon) -> Rectangle | None:
     """Recognize P as a rectangle (4 corners, right angles, to 1e-9
-    relative); None otherwise."""
+    relative to P's size, _tolerance); None otherwise."""
     v = P.vertices
     if v.shape[0] != 4:
         return None
-    tol = 1e-9 * P.scale
+    lo, hi = P.bounding_box
+    tol, length = _tolerance(1e-9, P.scale, 0.5 * float((hi - lo).max()))
     e = np.roll(v, -1, axis=0) - v
     lengths = np.hypot(e[:, 0], e[:, 1])
     if abs(lengths[0] - lengths[2]) > tol or abs(lengths[1] - lengths[3]) > tol:
         return None
-    if abs(float(e[0] @ e[1])) > tol * P.scale:
+    if abs(float(e[0] @ e[1])) > tol * length:
         return None
     center = Point2(*v.mean(axis=0))
     rot = math.atan2(e[0, 1], e[0, 0])

@@ -585,6 +585,14 @@ class TestCertifyCommand:
         reloaded = certify.PartitionCertificate.from_dict(res["certificate"])
         assert certify.verify_certificate(reloaded, res["mu_l"]).to_dict() == res["chain"]
 
+    def test_off_centre_rhombus_uses_sandwich(self, capsys, tmp_path):
+        # a small rhombus far from the origin is not taken for a square
+        path = tmp_path / "rhombus.json"
+        path.write_text(json.dumps({"vertices": [[800000.5, 0.0], [800000.0, 0.3], [799999.5, 0.0], [800000.0, -0.3]]}))
+        res = run_json(capsys, "certify", "--domain", f"file:{path}", "--k", "4", "--l", "2")["results"]
+        assert "sandwich" in res
+        assert res["chain"]["holds_all"]
+
     def test_closed_form_evaluated_once(self, capsys, monkeypatch):
         # mu_k and mu_l of the report, the searched constant and the
         # verifier's own constant all read one evaluation of the square's
@@ -601,6 +609,10 @@ class TestCertifyCommand:
         report = run_json(capsys, "certify", "--domain", "square", "--k", "8388607", "--l", "8388607")
         assert len(calls) == 1
         assert report["results"]["chain"]["holds_all"]
+        # the memo lasts one command, so the next evaluates its own
+        assert bounds.rectangle_eigenvalue.cache_info().currsize == 0
+        run_json(capsys, "certify", "--domain", "square", "--k", "8388607", "--l", "8388607")
+        assert len(calls) == 2
 
     def test_no_cell_polygons_or_diameters(self, capsys, monkeypatch, tmp_path):
         # the certificate is built, verified, printed, drawn and reloaded from

@@ -106,6 +106,12 @@ class TestConvexPolygon:
         with pytest.raises(GeometryError, match=message):
             ConvexPolygon(np.array(vertices) + [self.FAR, 0.0])
 
+    def test_sliver_about_origin_rejected(self):
+        # about the origin the tolerances are those of the coordinate scale:
+        # corners turning by half of EPS_REL * scale^2 are not corners
+        with pytest.raises(GeometryError, match="degenerate"):
+            ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.5, 5e-13]])
+
     def test_duplicate_vertices_dropped(self):
         p = ConvexPolygon([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1], [0, 0]])
         assert p.n == 4
@@ -742,6 +748,28 @@ class TestRectangle:
         assert rectangle_from_polygon(regular_polygon(5)) is None
         trapezoid = ConvexPolygon([[0, 0], [2, 0], [1.5, 1], [0.5, 1]])
         assert rectangle_from_polygon(trapezoid) is None
+
+    def test_far_rectangle_recognised(self):
+        r = Rectangle(Point2(800000.0, 0.0), 0.25, 0.5, 0.3)
+        back = rectangle_from_polygon(r.polygon())
+        assert back is not None
+        assert back.half_width_a == pytest.approx(0.25, rel=1e-9)
+        assert back.half_width_b == pytest.approx(0.5, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            # equal sides, edges at a dot product of 0.16
+            [[800000.5, 0.0], [800000.0, 0.3], [799999.5, 0.0], [800000.0, -0.3]],
+            # a parallelogram leaning by 1e-6 over a unit side
+            [[800000.0, 0.0], [800001.0, 0.0], [800001.000001, 1.0], [800000.000001, 1.0]],
+        ],
+        ids=["rhombus", "parallelogram"],
+    )
+    def test_far_non_rectangles_rejected(self, vertices):
+        # the right-angle test is relative to the polygon's own size, not
+        # to its distance from the origin
+        assert rectangle_from_polygon(ConvexPolygon(vertices)) is None
 
     def test_diameter_and_area(self):
         r = Rectangle(Point2(0, 0), 1.0, 2.0, 0.1)
