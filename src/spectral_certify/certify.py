@@ -131,7 +131,8 @@ class ChainReport:
 
     def to_dict(self) -> dict:
         return {
-            "links": [dataclasses.asdict(link) for link in self.links],
+            # each link's fields, shallow: dataclasses.asdict deep-copies them
+            "links": [dict(vars(link)) for link in self.links],
             "holds_all": self.holds_all,
         }
 
@@ -422,10 +423,11 @@ def quadratic_ratio_sweep(spec: Spectrum, k_max: int) -> SweepTable:
 
 
 def weak_chain_report(
-    domain_spectrum: Spectrum, sandwich: geometry.BoxSandwich, k: int, ratio_cap: float
-) -> ChainReport:
-    """Trace mu_{k+1} against mu_k of a domain, given by its spectrum of
-    k + 2 or more values, through a box sandwich of the domain.
+    domain_spectrum: Spectrum, sandwich: geometry.BoxSandwich, k_max: int, ratio_cap: float
+) -> dict:
+    """Trace mu_{k+1} against mu_k of a domain, for each 1 <= k <= k_max,
+    through a box sandwich of the domain: {k: ChainReport}, from a domain
+    spectrum of k_max + 2 or more values.
 
     The chain runs: domain to inner box by monotonicity (factor 4 = 2^2 in
     the plane), inner to outer box by exact scaling, consecutive
@@ -433,51 +435,50 @@ def weak_chain_report(
     doubled box, then back.  Links record measured ratios against
     reference constant 1, so holds is informational for the inequalities
     that are only true up to constants; the comparison of mu_{k+1} with
-    ratio_cap mu_k is the gating link.
+    ratio_cap mu_k is the gating link.  The box and torus spectra are
+    listed once, at k_max + 2 values; a listing is bit for bit the prefix
+    of a longer one, so each chain reads what a listing of k + 2 gives.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise CertificationError("k must be an integer >= 1")
-    if len(domain_spectrum) < k + 2:
-        raise CertificationError("domain spectrum too short for the requested k")
+    if not isinstance(k_max, (int, np.integer)) or k_max < 1:
+        raise CertificationError("k_max must be an integer >= 1")
+    if len(domain_spectrum) < k_max + 2:
+        raise CertificationError("domain spectrum too short for the requested k_max")
     inner, outer = sandwich.inner, sandwich.outer
     delta = sandwich.dilation_factor
-    inner_spec = rectangle_spectrum(inner.half_width_a, inner.half_width_b, k + 2)
-    outer_spec = rectangle_spectrum(outer.half_width_a, outer.half_width_b, k + 2)
-    torus = torus_spectrum(4.0 * inner.half_width_a, 4.0 * inner.half_width_b, k + 2)
-    mu_dom_k = domain_spectrum[k]
-    mu_dom_k1 = domain_spectrum[k + 1]
-    links = [
-        ChainLink.check("sandwich_dilation", delta, 8.0),
-        # domain monotonicity: restriction shrinks to the inner box at cost 2^2
-        ChainLink.check(
-            "domain_to_inner_box", mu_dom_k1, 4.0 * inner_spec[k + 1]
-        ),
-        # boxes are exact dilates: spectra scale by delta^2
-        ChainLink.check(
-            "inner_outer_scaling",
-            abs(inner_spec[k + 1] - delta**2 * outer_spec[k + 1]),
-            GEOMETRY_RTOL * inner_spec[k + 1],
-        ),
-        # consecutive ratio on the inner box, reference constant 1
-        ChainLink.check("inner_box_consecutive", inner_spec[k + 1], inner_spec[k]),
-        # outer box back to the domain by monotonicity
-        ChainLink.check("outer_box_to_domain", outer_spec[k], 4.0 * mu_dom_k),
-        # gating link: end-to-end consecutive-eigenvalue ratio under the cap
-        ChainLink.check(
-            "consecutive_ratio_capped", mu_dom_k1, ratio_cap * max(mu_dom_k, 0.0)
-        ),
-    ]
-    # doubled-box torus spectrum against the box spectrum, index by index;
-    # the torus repeats values with extra sign multiplicity, so equality of
-    # the two lists is not expected and the mismatch count is reported
-    mismatches = 0
-    for j in range(k + 2):
-        t, r = torus[j], inner_spec[j]
-        scale = max(r, 1.0)
-        if abs(t - r) > 1e-9 * scale:
-            mismatches += 1
-        links.append(ChainLink.check(f"torus_vs_box[{j}]", t, max(r, 0.0)))
-    links.append(
-        ChainLink.check("torus_multiplicity_mismatches", float(mismatches), float(k + 2))
-    )
-    return ChainReport(links=links)
+    inner_spec = rectangle_spectrum(inner.half_width_a, inner.half_width_b, k_max + 2)
+    outer_spec = rectangle_spectrum(outer.half_width_a, outer.half_width_b, k_max + 2)
+    torus = torus_spectrum(4.0 * inner.half_width_a, 4.0 * inner.half_width_b, k_max + 2)
+    chains = {}
+    for k in range(1, k_max + 1):
+        mu_dom_k = domain_spectrum[k]
+        mu_dom_k1 = domain_spectrum[k + 1]
+        links = [
+            ChainLink.check("sandwich_dilation", delta, 8.0),
+            # domain monotonicity: restriction shrinks to the inner box at cost 2^2
+            ChainLink.check("domain_to_inner_box", mu_dom_k1, 4.0 * inner_spec[k + 1]),
+            # boxes are exact dilates: spectra scale by delta^2
+            ChainLink.check(
+                "inner_outer_scaling",
+                abs(inner_spec[k + 1] - delta**2 * outer_spec[k + 1]),
+                GEOMETRY_RTOL * inner_spec[k + 1],
+            ),
+            # consecutive ratio on the inner box, reference constant 1
+            ChainLink.check("inner_box_consecutive", inner_spec[k + 1], inner_spec[k]),
+            # outer box back to the domain by monotonicity
+            ChainLink.check("outer_box_to_domain", outer_spec[k], 4.0 * mu_dom_k),
+            # gating link: end-to-end consecutive-eigenvalue ratio under the cap
+            ChainLink.check("consecutive_ratio_capped", mu_dom_k1, ratio_cap * max(mu_dom_k, 0.0)),
+        ]
+        # doubled-box torus spectrum against the box spectrum, index by index;
+        # the torus repeats values with extra sign multiplicity, so equality of
+        # the two lists is not expected and the mismatch count is reported
+        mismatches = 0
+        for j in range(k + 2):
+            t, r = torus[j], inner_spec[j]
+            scale = max(r, 1.0)
+            if abs(t - r) > 1e-9 * scale:
+                mismatches += 1
+            links.append(ChainLink.check(f"torus_vs_box[{j}]", t, max(r, 0.0)))
+        links.append(ChainLink.check("torus_multiplicity_mismatches", float(mismatches), float(k + 2)))
+        chains[k] = ChainReport(links=links)
+    return chains

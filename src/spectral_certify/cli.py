@@ -140,7 +140,7 @@ REPORT_BYTES = 2**28
 SWEEP_ENTRY_BYTES = 2100
 BOUNDS_ROW_BYTES = 1400
 
-# geometry.diameters compares the n^2 / 2 vertex pairs of an n-gon domain in
+# geometry.diameter compares the n^2 / 2 vertex pairs of an n-gon domain in
 # O(n) memory, so the limit bounds time: bounds takes 0.26 s at 10,000 vertices
 # and 3.4 s at 33,440 (in process, over the limit).  At 3344 vertices bounds,
 # certify and sweep --levels 1 each take under 1 s and peak at 61-73 MiB of RSS.
@@ -358,9 +358,7 @@ def _sweep_single(name: str, P: ConvexPolygon, k_max: int, levels: int, ratio_ca
     # and one box sandwich serves every chain; a rectangle is its own
     rect = rectangle_from_polygon(P)
     sandwich = BoxSandwich(rect, rect, 1.0) if rect is not None else rectangle_sandwich(P)
-    chains = {}
-    for k in range(1, min(k_max, 10) + 1):
-        chains[k] = weak_chain_report(domain_spectrum, sandwich, k, ratio_cap).to_dict()
+    chains = weak_chain_report(domain_spectrum, sandwich, min(k_max, 10), ratio_cap)
     elapsed = time.perf_counter() - t0
     return {
         "domain": name,
@@ -377,7 +375,7 @@ def _sweep_single(name: str, P: ConvexPolygon, k_max: int, levels: int, ratio_ca
             }
             for e in table.entries
         ],
-        "chains": chains,
+        "chains": {k: chain.to_dict() for k, chain in chains.items()},
         "elapsed_s": elapsed,
     }
 

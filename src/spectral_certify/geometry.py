@@ -7,7 +7,6 @@ object; the base relative tolerance is ``EPS_REL``.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -77,10 +76,10 @@ def _closed_chains(counts: np.ndarray):
     return starts, np.repeat(np.arange(counts.size), counts), nxt
 
 
-def _tolerance(rel: float, scale, r):
+def _tolerance(rel: float, scale: float, r: float):
     """(t, L): the length tolerance t at relative tolerance rel, and the
-    length L that scales it, of polygons of scale s whose bounding box has
-    half its larger side r; numpy arrays or scalars, elementwise.
+    length L that scales it, of a polygon of scale s whose bounding box has
+    half its larger side r.
 
     With u = 2^-53, a coordinate of magnitude <= s stands for its point to
     within u s and the difference of two rounds by at most 2 u r, so an
@@ -95,58 +94,41 @@ def _tolerance(rel: float, scale, r):
     origin (s <= 2r, so that its bounding box holds the origin or nearly
     does) L = s, and they are rel s and rel s^2, as rel >= 1e-12 > 2^-47.
     """
-    L = np.minimum(scale, 2.0 * r)
-    return np.maximum(rel * L, 2.0**-47 * scale), L
+    L = min(scale, 2.0 * r)
+    return max(rel * L, 2.0**-47 * scale), L
 
 
-def _convex_cells(v: np.ndarray, counts) -> list:
-    """(vertices, area, scale) of each polygon of a batch given as one
-    finite (N, 2) vertex array and the vertex count of each.  The checks
-    are ConvexPolygon's, each elementwise or an exact per-polygon
-    reduction, so a polygon comes out bit for bit as it does alone; a
-    failure raises GeometryError without naming the polygon."""
-    counts = np.asarray(counts, dtype=np.intp)
-    if (counts < 3).any():
+def _convex_cell(v: np.ndarray):
+    """(vertices, area, scale) of the convex polygon with the finite (n, 2)
+    vertex array v, or GeometryError: ConvexPolygon's checks."""
+    n = v.shape[0]
+    if n < 3:
         raise GeometryError("a polygon needs at least 3 vertices")
-    starts, owner, _ = _closed_chains(counts)
-    scale = np.maximum.reduceat(np.abs(v).max(axis=1), starts)
+    scale = float(np.abs(v).max())
     # a zero scale (a point) fails as fewer than 3 distinct vertices below
-    bad = scale[(scale > 0.0) & ((scale < SCALE_MIN) | (scale > SCALE_MAX))]
-    if bad.size:
+    if scale > 0.0 and (scale < SCALE_MIN or scale > SCALE_MAX):
         raise GeometryError(
-            f"largest |coordinate| {bad[0]:.3g} is outside [{SCALE_MIN:.3g}, {SCALE_MAX:.3g}]"
+            f"largest |coordinate| {scale:.3g} is outside [{SCALE_MIN:.3g}, {SCALE_MAX:.3g}]"
         )
-    vmin, vmax = np.minimum.reduceat(v, starts), np.maximum.reduceat(v, starts)
-    r = 0.5 * (vmax - vmin).max(axis=1)
+    vmin, vmax = v.min(axis=0), v.max(axis=0)
+    r = 0.5 * float((vmax - vmin).max())
     tol_len, length = _tolerance(EPS_REL, scale, r)
     # a cross product that passes carries full precision
-    tol_cross = np.maximum(tol_len * length, sys.float_info.min)
-    # drop consecutive duplicates (closed chains, so compare to the previous)
-    prev = np.arange(-1, v.shape[0] - 1)
-    prev[starts] = starts + counts - 1
-    d = v - v[prev]
-    keep = np.hypot(d[:, 0], d[:, 1]) > tol_len[owner]
-    v = v[keep]
-    counts = np.bincount(owner[keep], minlength=counts.size)
-    if (counts < 3).any():
+    tol_cross = max(tol_len * length, sys.float_info.min)
+    # drop consecutive duplicates (a closed chain, so compare to the previous)
+    d = v - np.roll(v, 1, axis=0)
+    v = v[np.hypot(d[:, 0], d[:, 1]) > tol_len]
+    if v.shape[0] < 3:
         raise GeometryError("polygon degenerates to fewer than 3 distinct vertices")
-    starts, owner, nxt = _closed_chains(counts)
-    w = v[nxt]
+    w = np.roll(v, -1, axis=0)
     e = w - v
-    e_nxt = e[nxt]
+    e_nxt = np.roll(e, -1, axis=0)
     cross = e[:, 0] * e_nxt[:, 1] - e[:, 1] * e_nxt[:, 0]
-    tol = tol_cross[owner]
-    if (cross < -tol).any():
+    if (cross < -tol_cross).any():
         raise GeometryError("vertices are not in convex counterclockwise order")
-    if (np.bincount(owner[cross > tol], minlength=counts.size) < 3).any():
+    if np.count_nonzero(cross > tol_cross) < 3:
         raise GeometryError("polygon is degenerate (fewer than 3 strict corners)")
-    # the shoelace terms of the polygons of one vertex count are summed as the
-    # rows of one array, which rounds as np.sum of each row does (reduceat does not)
-    terms = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-    area2 = np.empty(counts.size)
-    for n in set(counts.tolist()):
-        same = np.flatnonzero(counts == n)
-        area2[same] = terms[starts[same, None] + np.arange(n)].sum(axis=1)
+    area2 = float((v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]).sum())
     # The shoelace sum is taken at the coordinates themselves.  With
     # products of at most m = max|x| max|y|, each of the n terms rounds by at
     # most 4 u m, and each addition by u (2 m + 8 r^2), as a partial sum is
@@ -154,13 +136,11 @@ def _convex_cells(v: np.ndarray, counts) -> list:
     # 8 u n (m + r^2), and the area must clear twice that as well as the
     # floor 2 tol_cross.  About the origin m + r^2 <= 2 s^2, so the floor,
     # 2 EPS_REL s^2, is the larger below 563 vertices.
-    m = np.maximum(np.abs(vmin), np.abs(vmax)).prod(axis=1)
-    if (area2 <= np.maximum(2.0 * tol_cross, 2.0**-49 * counts * (m + r * r))).any():
+    m = float(np.maximum(np.abs(vmin), np.abs(vmax)).prod())
+    if area2 <= max(2.0 * tol_cross, 2.0**-49 * v.shape[0] * (m + r * r)):
         raise GeometryError("polygon area is not positive")
     v.setflags(write=False)
-    ends = (starts + counts).tolist()
-    cells = [v[lo:hi] for lo, hi in zip(starts.tolist(), ends)]
-    return list(zip(cells, (0.5 * area2).tolist(), scale.tolist()))
+    return v, 0.5 * area2, scale
 
 
 class ConvexPolygon:
@@ -173,32 +153,18 @@ class ConvexPolygon:
     """
 
     def __init__(self, vertices):
-        verts = _as_points(vertices)
-        ((self.vertices, self._area, self._scale),) = _convex_cells(verts, [verts.shape[0]])
+        self.vertices, self._area, self._scale = _convex_cell(_as_points(vertices))
 
     @classmethod
     def many(cls, vertex_lists) -> list:
-        """Polygons of a list of vertex lists, validated as one batch: each
-        is bit for bit ConvexPolygon(vertices), and a GeometryError names
-        the first bad list."""
-        try:
-            counts = [len(v) for v in vertex_lists]
-            if not counts:
-                return []
-            flat = np.array(list(itertools.chain.from_iterable(vertex_lists)), dtype=float)
-            batch = _convex_cells(_as_points(flat), counts)
-        except (TypeError, ValueError):  # GeometryError is a ValueError
-            for i, verts in enumerate(vertex_lists):
-                try:
-                    cls(verts)
-                except GeometryError as exc:
-                    raise GeometryError(f"cell {i}: {exc}") from None
-            raise
+        """Polygons of a list of vertex lists; a GeometryError names the
+        first bad list."""
         out = []
-        for fields in batch:
-            P = cls.__new__(cls)
-            P.vertices, P._area, P._scale = fields
-            out.append(P)
+        for i, verts in enumerate(vertex_lists):
+            try:
+                out.append(cls(verts))
+            except GeometryError as exc:
+                raise GeometryError(f"cell {i}: {exc}") from None
         return out
 
     @property
@@ -230,11 +196,18 @@ class ConvexPolygon:
         v = self.vertices
         return _halfplanes(v, np.concatenate((v[1:], v[:1])))
 
+    def _size_tolerance(self, rel: float):
+        """_tolerance at rel for this polygon: (t, L) from its scale and
+        bounding box."""
+        lo, hi = self.bounding_box
+        return _tolerance(rel, self._scale, 0.5 * float((hi - lo).max()))
+
     def contains_points(self, points):
-        """Mask of the points inside, to within EPS_REL * scale."""
+        """Mask of the points inside, to within the polygon's length
+        tolerance at EPS_REL (_tolerance)."""
         pts = _as_points(points)
         normals, offsets = self.edge_halfplanes()
-        return _kernels.points_in_halfplanes(pts, normals, offsets, EPS_REL * self._scale)
+        return _kernels.points_in_halfplanes(pts, normals, offsets, self._size_tolerance(EPS_REL)[0])
 
     def __repr__(self):
         return f"ConvexPolygon(n={self.n}, area={self._area:.6g})"
@@ -251,23 +224,18 @@ def regular_polygon(n: int, circumradius: float = 1.0) -> ConvexPolygon:
     return ConvexPolygon(verts)
 
 
-def diameters(v) -> np.ndarray:
-    """Largest pairwise vertex distance of each polygon of a (cells, n, 2)
-    vertex array (its diameter, as the polygons are convex): vertex i
-    against i + s for one cyclic offset 1 <= s <= n/2 at a time, which
-    meets every pair of vertices in O(cells x n) memory."""
-    n = v.shape[1]
-    twice = np.concatenate([v, v], axis=1)
-    d2 = np.zeros(v.shape[0])
-    for s in range(1, n // 2 + 1):
-        d = v - twice[:, s : s + n]
-        d2 = np.maximum(d2, (d[:, :, 0] ** 2 + d[:, :, 1] ** 2).max(axis=1))
-    return np.sqrt(d2)
-
-
 def diameter(P: ConvexPolygon) -> float:
-    """Largest pairwise vertex distance (equals the set diameter for convex P)."""
-    return float(diameters(P.vertices[None])[0])
+    """Largest pairwise vertex distance (the set diameter, as P is convex):
+    vertex i against i + s for one cyclic offset 1 <= s <= n/2 at a time,
+    which meets every pair of vertices in O(n) memory."""
+    v = P.vertices
+    n = v.shape[0]
+    twice = np.concatenate([v, v])
+    d2 = 0.0
+    for s in range(1, n // 2 + 1):
+        d = v - twice[s : s + n]
+        d2 = max(d2, float((d[:, 0] ** 2 + d[:, 1] ** 2).max()))
+    return math.sqrt(d2)
 
 
 def _clip_halfplane(verts, a: float, b: float, c: float, tol: float):
@@ -428,7 +396,7 @@ class VoronoiPartition:
         _, owner, nxt = _closed_chains(np.array([c.n for c in self.cells]))
         v = np.concatenate([c.vertices for c in self.cells])
         normals, offsets = _halfplanes(v, v[nxt])
-        tol = EPS_REL * np.array([c.scale for c in self.cells])[owner]
+        tol = np.array([c._size_tolerance(EPS_REL)[0] for c in self.cells])[owner]
         outside = (normals * self.sites[owner]).sum(axis=1) > offsets + tol
         if outside.any():
             raise GeometryError(f"cell {owner[outside].min()} does not contain its site")
@@ -631,8 +599,7 @@ def rectangle_from_polygon(P: ConvexPolygon) -> Rectangle | None:
     v = P.vertices
     if v.shape[0] != 4:
         return None
-    lo, hi = P.bounding_box
-    tol, length = _tolerance(1e-9, P.scale, 0.5 * float((hi - lo).max()))
+    tol, length = P._size_tolerance(1e-9)
     e = np.roll(v, -1, axis=0) - v
     lengths = np.hypot(e[:, 0], e[:, 1])
     if abs(lengths[0] - lengths[2]) > tol or abs(lengths[1] - lengths[3]) > tol:

@@ -33,11 +33,12 @@ def polygon_to_json(P) -> dict:
     return {"vertices": P.vertices.tolist()}
 
 
-def pairwise_diameters(v) -> np.ndarray:
-    """geometry.diameters of a (cells, n, 2) vertex array from n x n x 2
-    difference arrays; 24 n^2 bytes a polygon."""
-    d2 = ((v[:, :, None, :] - v[:, None, :, :]) ** 2).sum(axis=3)
-    return np.sqrt(d2.max(axis=(1, 2)))
+def pairwise_diameters(P) -> float:
+    """geometry.diameter of a polygon from its n x n x 2 difference array;
+    24 n^2 bytes."""
+    v = P.vertices
+    d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
+    return float(np.sqrt(d2.max()))
 
 
 def partition_radius(k: int, l: int, C: float, mu_k: float) -> float:

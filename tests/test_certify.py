@@ -7,6 +7,7 @@ tampered certificate must fail a chain link or state a constant that its
 grid proves.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -32,6 +33,7 @@ from spectral_certify.certify import (
 )
 from spectral_certify.cli import parse_domain
 from spectral_certify.geometry import (
+    ConvexPolygon,
     Point2,
     Rectangle,
     inner_offset,
@@ -63,7 +65,7 @@ SEARCH_CASES = [
 def square_chain(k, ratio_cap=100.0):
     """weak_chain_report on the unit square, from its closed-form spectrum."""
     sandwich = rectangle_sandwich(UNIT_SQUARE.polygon())
-    return weak_chain_report(rectangle_spectrum(0.5, 0.5, k + 2), sandwich, k, ratio_cap)
+    return weak_chain_report(rectangle_spectrum(0.5, 0.5, k + 2), sandwich, k, ratio_cap)[k]
 
 
 def link_by_name(report, name):
@@ -631,12 +633,12 @@ class TestWeakChain:
     def test_fem_domain_and_precomputed_spectrum(self):
         pent = regular_polygon(5)
         sandwich = rectangle_sandwich(pent)
-        report = weak_chain_report(reference_spectrum(pent, 3, 3), sandwich, 1, 100.0)
+        report = weak_chain_report(reference_spectrum(pent, 3, 3), sandwich, 1, 100.0)[1]
         assert link_by_name(report, "sandwich_dilation").lhs in (1.0, 2.0, 4.0, 8.0)
         from spectral_certify.fem import neumann_spectrum
 
         spec = neumann_spectrum(pent, 4, 3)
-        report2 = weak_chain_report(spec, sandwich, 1, 100.0)
+        report2 = weak_chain_report(spec, sandwich, 1, 100.0)[1]
         gate1 = link_by_name(report, "consecutive_ratio_capped")
         gate2 = link_by_name(report2, "consecutive_ratio_capped")
         assert gate2.lhs == pytest.approx(gate1.lhs, rel=1e-12)
@@ -649,6 +651,31 @@ class TestWeakChain:
         spec = rectangle_spectrum(0.5, 0.5, 3)
         with pytest.raises(CertificationError):
             weak_chain_report(spec, rectangle_sandwich(UNIT_SQUARE.polygon()), 2, 100.0)
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            UNIT_SQUARE.polygon(),
+            Rectangle(Point2(0.3, -0.2), 5.0, 0.5, 0.4).polygon(),
+            regular_polygon(5),
+            regular_polygon(256),
+            ConvexPolygon([[0.0, 0.0], [3.0, 0.2], [2.0, 1.5], [0.1, 0.9]]),
+        ],
+        ids=["square", "rect_10x1", "regular_5", "regular_256", "quadrilateral"],
+    )
+    def test_chains_match_per_k_listings(self, P):
+        # the box and torus spectra are listed once, at k_max + 2 values;
+        # each chain must come out as from its own listing of k + 2, and its
+        # dict as dataclasses.asdict gives its links
+        sandwich = rectangle_sandwich(P)
+        spec = rectangle_spectrum(0.7, 1.1, 12)  # any ascending spectrum of 12
+        chains = weak_chain_report(spec, sandwich, 10, 100.0)
+        assert list(chains) == list(range(1, 11))
+        for k, chain in chains.items():
+            alone = weak_chain_report(spec, sandwich, k, 100.0)[k]
+            assert json.dumps(chain.to_dict()) == json.dumps(alone.to_dict())
+            links = [dataclasses.asdict(link) for link in alone.links]
+            assert json.dumps(chain.to_dict()) == json.dumps({"links": links, "holds_all": alone.holds_all})
 
 
 class TestChainLink:

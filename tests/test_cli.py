@@ -621,8 +621,9 @@ class TestCertifyCommand:
             raise AssertionError("a cell polygon was built or measured")
 
         monkeypatch.setattr(geometry.ConvexPolygon, "many", forbidden)
-        monkeypatch.setattr(geometry, "diameters", forbidden)
-        monkeypatch.setattr(certify, "diameters", forbidden, raising=False)
+        monkeypatch.setattr(geometry, "diameter", forbidden)
+        monkeypatch.setattr(certify, "diameter", forbidden, raising=False)
+        monkeypatch.setattr(cli, "diameter", forbidden)
         for argv in (["--k", "24", "--l", "24"], ["--k", "8388607", "--l", "8388607"], ["--k", "40", "--l", "40", "--C", "0.5"]):
             code, out, err = run(capsys, "certify", "--domain", "rect:10:10", *argv, "--svg", str(tmp_path / "grid.svg"))
             assert code in (EXIT_OK, EXIT_CERTIFY), err

@@ -18,7 +18,6 @@ from spectral_certify.geometry import (
     VoronoiPartition,
     ball_packing_count,
     diameter,
-    diameters,
     inner_offset,
     maximal_separated_net,
     polygon_from_json,
@@ -89,6 +88,34 @@ class TestConvexPolygon:
         assert P.n == 4
         assert P.area == 0.0625
         assert P.scale == self.FAR + 0.125
+
+    def test_containment_far_from_origin(self):
+        # 1e-7 outside the right edge is 4e-7 of the side: outside, though
+        # within EPS_REL x the largest |coordinate| (8e-7)
+        P = ConvexPolygon(np.array(UNIT_SQUARE) * 0.25 + [self.FAR, 0.0])
+        assert P.contains_points([[self.FAR + 0.125 + 1e-7, 0.0]]).tolist() == [False]
+        assert P.contains_points([[self.FAR + 0.125, 0.0], [self.FAR, 0.1]]).tolist() == [True, True]
+        # a partition tests its sites with the same tolerance
+        VoronoiPartition(P, [[self.FAR + 0.125, 0.0]], [P])
+        with pytest.raises(GeometryError, match="does not contain its site"):
+            VoronoiPartition(P, [[self.FAR + 0.125 + 1e-7, 0.0]], [P])
+
+    @pytest.mark.parametrize(
+        "P",
+        [ConvexPolygon(UNIT_SQUARE), regular_polygon(7, 3.0), ConvexPolygon([[0, 0], [1e3, 0], [1e3, 1e-3]])],
+        ids=["square", "heptagon", "sliver"],
+    )
+    def test_containment_about_origin_at_scale_tolerance(self, P):
+        # a polygon whose bounding box holds the origin tests points to
+        # within EPS_REL x its largest |coordinate|: points pushed out of
+        # each edge by 0.5 and 1.5 times that tolerance, and in by 0.5
+        normals, offsets = P.edge_halfplanes()
+        tol = geometry.EPS_REL * P.scale
+        mid = 0.5 * (P.vertices + np.roll(P.vertices, -1, axis=0))
+        pts = np.concatenate([mid + f * tol * normals for f in (-0.5, 0.5, 1.5)])
+        expected = _kernels.points_in_halfplanes(pts, normals, offsets, tol)
+        assert P.contains_points(pts).tolist() == expected.tolist()
+        assert expected.sum() == 2 * P.n
 
     @pytest.mark.parametrize(
         "vertices, message",
@@ -213,15 +240,8 @@ class TestConvexPolygon:
         _, cells = self._batches(monkeypatch)
         cells += ConvexPolygon.many(self._random_polygons())
         cells += [regular_polygon(n, r) for n, r in ((7, 1e-9), (256, 3.0), (1001, 1.0))]
-        # diameters takes the polygons of one vertex count as one array
-        for n in {P.n for P in cells}:
-            v = np.stack([P.vertices for P in cells if P.n == n])
-            got = diameters(v)
-            assert got.shape == (v.shape[0],)
-            assert got.tobytes() == pairwise_diameters(v).tobytes()
-            for d, P in zip(got.tolist(), (P for P in cells if P.n == n)):
-                assert d == diameter(P)
-        assert diameters(np.empty((0, 4, 2))).shape == (0,)
+        for P in cells:
+            assert diameter(P) == pairwise_diameters(P)
 
     @pytest.mark.parametrize(
         "bad",
