@@ -56,8 +56,9 @@ CERTIFICATE_SCHEMA = 3
 
 # The largest index certify takes and a certificate may state: a reader may
 # list the k + 1 closed-form values to check mu_k (the verifier counts them)
-# in 2^28 bytes at 32 bytes a value; rectangle_spectrum peaks at 25 traced
-# bytes a value (2,000,001 values of the square, Spectrum checks included).
+# in 2^28 bytes at 32 bytes a value; rectangle_spectrum peaks at 32 traced
+# bytes a value, its listing and the Spectrum's own copy, plus 3.2 kB
+# (2,000,001 and 8,388,608 values of the square).
 INDEX_LIMIT = 2**28 // 32 - 1
 
 # The grid is capped at GRID_CELLS cells, so a larger l gets the best grid
@@ -285,7 +286,8 @@ def grid_corners(domain: Rectangle, l: int):
     """Counterclockwise corners, shape (n_x n_y, 4, 2), of the box grid of
     the rectangle for index l, with n_x boxes along the half_width_a axis;
     neighbouring boxes share their corners bit for bit.  Returns the
-    corners, n_x and n_y."""
+    corners, n_x, n_y and the boxes' squared diagonal D^2 = (2a / n_x)^2 +
+    (2b / n_y)^2, the same for every centre and rotation."""
     a, b = domain.half_width_a, domain.half_width_b
     nx, ny = grid_shape(a, b, l)
     x = np.linspace(-a, a, nx + 1)
@@ -293,22 +295,15 @@ def grid_corners(domain: Rectangle, l: int):
     u, v = domain.axes
     pts = domain.center.array + x[:, None, None] * u + y[None, :, None] * v
     corners = np.stack([pts[1:, 1:], pts[:-1, 1:], pts[:-1, :-1], pts[1:, :-1]], axis=2)
-    return corners.reshape(-1, 4, 2), nx, ny
+    return corners.reshape(-1, 4, 2), nx, ny, (2.0 * a / nx) ** 2 + (2.0 * b / ny) ** 2
 
 
-def _cell_diagonal_squared(domain: Rectangle, l: int) -> float:
-    """D^2 = (2a / n_x)^2 + (2b / n_y)^2 of the boxes of the grid of
-    (domain, l): the same for every centre and rotation."""
-    a, b = domain.half_width_a, domain.half_width_b
-    nx, ny = grid_shape(a, b, l)
-    return (2.0 * a / nx) ** 2 + (2.0 * b / ny) ** 2
-
-
-def proved_constant(domain: Rectangle, k: int, l: int) -> float:
+def proved_constant(domain: Rectangle, k: int, l: int, d2: float) -> float:
     """C_proved = mu_k^+ D^2 l^2 / (pi^2 k^2) of the grid of (domain, l),
-    mu_k^+ the closed form rounded up by MU_MARGIN."""
+    given its D^2 = d2 from grid_corners, and mu_k^+ the closed form
+    rounded up by MU_MARGIN."""
     mu_k = rectangle_eigenvalue(domain.half_width_a, domain.half_width_b, k)
-    return (1.0 + MU_MARGIN) * mu_k * _cell_diagonal_squared(domain, l) * l**2 / (math.pi**2 * k**2)
+    return (1.0 + MU_MARGIN) * mu_k * d2 * l**2 / (math.pi**2 * k**2)
 
 
 def construct_partition(domain: Rectangle, k: int, l: int, C: float | None = None) -> PartitionCertificate:
@@ -321,7 +316,7 @@ def construct_partition(domain: Rectangle, k: int, l: int, C: float | None = Non
     if not (k >= l >= 1):
         raise CertificationError("need k >= l >= 1")
     a, b = domain.half_width_a, domain.half_width_b
-    corners, nx, ny = grid_corners(domain, l)
+    corners, nx, ny, d2 = grid_corners(domain, l)
     notes = (
         f"grid case: {nx} x {ny} boxes of {2.0 * a / nx:.6g} x {2.0 * b / ny:.6g} "
         f"over a domain of half-widths ({a:.6g}, {b:.6g}); the lower bound applies "
@@ -332,7 +327,7 @@ def construct_partition(domain: Rectangle, k: int, l: int, C: float | None = Non
         domain=domain,
         k=int(k),
         l=int(l),
-        C=float(proved_constant(domain, k, l) if C is None else C),
+        C=float(proved_constant(domain, k, l, d2) if C is None else C),
         corners=corners,
         chain_ok=corners.shape[0] <= l,
         notes=notes,
@@ -348,10 +343,10 @@ def verify_certificate(cert: PartitionCertificate, mu_l_reference: float) -> Cha
     lower = proved = math.inf
     same_grid = False
     if 1 <= cert.l <= cert.k <= INDEX_LIMIT:
-        rebuilt = grid_corners(cert.domain, cert.l)[0]
+        rebuilt, _, _, d2 = grid_corners(cert.domain, cert.l)
         same_grid = cert.corners.shape == rebuilt.shape and cert.corners.tobytes() == rebuilt.tobytes()
-        lower = payne_weinberger_lower(math.sqrt(_cell_diagonal_squared(cert.domain, cert.l)))
-        proved = proved_constant(cert.domain, cert.k, cert.l)
+        lower = payne_weinberger_lower(math.sqrt(d2))
+        proved = proved_constant(cert.domain, cert.k, cert.l, d2)
     links = [
         check("piece_count", cert.corners.shape[0], cert.l),
         # the Payne-Weinberger value of a grid box, clearing the reference
@@ -377,17 +372,9 @@ def minimal_constant(domain: Rectangle, k: int, l: int) -> float:
 
 
 @dataclass
-class SweepEntry:
-    k: int
-    l: int
-    mu_k: float
-    mu_l: float
-    ratio: float
-
-
-@dataclass
 class SweepTable:
-    """Measured constants mu_k / mu_l * (l/k)^2 over all index pairs."""
+    """Measured constants mu_k / mu_l * (l/k)^2 over all index pairs; each
+    entry is the report's dict of k, l, mu_k, mu_l, ratio and provenance."""
 
     entries: list
     max_ratio: float
@@ -418,7 +405,9 @@ def quadratic_ratio_sweep(spec: Spectrum, k_max: int) -> SweepTable:
             mu_k, mu_l = spec[k], spec[l]
             ratio = (mu_k / mu_l) * (l / k) ** 2 if mu_l > 0 else math.inf
             worst = max(worst, ratio)
-            entries.append(SweepEntry(k=k, l=l, mu_k=mu_k, mu_l=mu_l, ratio=ratio))
+            entries.append(
+                {"k": k, "l": l, "mu_k": mu_k, "mu_l": mu_l, "ratio": ratio, "provenance": spec.source}
+            )
     return SweepTable(entries=entries, max_ratio=worst, spectrum_source=spec.source)
 
 

@@ -129,8 +129,8 @@ def default_gallery() -> list[tuple[str, ConvexPolygon]]:
 
 
 # Reports are built whole before they are printed.  Peak traced memory is
-# under 2100 bytes a sweep table entry (its SweepEntry, report dict and JSON
-# text; 1474 and 945 measured with tracemalloc at 5050 and 45150 entries)
+# under 2100 bytes a sweep table entry (its report dict and JSON text; 1469
+# and 945 measured with tracemalloc at 5050 and 45150 entries)
 # and 1400 bytes a bounds row (667 and 619 at 20k and 100k rows).  So the
 # budget admits sweep --k-max 505 on one domain and 190 on the gallery of 7
 # and bounds --k-max 191739 (192 and 183 MiB peak RSS at those limits on
@@ -364,17 +364,7 @@ def _sweep_single(name: str, P: ConvexPolygon, k_max: int, levels: int, ratio_ca
         "domain": name,
         "spectrum_source": table.spectrum_source,
         "max_ratio": table.max_ratio,
-        "entries": [
-            {
-                "k": e.k,
-                "l": e.l,
-                "mu_k": e.mu_k,
-                "mu_l": e.mu_l,
-                "ratio": e.ratio,
-                "provenance": table.spectrum_source,
-            }
-            for e in table.entries
-        ],
+        "entries": table.entries,
         "chains": {k: chain.to_dict() for k, chain in chains.items()},
         "elapsed_s": elapsed,
     }

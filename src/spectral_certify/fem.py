@@ -127,23 +127,21 @@ def _factor(K, M):
     return lu, perm
 
 
-def solve_smallest(
-    stiffness, mass, m: int, residual_tol: float = _RESIDUAL_TOL, max_sweeps: int = _MAX_SWEEPS
-):
+def solve_smallest(K, M, m: int):
     """Smallest m eigenvalues of K x = mu M x by shift-invert Lanczos
     (ARPACK) at shift -1, which keeps the factored operator K + M
-    positive definite for the singular Neumann stiffness.  K + M is
-    factored once, by pivot-free LU in a symmetric fill-reducing order;
-    a failed factorization raises EigensolverError.
+    positive definite for the singular Neumann stiffness.  K and M are the
+    full symmetric CSR pencil _pencil builds.  K + M is factored once, by
+    pivot-free LU in a symmetric fill-reducing order; a failed
+    factorization raises EigensolverError.
 
-    K and M come as SparseSymmetricMatrix or CSR (see _pencil).  max_sweeps
-    bounds the ARPACK restart iterations.  Returns (values, vectors,
-    residual), ascending.  Deterministic: the start vector is seeded, so
-    runs of the same problem agree bit for bit.
+    _MAX_SWEEPS bounds the ARPACK restart iterations, and a residual above
+    _RESIDUAL_TOL raises.  Returns (values, vectors, residual), ascending.
+    Deterministic: the start vector is seeded, so runs of the same problem
+    agree bit for bit.
     """
     import scipy.sparse.linalg  # at the first solve; see _factor
 
-    K, M = (A.to_csr() if isinstance(A, SparseSymmetricMatrix) else A for A in (stiffness, mass))
     n = K.shape[0]
     if not (1 <= m <= n // 2):
         raise ValueError("need 1 <= m <= dimension/2")
@@ -159,22 +157,22 @@ def solve_smallest(
     v0 = np.random.default_rng(_START_SEED).standard_normal(n)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            K, k=m, M=M, sigma=-1.0, v0=v0, OPinv=op_inv, maxiter=max_sweeps
+            K, k=m, M=M, sigma=-1.0, v0=v0, OPinv=op_inv, maxiter=_MAX_SWEEPS
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         partial = _residuals(K, M, exc.eigenvalues, exc.eigenvectors)
         best = float(partial.max()) if partial.size else np.inf
         raise EigensolverError(
-            f"ARPACK did not converge within {max_sweeps} iterations: "
+            f"ARPACK did not converge within {_MAX_SWEEPS} iterations: "
             f"{partial.size}/{m} eigenpairs converged, best residual {best:.3e}",
             best_residual=best,
         ) from exc
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     worst = float(_residuals(K, M, vals, vecs).max())
-    if worst > residual_tol:
+    if worst > _RESIDUAL_TOL:
         raise EigensolverError(
-            f"eigenpair residual {worst:.3e} exceeds tolerance {residual_tol:.1e}",
+            f"eigenpair residual {worst:.3e} exceeds tolerance {_RESIDUAL_TOL:.1e}",
             best_residual=worst,
         )
     return vals, vecs, worst

@@ -98,6 +98,20 @@ def _tolerance(rel: float, scale: float, r: float):
     return max(rel * L, 2.0**-47 * scale), L
 
 
+def _size_tolerance(v: np.ndarray, scale: float, rel: float):
+    """_tolerance at rel for the polygon with vertex array v and coordinate
+    scale: (t, L) from its scale and bounding box."""
+    return _tolerance(rel, scale, 0.5 * float((v.max(axis=0) - v.min(axis=0)).max()))
+
+
+def _inside(v: np.ndarray, scale: float, points: np.ndarray):
+    """Mask of the points inside the convex polygon with counterclockwise
+    vertices v and coordinate scale, to within its length tolerance at
+    EPS_REL: geometry's one containment rule."""
+    normals, offsets = _halfplanes(v, np.roll(v, -1, axis=0))
+    return _kernels.points_in_halfplanes(points, normals, offsets, _size_tolerance(v, scale, EPS_REL)[0])
+
+
 def _convex_cell(v: np.ndarray):
     """(vertices, area, scale) of the convex polygon with the finite (n, 2)
     vertex array v, or GeometryError: ConvexPolygon's checks."""
@@ -128,16 +142,20 @@ def _convex_cell(v: np.ndarray):
         raise GeometryError("vertices are not in convex counterclockwise order")
     if np.count_nonzero(cross > tol_cross) < 3:
         raise GeometryError("polygon is degenerate (fewer than 3 strict corners)")
-    area2 = float((v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]).sum())
-    # The shoelace sum is taken at the coordinates themselves.  With
-    # products of at most m = max|x| max|y|, each of the n terms rounds by at
-    # most 4 u m, and each addition by u (2 m + 8 r^2), as a partial sum is
-    # twice a fan area from the origin; so the sum is known to
-    # 8 u n (m + r^2), and the area must clear twice that as well as the
-    # floor 2 tol_cross.  About the origin m + r^2 <= 2 s^2, so the floor,
-    # 2 EPS_REL s^2, is the larger below 563 vertices.
-    m = float(np.maximum(np.abs(vmin), np.abs(vmax)).prod())
-    if area2 <= max(2.0 * tol_cross, 2.0**-49 * v.shape[0] * (m + r * r)):
+    d = v - v[0]
+    d_nxt = np.roll(d, -1, axis=0)
+    area2 = float((d[:, 0] * d_nxt[:, 1] - d_nxt[:, 0] * d[:, 1]).sum())
+    # The shoelace sum is taken relative to the first vertex, so its rounding
+    # follows the polygon's size r, not its place.  With u = 2^-53, a
+    # difference |d| <= 2r rounds by at most 2 u r, which moves a term
+    # d_i x d_i+1 by at most 16 u r^2; its two products (each <= 4 r^2) and
+    # their difference (twice a triangle in the bounding box, <= 4 r^2) round
+    # by 12 u r^2 more; each addition rounds by 8 u r^2, as a partial sum is
+    # twice the area of a fan from the first vertex.  So the sum is known to
+    # 36 u n r^2, and the area must clear twice that, within 2^-46 n r^2, as
+    # well as the floor 2 tol_cross.  About the origin r <= s, so the floor,
+    # 2 EPS_REL s^2, is the larger below 141 vertices.
+    if area2 <= max(2.0 * tol_cross, 2.0**-46 * v.shape[0] * r * r):
         raise GeometryError("polygon area is not positive")
     v.setflags(write=False)
     return v, 0.5 * area2, scale
@@ -196,18 +214,9 @@ class ConvexPolygon:
         v = self.vertices
         return _halfplanes(v, np.concatenate((v[1:], v[:1])))
 
-    def _size_tolerance(self, rel: float):
-        """_tolerance at rel for this polygon: (t, L) from its scale and
-        bounding box."""
-        lo, hi = self.bounding_box
-        return _tolerance(rel, self._scale, 0.5 * float((hi - lo).max()))
-
     def contains_points(self, points):
-        """Mask of the points inside, to within the polygon's length
-        tolerance at EPS_REL (_tolerance)."""
-        pts = _as_points(points)
-        normals, offsets = self.edge_halfplanes()
-        return _kernels.points_in_halfplanes(pts, normals, offsets, self._size_tolerance(EPS_REL)[0])
+        """Mask of the points inside (_inside)."""
+        return _inside(self.vertices, self._scale, _as_points(points))
 
     def __repr__(self):
         return f"ConvexPolygon(n={self.n}, area={self._area:.6g})"
@@ -396,7 +405,7 @@ class VoronoiPartition:
         _, owner, nxt = _closed_chains(np.array([c.n for c in self.cells]))
         v = np.concatenate([c.vertices for c in self.cells])
         normals, offsets = _halfplanes(v, v[nxt])
-        tol = np.array([c._size_tolerance(EPS_REL)[0] for c in self.cells])[owner]
+        tol = np.array([_size_tolerance(c.vertices, c.scale, EPS_REL)[0] for c in self.cells])[owner]
         outside = (normals * self.sites[owner]).sum(axis=1) > offsets + tol
         if outside.any():
             raise GeometryError(f"cell {owner[outside].min()} does not contain its site")
@@ -564,25 +573,16 @@ class Rectangle:
     def diameter(self) -> float:
         return 2.0 * math.hypot(self.half_width_a, self.half_width_b)
 
-    def polygon(self) -> ConvexPolygon:
+    def corners(self) -> np.ndarray:
+        """The (4, 2) counterclockwise corners, unvalidated: a box out of
+        the coordinate range or below its tolerances still has them."""
         u, v = self.axes
         c = self.center.array
         a, b = self.half_width_a, self.half_width_b
-        verts = np.array(
-            [c + a * u + b * v, c - a * u + b * v, c - a * u - b * v, c + a * u - b * v]
-        )
-        return ConvexPolygon(verts)
+        return np.array([c + a * u + b * v, c - a * u + b * v, c - a * u - b * v, c + a * u - b * v])
 
-    def contains_points(self, points):
-        """Mask of the points inside, to within EPS_REL times the
-        rectangle's coordinate scale."""
-        pts = _as_points(points)
-        tol = EPS_REL * (abs(self.center.x) + abs(self.center.y) + self.half_width_b)
-        u, v = self.axes
-        rel = pts - self.center.array
-        return (np.abs(rel @ u) <= self.half_width_a + tol) & (
-            np.abs(rel @ v) <= self.half_width_b + tol
-        )
+    def polygon(self) -> ConvexPolygon:
+        return ConvexPolygon(self.corners())
 
     def scaled(self, factor: float) -> "Rectangle":
         return Rectangle(
@@ -599,7 +599,7 @@ def rectangle_from_polygon(P: ConvexPolygon) -> Rectangle | None:
     v = P.vertices
     if v.shape[0] != 4:
         return None
-    tol, length = P._size_tolerance(1e-9)
+    tol, length = _size_tolerance(v, P.scale, 1e-9)
     e = np.roll(v, -1, axis=0) - v
     lengths = np.hypot(e[:, 0], e[:, 1])
     if abs(lengths[0] - lengths[2]) > tol or abs(lengths[1] - lengths[3]) > tol:
@@ -706,7 +706,12 @@ def rectangle_sandwich(P: ConvexPolygon) -> BoxSandwich:
         raise GeometryError("inner rectangle collapsed while clamping")
     inner = Rectangle(Point2(*c.tolist()), lam * ha, lam * hb, rot)
     dilation = 1.0
-    while not inner.scaled(dilation).contains_points(v).all():
+    while True:
+        # the box's corners, not a validated polygon: a box may reach past
+        # the coordinate range or be thinner than a polygon's tolerances
+        box = inner.scaled(dilation).corners()
+        if _inside(box, float(np.abs(box).max()), v).all():
+            break
         dilation *= 2.0
         if dilation > 8.0:
             raise GeometryError("dilation factor exceeded its guaranteed bound")
@@ -762,7 +767,7 @@ def svg_scene(domain: ConvexPolygon, cells=None, boxes=None) -> str:
     (x0, y0), (x1, y1) = domain.bounding_box
     if boxes:
         for box in boxes:
-            bv = box.polygon().vertices
+            bv = box.corners()
             x0 = min(x0, bv[:, 0].min())
             y0 = min(y0, bv[:, 1].min())
             x1 = max(x1, bv[:, 0].max())
@@ -795,7 +800,7 @@ def svg_scene(domain: ConvexPolygon, cells=None, boxes=None) -> str:
     if boxes:
         for box in boxes:
             parts.append(
-                f'<polygon points="{path(box.polygon().vertices)}" fill="none" '
+                f'<polygon points="{path(box.corners())}" fill="none" '
                 f'stroke="#aa3333" stroke-width="1.5" stroke-dasharray="6 3"/>'
             )
     parts.append("</svg>")

@@ -47,7 +47,9 @@ class Spectrum:
             floor = -1e-12 * np.maximum(1.0, vals[:-1])
             if (gaps < floor).any():
                 raise SpectrumError("eigenvalues must be ascending")
-        self.values = vals
+        # a copy, taken after the checks so that their temporaries and it
+        # never coexist; freezing it leaves the caller's array writeable
+        self.values = vals.copy()
         self.values.setflags(write=False)
 
     def __len__(self):

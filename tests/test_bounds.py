@@ -18,10 +18,22 @@ from spectral_certify.bounds import (
     rectangle_spectrum,
     torus_spectrum,
 )
+from spectral_certify.spectra import Spectrum
 from oracles import lattice_spectrum
 
 PI2 = math.pi**2
 J01 = float(scipy.special.jn_zeros(0, 1)[0])
+
+
+class TestSpectrum:
+    def test_caller_array_stays_writeable(self):
+        # the spectrum freezes its own copy, not the caller's array
+        values = np.array([0.0, 1.0, 2.0])
+        spec = Spectrum(values)
+        assert values.flags.writeable
+        assert not spec.values.flags.writeable
+        values[1] = 5.0
+        assert spec.values.tolist() == [0.0, 1.0, 2.0]
 
 
 class TestPayneWeinberger:

@@ -138,6 +138,23 @@ class TestGridConstruction:
         assert cert.corners.tolist() == [UNIT_SQUARE.polygon().vertices.tolist()]
         assert cert.chain_ok
 
+    @pytest.mark.parametrize("C", [None, 1.0])
+    def test_one_grid_search_per_build_and_check(self, monkeypatch, C):
+        # the grid shape, its corners and its D^2 come from one search in
+        # construct_partition and one in verify_certificate
+        searches = []
+        search = certify.grid_shape
+
+        def counted(a, b, l):
+            searches.append(l)
+            return search(a, b, l)
+
+        monkeypatch.setattr(certify, "grid_shape", counted)
+        cert = construct_partition(UNIT_SQUARE, 24, 24, C)
+        assert searches == [24]
+        assert verify_certificate(cert, rectangle_spectrum(0.5, 0.5, 25)[24]).links
+        assert searches == [24, 24]
+
     @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
     def test_case_and_tiling(self, case):
         domain, k, l = SEARCH_CASES[case]
@@ -575,7 +592,7 @@ class TestQuadraticRatioSweep:
     def test_square_closed_form_entries(self):
         table = quadratic_ratio_sweep(reference_spectrum(UNIT_SQUARE.polygon(), 11, 5), 10)
         assert table.spectrum_source == "closed_form"
-        by_pair = {(e.k, e.l): e.ratio for e in table.entries}
+        by_pair = {(e["k"], e["l"]): e["ratio"] for e in table.entries}
         assert len(by_pair) == 10 * 11 // 2
         for k in range(1, 11):
             assert by_pair[(k, k)] == 1.0
@@ -594,7 +611,7 @@ class TestQuadraticRatioSweep:
         table = quadratic_ratio_sweep(reference_spectrum(regular_polygon(5), 4, 3), 3)
         assert table.spectrum_source == "fem(3)"
         assert len(table.entries) == 6
-        assert all(np.isfinite(e.ratio) for e in table.entries)
+        assert all(np.isfinite(e["ratio"]) for e in table.entries)
         assert table.max_ratio < 100.0
 
     def test_rejects_bad_k_max(self):

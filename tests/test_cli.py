@@ -489,6 +489,15 @@ class TestBoundsCommand:
         assert results["chain"]["holds_all"]
         assert results["mu_l"] == pytest.approx(16.0 * math.pi**2, rel=1e-9)
 
+    def test_small_square_far_out_on_both_axes(self, capsys, tmp_path):
+        # the 0.25 x 0.25 square centred at (3e7, 3e7) is a polygon too
+        path = tmp_path / "far.json"
+        verts = [[3e7 + x, 3e7 + y] for x, y in ((0.125, 0.125), (-0.125, 0.125), (-0.125, -0.125), (0.125, -0.125))]
+        path.write_text(json.dumps({"vertices": verts}))
+        assert run_json(capsys, "bounds", "--domain", f"file:{path}")["results"]["area"] == 0.0625
+        results = run_json(capsys, "certify", "--domain", f"file:{path}", "--k", "4", "--l", "2")["results"]
+        assert results["chain"]["holds_all"]
+
     def test_csv_header(self, capsys):
         code, out, _ = run(capsys, "bounds", "--format", "csv")
         assert code == EXIT_OK

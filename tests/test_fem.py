@@ -120,14 +120,13 @@ class TestEigensolver:
         # solver's 2000 DOFs
         for polygon, levels in ((UNIT_SQUARE, 2), (SLIVER, 4), (regular_polygon(7), 4)):
             stiffness, mass = assemble(mesh_polygon(polygon, levels))
-            vals, vecs, residual = solve_smallest(stiffness, mass, 8)
+            K, M = stiffness.to_csr(), mass.to_csr()
+            vals, vecs, residual = solve_smallest(K, M, 8)
             dense_vals, _ = dense_smallest(stiffness, mass, 8)
             assert residual <= 1e-8
             scale = dense_vals.max()
             assert vals == pytest.approx(dense_vals, abs=1e-9 * scale)
             # returned vectors satisfy the pencil equation
-            K = stiffness.to_csr()
-            M = mass.to_csr()
             for i in range(8):
                 r = np.linalg.norm(K @ vecs[:, i] - vals[i] * (M @ vecs[:, i]))
                 assert r <= 1e-7 * max(1.0, abs(vals[i]))
@@ -171,43 +170,43 @@ class TestEigensolver:
         assert neumann_spectrum(polygon, m, levels).values[0] == 0.0
 
     def test_rejects_oversized_block(self):
-        mesh = mesh_polygon(UNIT_SQUARE, 1)
-        stiffness, mass = assemble(mesh)
+        _, K, M = fem._pencil(UNIT_SQUARE, 1)
         with pytest.raises(ValueError):
-            solve_smallest(stiffness, mass, mesh.num_vertices)
+            solve_smallest(K, M, K.shape[0])
 
-    def test_reports_stall(self):
-        mesh = mesh_polygon(UNIT_SQUARE, 2)
-        stiffness, mass = assemble(mesh)
+    def test_reports_stall(self, monkeypatch):
+        _, K, M = fem._pencil(UNIT_SQUARE, 2)
+        monkeypatch.setattr(fem, "_RESIDUAL_TOL", 1e-300)
+        monkeypatch.setattr(fem, "_MAX_SWEEPS", 2)
         with pytest.raises(EigensolverError) as err:
-            solve_smallest(stiffness, mass, 4, residual_tol=1e-300, max_sweeps=2)
+            solve_smallest(K, M, 4)
         assert err.value.best_residual is not None
         assert err.value.best_residual > 0.0
 
-    def test_reports_arpack_stall(self):
+    def test_reports_arpack_stall(self, monkeypatch):
         # one restart is too few for six pairs: the error names the limit,
         # the converged count and the residual of the converged pairs
-        mesh = mesh_polygon(regular_polygon(6), 3)
-        stiffness, mass = assemble(mesh)
+        _, K, M = fem._pencil(regular_polygon(6), 3)
+        monkeypatch.setattr(fem, "_MAX_SWEEPS", 1)
         with pytest.raises(EigensolverError, match=r"within 1 iterations: \d/6 eigenpairs") as err:
-            solve_smallest(stiffness, mass, 6, max_sweeps=1)
+            solve_smallest(K, M, 6)
         assert 0.0 < err.value.best_residual < math.inf
 
     def test_factor_is_symmetric_permutation(self, factor_spy):
         # pivot-free elimination of the SPD matrix K + M: rows and columns
         # are reordered alike (partial pivoting leaves the diagonal on
         # this coarse sliver mesh)
-        stiffness, mass = assemble(mesh_polygon(SLIVER, 2))
-        solve_smallest(stiffness, mass, 4)
+        _, K, M = fem._pencil(SLIVER, 2)
+        solve_smallest(K, M, 4)
         (lu,) = factor_spy["lu"]
         assert np.array_equal(lu.perm_r, lu.perm_c)
 
     def test_permuted_solve_inverts_k_plus_m(self, factor_spy):
-        stiffness, mass = assemble(mesh_polygon(SLIVER, 4))
-        solve_smallest(stiffness, mass, 4)
+        _, K, M = fem._pencil(SLIVER, 4)
+        solve_smallest(K, M, 4)
         (op_inv,) = factor_spy["op_inv"]
-        A = stiffness.to_csr() + mass.to_csr()
-        b = np.random.default_rng(5).standard_normal(stiffness.dimension)
+        A = K + M
+        b = np.random.default_rng(5).standard_normal(K.shape[0])
         x = op_inv.matvec(b)
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -215,10 +214,10 @@ class TestEigensolver:
     def test_fill_below_default_ordering(self, factor_spy, polygon):
         # guards the symmetric ordering: a fall-back to splu's default
         # column ordering, or to no ordering, fails here
-        stiffness, mass = assemble(mesh_polygon(polygon, 6))
-        solve_smallest(stiffness, mass, 2)
+        _, K, M = fem._pencil(polygon, 6)
+        solve_smallest(K, M, 2)
         (lu,) = factor_spy["lu"]
-        default = scipy.sparse.linalg.splu((stiffness.to_csr() + mass.to_csr()).tocsc())
+        default = scipy.sparse.linalg.splu((K + M).tocsc())
         assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
 
     def test_singular_factor_is_solver_error(self):
@@ -227,7 +226,7 @@ class TestEigensolver:
         stiffness, mass = assemble(mesh_polygon(regular_polygon(5), 1))
         n = stiffness.dimension + 1
         padded = [
-            SparseSymmetricMatrix(n, mat.rows, mat.cols, mat.data) for mat in (stiffness, mass)
+            SparseSymmetricMatrix(n, mat.rows, mat.cols, mat.data).to_csr() for mat in (stiffness, mass)
         ]
         with pytest.raises(EigensolverError, match=f"dimension {n}") as err:
             solve_smallest(*padded, 2)

@@ -89,6 +89,27 @@ class TestConvexPolygon:
         assert P.area == 0.0625
         assert P.scale == self.FAR + 0.125
 
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            (np.array(UNIT_SQUARE) * 0.25, None),
+            ([[0.0, 0.0], [0.125, 0.0], [0.25, 0.0]], "degenerate"),
+            ([[0.0, 0.0], [0.25, 0.0], [0.125, 1e-12]], "degenerate"),
+            (np.array(UNIT_SQUARE[::-1]) * 0.25, "counterclockwise"),
+            ([[0.0, 0.0], [1e-10, 0.0], [0.0, 1e-10]], "distinct"),
+        ],
+        ids=["square", "flat", "sliver", "clockwise", "unresolved"],
+    )
+    def test_far_out_on_both_axes(self, vertices, message):
+        # the shoelace sum is taken relative to a vertex, so its rounding
+        # follows the polygon's size, not max|x| max|y| = 9e14
+        vertices = np.array(vertices) + [3e7, 3e7]
+        if message is not None:
+            with pytest.raises(GeometryError, match=message):
+                ConvexPolygon(vertices)
+        else:
+            assert ConvexPolygon(vertices).area == 0.0625
+
     def test_containment_far_from_origin(self):
         # 1e-7 outside the right edge is 4e-7 of the side: outside, though
         # within EPS_REL x the largest |coordinate| (8e-7)
@@ -223,10 +244,10 @@ class TestConvexPolygon:
             assert P.vertices.tobytes() == Q.vertices.tobytes()
             assert not P.vertices.flags.writeable
             assert (P.area, P.scale) == (Q.area, Q.scale)
-            # the shoelace sum of the vertices as one array, as np.sum rounds it
-            v = P.vertices
-            w = np.roll(v, -1, axis=0)
-            assert P.area == 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
+            # the shoelace sum relative to the first vertex, as np.sum rounds it
+            d = P.vertices - P.vertices[0]
+            e = np.roll(d, -1, axis=0)
+            assert P.area == 0.5 * float(np.sum(d[:, 0] * e[:, 1] - e[:, 0] * d[:, 1]))
 
     def test_many_matches_one_at_a_time(self, monkeypatch):
         batches, _ = self._batches(monkeypatch)
@@ -821,7 +842,7 @@ class TestSandwich:
         for poly in list(gallery.values()) + random_polygons:
             s = rectangle_sandwich(poly)
             assert poly.contains_points(s.inner.polygon().vertices).all()
-            assert s.outer.contains_points(poly.vertices).all()
+            assert s.outer.polygon().contains_points(poly.vertices).all()
             assert s.dilation_factor in (2.0, 4.0)
 
     def test_inertia_ellipse_sandwich(self, gallery, random_polygons):
@@ -866,8 +887,16 @@ class TestSandwich:
         s = rectangle_sandwich(tri)
         assert s.inner.half_width_a == pytest.approx(height / math.sqrt(18.0), rel=1e-6)
         assert tri.contains_points(s.inner.polygon().vertices).all()
-        assert s.outer.contains_points(tri.vertices).all()
+        assert s.outer.polygon().contains_points(tri.vertices).all()
         assert s.dilation_factor in (2.0, 4.0)
+
+    @pytest.mark.parametrize("radius", [geometry.SCALE_MAX, 1.01 * geometry.SCALE_MIN])
+    def test_range_ends(self, radius):
+        # the dilated boxes are tested by their corners, so a box reaching
+        # past the polygon coordinate range does not end the search
+        s = rectangle_sandwich(regular_polygon(6, radius))
+        assert s.dilation_factor == 4.0
+        assert np.abs(s.outer.corners()).max() > radius
 
     @pytest.mark.parametrize("power", [300, -300])
     def test_power_of_two_covariance(self, gallery, random_polygons, power):
