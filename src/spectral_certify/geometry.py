@@ -67,15 +67,6 @@ def _halfplanes(v: np.ndarray, w: np.ndarray):
     return normals, (normals * v).sum(axis=1)
 
 
-def _closed_chains(counts: np.ndarray):
-    """First index of each of a run of closed vertex chains of the given
-    lengths laid end to end, and the chain and successor of each vertex."""
-    starts = np.cumsum(counts) - counts
-    nxt = np.arange(1, starts[-1] + counts[-1] + 1)
-    nxt[starts + counts - 1] = starts
-    return starts, np.repeat(np.arange(counts.size), counts), nxt
-
-
 def _tolerance(rel: float, scale: float, r: float):
     """(t, L): the length tolerance t at relative tolerance rel, and the
     length L that scales it, of a polygon of scale s whose bounding box has
@@ -114,7 +105,18 @@ def _inside(v: np.ndarray, scale: float, points: np.ndarray):
 
 def _convex_cell(v: np.ndarray):
     """(vertices, area, scale) of the convex polygon with the finite (n, 2)
-    vertex array v, or GeometryError: ConvexPolygon's checks."""
+    vertex array v, or GeometryError: ConvexPolygon's checks.
+
+    Each turn, the cross product of edges e = e_i and e' = e_i+1, has its own
+    tolerance max(EPS_REL L^2, 2^-47 s min(L, |e| + |e'|), smallest normal),
+    s and L as in _tolerance.  With u = 2^-53, edge components are known to
+    4 u s (_tolerance), which moves the turn by <= 4 sqrt(2) u s (|e| + |e'|)
+    to first order; its products and difference round by <= 2 u |e| |e'|
+    <= 2 sqrt(2) u r (|e| + |e'|), as edges are <= 2 sqrt(2) r long.  As
+    r <= s, a turn rounds by 6 sqrt(2), about 8, u s (|e| + |e'|) at most, and
+    by 48 u s r, and 64 u s = 2^-47 s times min(L, |e| + |e'|) clears both.
+    About the origin (L = s) it is EPS_REL s^2, as 2^-47 < EPS_REL.
+    """
     n = v.shape[0]
     if n < 3:
         raise GeometryError("a polygon needs at least 3 vertices")
@@ -127,7 +129,7 @@ def _convex_cell(v: np.ndarray):
     vmin, vmax = v.min(axis=0), v.max(axis=0)
     r = 0.5 * float((vmax - vmin).max())
     tol_len, length = _tolerance(EPS_REL, scale, r)
-    # a cross product that passes carries full precision
+    # the area floor and the largest turn tolerance (docstring)
     tol_cross = max(tol_len * length, sys.float_info.min)
     # drop consecutive duplicates (a closed chain, so compare to the previous)
     d = v - np.roll(v, 1, axis=0)
@@ -138,9 +140,11 @@ def _convex_cell(v: np.ndarray):
     e = w - v
     e_nxt = np.roll(e, -1, axis=0)
     cross = e[:, 0] * e_nxt[:, 1] - e[:, 1] * e_nxt[:, 0]
-    if (cross < -tol_cross).any():
+    span = np.minimum(length, np.hypot(e[:, 0], e[:, 1]) + np.hypot(e_nxt[:, 0], e_nxt[:, 1]))
+    tol_turn = np.maximum(max(EPS_REL * length * length, sys.float_info.min), 2.0**-47 * scale * span)
+    if (cross < -tol_turn).any():
         raise GeometryError("vertices are not in convex counterclockwise order")
-    if np.count_nonzero(cross > tol_cross) < 3:
+    if np.count_nonzero(cross > tol_turn) < 3:
         raise GeometryError("polygon is degenerate (fewer than 3 strict corners)")
     d = v - v[0]
     d_nxt = np.roll(d, -1, axis=0)
@@ -287,22 +291,18 @@ def inner_offset(P: ConvexPolygon, r: float) -> ConvexPolygon | None:
         return None
 
 
-# Sample grids are built a block of lattice columns at a time.  A block of n
-# points over a polygon with E edges holds the meshgrid pair, their stacked
-# copy and the inside points (48 bytes a point) and the n x E half-plane
-# product with its mask (9E bytes a point).  A block may be a whole column and
-# an uncapped pass joins all of its blocks, so both grids are charged whole, up
-# front: over a rectangle (E = 4) this admits ~3.2M points; a 2487-cell net on
-# rect:10:10 needs 0.78M, and a net peaks at ~26 traced bytes a grid point.
+# A net pass holds its sample grid of n points over a polygon with E edges as
+# one meshgrid pair, their stacked copy and the inside points (48 bytes a
+# point) and the n x E half-plane product with its mask (9E bytes a point).
+# Both grids are charged whole, up front: over a rectangle (E = 4) this admits
+# ~3.2M points; a 2487-cell net on rect:10:10 needs 0.78M, and a net peaks at
+# ~55 traced bytes a point of both grids (the fine pass, whole).
 NET_GRID_BYTES = 256 * 2**20
-# sample points in a block of lattice columns, unless one column holds more
-NET_BLOCK = 1 << 12
 
 
-def _lattice_blocks(P: ConvexPolygon, pitch: float):
-    """Yield the points of P on the lattice of the given pitch from the
-    lower-left corner of its bounding box, in scan order (x, then y), a
-    block of whole columns at a time.
+def _lattice(P: ConvexPolygon, pitch: float) -> np.ndarray:
+    """The points of P on the lattice of the given pitch from the lower-left
+    corner of its bounding box, in scan order (x, then y).
 
     The meshgrid lays them out x-major, y-minor, which is lexicographic
     order, as x0 + pitch * i strictly increases with i: rounding is
@@ -312,39 +312,12 @@ def _lattice_blocks(P: ConvexPolygon, pitch: float):
     (x0, y0), (x1, y1) = P.bounding_box
     xs = x0 + pitch * np.arange(int(math.floor(float(x1 - x0) / pitch)) + 1)
     ys = y0 + pitch * np.arange(int(math.floor(float(y1 - y0) / pitch)) + 1)
-    step = max(1, NET_BLOCK // ys.size)
-    for lo in range(0, xs.size, step):
-        gx, gy = np.meshgrid(xs[lo : lo + step], ys, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        yield pts[P.contains_points(pts)]
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    return pts[P.contains_points(pts)]
 
 
-def _greedy_lattice(P: ConvexPolygon, pitch: float, net, sep: float, strict: bool, limit):
-    """net followed by what a _kernels.greedy_net scan of P's lattice of the
-    given pitch keeps.  A capped scan takes a block at a time, against the
-    kept points within 2 sep of its x range, and stops in the block where the
-    net passes limit.  An uncapped one needs every block, so it takes them as
-    one array, indexed once: block by block, each block would be prefiltered
-    against the kept points too, and that made the 394- and 1594-site nets of
-    rect:10:10 at C = 0.5 and 0.25 take 74 and 323 ms against 58 and 221 ms
-    (medians of 10 alternating runs on a 2-vCPU VM)."""
-    blocks = _lattice_blocks(P, pitch)
-    if limit is None:
-        return _kernels.greedy_net(np.concatenate(list(blocks)), net, sep, strict)
-    for block in blocks:
-        if block.shape[0] == 0:
-            continue
-        x = net[:, 0]
-        near = net[(x >= block[0, 0] - 2.0 * sep) & (x <= block[-1, 0] + 2.0 * sep)]
-        room = limit - net.shape[0] + near.shape[0]
-        kept = _kernels.greedy_net(block, near, sep, strict, limit=room)
-        net = np.concatenate([net, kept[near.shape[0] :]])
-        if net.shape[0] > limit:
-            break
-    return net
-
-
-def maximal_separated_net(P: ConvexPolygon, sep: float, *, limit: int | None = None) -> np.ndarray:
+def maximal_separated_net(P: ConvexPolygon, sep: float) -> np.ndarray:
     """Deterministic point net in P: pairwise distances >= sep, and every
     point of P (checked on a grid of pitch sep/16) lies within sep of a
     net point.
@@ -352,8 +325,6 @@ def maximal_separated_net(P: ConvexPolygon, sep: float, *, limit: int | None = N
     A greedy pass over a grid of pitch sep/8 builds a maximal separated
     set; a second pass over the finer grid adds any sample farther than
     sep from the net, which preserves separation and enforces covering.
-    With a limit, the passes stop once the net has limit + 1 points, and
-    what they return is the first limit + 1 points of the full net.
     """
     if P is None:
         raise GeometryError("cannot build a net over an empty region")
@@ -371,12 +342,10 @@ def maximal_separated_net(P: ConvexPolygon, sep: float, *, limit: int | None = N
     if sep / 16.0 < 2.0**-40 * P.scale:
         raise GeometryError(f"separation {sep:.6g} is below the resolution of coordinates near {P.scale:.6g}")
     sep = float(sep)
-    net = _greedy_lattice(P, sep / 8.0, np.empty((0, 2)), sep, False, limit)
+    net = _kernels.greedy_net(_lattice(P, sep / 8.0), np.empty((0, 2)), sep, False)
     if net.shape[0] == 0:
         net = P.centroid[None, :]
-    if limit is not None and net.shape[0] > limit:
-        return net
-    return _greedy_lattice(P, sep / 16.0, net, sep, True, limit)
+    return _kernels.greedy_net(_lattice(P, sep / 16.0), net, sep, True)
 
 
 @dataclass
@@ -400,91 +369,38 @@ class VoronoiPartition:
             raise GeometryError(
                 f"cell areas sum to {total!r}, domain area is {self.domain.area!r}"
             )
-        # each site against its own cell's edge half-planes, all cells at once,
-        # as ConvexPolygon.contains_points tests them and with its tolerance
-        _, owner, nxt = _closed_chains(np.array([c.n for c in self.cells]))
-        v = np.concatenate([c.vertices for c in self.cells])
-        normals, offsets = _halfplanes(v, v[nxt])
-        tol = np.array([_size_tolerance(c.vertices, c.scale, EPS_REL)[0] for c in self.cells])[owner]
-        outside = (normals * self.sites[owner]).sum(axis=1) > offsets + tol
-        if outside.any():
-            raise GeometryError(f"cell {owner[outside].min()} does not contain its site")
+        for i, (cell, site) in enumerate(zip(self.cells, self.sites)):
+            if not _inside(cell.vertices, cell.scale, site[None, :])[0]:
+                raise GeometryError(f"cell {i} does not contain its site")
 
 
 def _close_pair(pts: np.ndarray, radius: float, close) -> bool:
     """Whether two rows with distinct indices have close(dx*dx + dy*dy) true;
-    close must be false for pairs farther apart than radius, so only pairs
-    in neighbouring buckets of a grid are measured."""
-    if pts.shape[0] < 2:
-        return False
-    grid = _kernels.BucketGrid(pts, *_kernels.bucket_frame(pts, radius))
-    for i, j in grid.pairs(pts):
-        d = pts[i] - pts[j]
-        if (close(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) & (i != j)).any():
+    close must be false for d2 >= radius*radius as computed.
+
+    The rows are sorted by x (stably), and each is measured against the
+    later rows whose x is at most fl(x + radius), one offset at a time, in
+    memory proportional to the rows.  A later row beyond that has
+    x_j - x > radius exactly, so, rounding being monotone, dx >= radius and
+    d2 >= fl(radius^2) as computed: close is false for it.
+    """
+    p = pts[np.argsort(pts[:, 0], kind="stable")]
+    x = p[:, 0]
+    ends = x.searchsorted(x + radius, "right")
+    i = np.arange(x.size)
+    for k in range(1, x.size):
+        i = i[i + k < ends[i]]
+        if i.size == 0:
+            break
+        d = p[i + k] - p[i]
+        if close(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]).any():
             return True
     return False
-
-
-def _sorted_rings(pts: np.ndarray, sites: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """Yield, for each site sites[i] in turn, the d2 and j lists of its
-    pairs (i, j), sorted by d2 and then j; d2 is dx*dx + dy*dy with
-    dx = x_j - x_site, and i must not decrease."""
-    d = pts[j] - pts[sites[i]]
-    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    order = np.lexsort((j, d2, i))
-    d2, j = d2[order], j[order]
-    bounds = np.flatnonzero(np.diff(i, prepend=-1, append=-1)).tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        yield d2[lo:hi].tolist(), j[lo:hi].tolist()
-
-
-def _rings(grid, pts: np.ndarray, sites: np.ndarray, reach: int):
-    """For each of the sites in turn, the sorted d2 and j lists of the sites
-    in the buckets within reach of it, sorted a chunk of grid pairs at a
-    time; the last site of a chunk is held back, as its pairs may go on in
-    the next."""
-    held_i = held_j = np.empty(0, dtype=np.int64)
-    for i, j in grid.pairs(pts[sites], reach):
-        i, j = np.concatenate([held_i, i]), np.concatenate([held_j, j])
-        if i.size == 0:
-            continue
-        done = i < i[-1]
-        yield from _sorted_rings(pts, sites, i[done], j[done])
-        held_i, held_j = i[~done], j[~done]
-    yield from _sorted_rings(pts, sites, held_i, held_j)
 
 
 def _outradius(verts, x: float, y: float) -> float:
     """Largest distance from (x, y) to a vertex, from dx*dx + dy*dy."""
     return math.sqrt(max((vx - x) * (vx - x) + (vy - y) * (vy - y) for vx, vy in verts))
-
-
-def _by_distance(grid, pts: np.ndarray, i: int, ring, radius: float):
-    """Yield (d2, j) over all sites in the order of a stable argsort of d2 to
-    site i, from rings of buckets of doubling reach about site i; ring holds
-    the sorted d2 and j lists of the first, the 3 x 3 buckets of a grid
-    framed for radius."""
-    reach = 1
-    visited = 0
-    while True:
-        d2s, js = ring
-        # every site at d2 < limit is in the ring, whatever the rounding of
-        # the keys (see _kernels.bucket_frame)
-        limit = math.inf if len(js) == len(pts) else (reach * radius) ** 2 * (1.0 - 1e-9)
-        for d2, j in zip(d2s[visited:], js[visited:]):
-            if d2 >= limit:
-                break
-            visited += 1
-            yield d2, j
-        if limit == math.inf:
-            return
-        reach *= 2
-        ring = next(_rings(grid, pts, np.array([i]), reach))
-
-
-# first rings reach about this many site spacings: few cells of an evenly
-# spread net need a second ring
-_RING_SPACINGS = 2.5
 
 
 def voronoi_partition(P: ConvexPolygon, sites) -> VoronoiPartition:
@@ -493,30 +409,31 @@ def voronoi_partition(P: ConvexPolygon, sites) -> VoronoiPartition:
     Sites must be pairwise distinct and lie in P.  Each cell is cut by the
     bisectors nearest its site first; a bisector to a site at least twice
     the current cell outradius away contains the whole cell, so clipping
-    stops there.  Sites come from rings of buckets of a grid whose buckets
-    are a few site spacings wide, so for evenly spread sites the per-cell
-    work stays proportional to the number of Voronoi neighbours.
+    stops there.  Each cell takes the sites in the order of a stable argsort
+    of their d2 to its site.
     """
     pts = _as_points(sites)
     m = pts.shape[0]
     if m == 0:
         raise GeometryError("at least one site required")
     tol = EPS_REL * P.scale
-    if _close_pair(pts, tol, lambda d2: d2 <= tol * tol):
+    # within 2 tol, so that a pair at d2 = fl(tol^2) is inside the window
+    if _close_pair(pts, 2.0 * tol, lambda d2: d2 <= tol * tol):
         raise GeometryError("sites must be pairwise distinct")
     if not P.contains_points(pts).all():
         raise GeometryError("every site must lie in the domain")
-    radius = _RING_SPACINGS * math.sqrt(P.area / m)
-    grid = _kernels.BucketGrid(pts, *_kernels.bucket_frame(pts, radius))
     coords = pts.tolist()
     norms = (pts**2).sum(axis=1).tolist()
     domain = P.vertices.tolist()
     cells = []
-    for i, ring in enumerate(_rings(grid, pts, np.arange(m), 1)):
+    for i in range(m):
+        d = pts - pts[i]
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        order = np.argsort(d2, kind="stable")
         xi, yi = coords[i]
         verts = domain
         r_max = _outradius(verts, xi, yi)
-        for d2j, j in _by_distance(grid, pts, i, ring, radius):
+        for d2j, j in zip(d2[order].tolist(), order.tolist()):
             if j == i:
                 continue
             # sites come nearest first, so no later bisector can cut

@@ -498,6 +498,15 @@ class TestBoundsCommand:
         results = run_json(capsys, "certify", "--domain", f"file:{path}", "--k", "4", "--l", "2")["results"]
         assert results["chain"]["holds_all"]
 
+    def test_fine_polygon_far_from_origin(self, capsys, tmp_path):
+        # a 3344-gon of circumradius 0.25, 800,000 units off the origin
+        path = tmp_path / "far_fine.json"
+        verts = regular_polygon(3344).vertices * 0.25 + [800000.0, 0.0]
+        path.write_text(json.dumps({"vertices": verts.tolist()}))
+        assert run_json(capsys, "bounds", "--domain", f"file:{path}")["results"]["diameter"] < 0.5 + 1e-9
+        results = run_json(capsys, "certify", "--domain", f"file:{path}", "--k", "4", "--l", "2")["results"]
+        assert results["chain"]["holds_all"]
+
     def test_csv_header(self, capsys):
         code, out, _ = run(capsys, "bounds", "--format", "csv")
         assert code == EXIT_OK

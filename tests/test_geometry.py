@@ -110,6 +110,13 @@ class TestConvexPolygon:
         else:
             assert ConvexPolygon(vertices).area == 0.0625
 
+    def test_short_edges_far_from_origin(self):
+        # each turn, |e|^2 sin(2 pi / 3344) ~ 4.2e-10, is far above its own
+        # rounding but below 2^-47 x scale x width = 2.8e-9
+        P = ConvexPolygon(regular_polygon(3344).vertices * 0.25 + [self.FAR, 0.0])
+        assert P.n == 3344
+        assert P.area == pytest.approx(regular_polygon(3344).area / 16.0, rel=1e-9)
+
     def test_containment_far_from_origin(self):
         # 1e-7 outside the right edge is 4e-7 of the side: outside, though
         # within EPS_REL x the largest |coordinate| (8e-7)
@@ -425,35 +432,37 @@ class TestNet:
         with pytest.raises(GeometryError, match="too small"):
             maximal_separated_net(sq, sep)
 
-    def test_limited_grids_over_budget_rejected(self, monkeypatch):
-        # a limit stops the scans early, but the grid budget is still
-        # checked before any grid is built
+    def test_grids_over_budget_rejected_before_any_is_built(self, monkeypatch):
+        # the grid budget is checked before either grid is built
         def no_grid(*args, **kwargs):
             raise AssertionError("a net grid was built")
 
         monkeypatch.setattr(np, "meshgrid", no_grid)
         sq = ConvexPolygon([[0, 0], [10, 0], [10, 10], [0, 10]])
         with pytest.raises(GeometryError, match="too small"):
-            maximal_separated_net(sq, 1e-3, limit=40)
+            maximal_separated_net(sq, 1e-3)
 
     @pytest.mark.parametrize("limit", [0, 1, 22, 23, 24, 25, 26, 100])
     def test_limit_gives_a_prefix(self, limit, monkeypatch):
         # the 12-gon's sep=0.37 net has 26 points, 24 of them from the
-        # coarse pass: the limits stop each pass, or neither
+        # coarse pass: a net cut to its first limit + 1 sites (as the square
+        # probes cut theirs to 25) stops in either pass, or in neither, and
+        # is the head of the all-pairs scans of both passes
         scan = _kernels.greedy_net
-        sizes = []
+        passes = []
 
-        def counted(*args, **kwargs):
-            net = scan(*args, **kwargs)
-            sizes.append(len(net))
+        def recorded(candidates, existing, sep, strict):
+            net = scan(candidates, existing, sep, strict)
+            passes.append((candidates, existing, sep, strict, net))
             return net
 
-        monkeypatch.setattr(_kernels, "greedy_net", counted)
-        poly = regular_polygon(12)
-        full = maximal_separated_net(poly, 0.37)
-        assert sizes == [24, 26]
-        got = maximal_separated_net(poly, 0.37, limit=limit)
-        assert np.array_equal(got, full[: limit + 1])
+        monkeypatch.setattr(_kernels, "greedy_net", recorded)
+        got = maximal_separated_net(regular_polygon(12), 0.37)[: limit + 1]
+        assert [len(p[-1]) for p in passes] == [24, 26]
+        coarse, fine = (brute_force_greedy_net(*p[:4]) for p in passes)
+        assert np.array_equal(fine[:24], coarse)
+        assert np.array_equal(got, fine[: limit + 1])
+        assert np.array_equal(got[:24], coarse[: limit + 1])
 
     def test_rejects_bad_separation(self):
         sq = ConvexPolygon(UNIT_SQUARE)
@@ -497,7 +506,8 @@ class TestNetPins:
         assert (len(net), _net_digest(net)) == (sites, digest)
 
     # the constants at which a search over C once built nets for the square
-    # certificate with k = l = 24, each net capped at l + 1 = 25 sites
+    # certificate with k = l = 24, each net capped at l + 1 = 25 sites: the
+    # first 25 sites of the full net
     SQUARE_PROBES = [
         0.25, 0.5, 1.0, 2.0, 2.8284271247461903, 3.3635856610148585, 3.668016172818685, 3.8304131227942944
     ]
@@ -508,7 +518,7 @@ class TestNetPins:
         probes = []
         for C in self.SQUARE_PROBES:
             R = partition_radius(24, 24, C, mu_24)
-            sites = maximal_separated_net(inner_offset(square, R), 2.0 * R, limit=24)
+            sites = maximal_separated_net(inner_offset(square, R), 2.0 * R)[:25]
             probes.append((24, len(sites), _net_digest(sites)))
         assert probes == [
             (24, 25, "4e528b92006ef5a73adf91bc51667da5f2bcd885aeb7dbab4d2dc0077f40db97"),
@@ -552,33 +562,17 @@ class TestNetLattice:
         mu_24 = rectangle_spectrum(0.5, 0.5, 25)[24]
         for C in TestNetPins.SQUARE_PROBES:
             R = partition_radius(24, 24, C, mu_24)
-            maximal_separated_net(inner_offset(square, R), 2.0 * R, limit=24)
+            maximal_separated_net(inner_offset(square, R), 2.0 * R)
         rect = Rectangle(Point2(0.0, 0.0), 5.0, 5.0, 0.0).polygon()
         R = partition_radius(40, 40, 0.5, rectangle_spectrum(5.0, 5.0, 41)[40])
         maximal_separated_net(inner_offset(rect, R), 2.0 * R)
         far = ConvexPolygon(regular_polygon(7).vertices + 1e5)
         maximal_separated_net(far, 0.2)
-        maximal_separated_net(far, 0.2, limit=30)
         assert len(seen) > 10
         for pts in seen:
             x, y = pts[:, 0], pts[:, 1]
             assert ((x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] > y[:-1]))).all()
             assert np.array_equal(np.lexsort((y, x)), np.arange(len(pts)))
-
-    @pytest.mark.parametrize("block", [1, 40, 300])
-    @pytest.mark.parametrize("poly", ["random", "12-gon"])
-    def test_capped_scans_cross_blocks(self, poly, block, monkeypatch):
-        # blocks of one column and more: a capped net scanned a block at a
-        # time is the head of the uncapped one; the 12-gon's fine pass adds
-        # sites 25 and 26 (see TestNet), so limits stop either pass
-        P, sep = (_seeded_convex_polygon(), 0.23) if poly == "random" else (regular_polygon(12), 0.37)
-        full = maximal_separated_net(P, sep)
-        monkeypatch.setattr(geometry, "NET_BLOCK", block)
-        seen = self._scanned(monkeypatch)
-        for limit in (0, 1, 5, 22, 23, 24, 25, 26, 40, 60, 73, 74, 75, 200):
-            got = maximal_separated_net(P, sep, limit=limit)
-            assert np.array_equal(got, full[: limit + 1])
-        assert len(seen) > 20
 
 
 class TestVoronoi:
@@ -694,7 +688,7 @@ def voronoi_oracle_cases():
         (square, _kernels.greedy_net(0.125 * idx, np.empty((0, 2)), 0.5, True)),
         (square, rng.uniform(-2.0, 2.0, size=(300, 2))),
         # a dense cluster and three lone sites: their cells reach far
-        # beyond the first ring of buckets
+        # beyond their nearest sites
         (square, np.concatenate([rng.uniform(-1.9, -1.5, (200, 2)), lone])),
         (square, [[0.3, -0.7]]),
         (square, [[-1.0, 0.0], [1.0, 0.0]]),
@@ -708,7 +702,7 @@ def voronoi_oracle_cases():
         inside = rect.center.array + 1.4 * local[:, :1] * u + 2.9 * local[:, 1:] * v
         cases.append((rect.polygon(), inside))
     # a long strip, crowded at one end: the cells at the other end span
-    # many bucket rings
+    # many site spacings
     strip = Rectangle(Point2(0.0, 0.0), 0.25, 20.0, 0.0).polygon()
     crowd = rng.uniform([-0.24, -19.9], [0.24, -17.0], (60, 2))
     cases.append((strip, np.concatenate([crowd, [[0.0, 15.0], [0.1, 19.5]]])))
@@ -716,48 +710,7 @@ def voronoi_oracle_cases():
 
 
 class TestVoronoiOracle:
-    """The bucket-ring partition gives exactly the argsort reference cells."""
-
-    def test_cases_reach_beyond_the_first_ring(self, monkeypatch):
-        # the oracle cases must take the wider rings, not only the 3 x 3
-        # buckets the first pass sorts
-        reaches = []
-        rings = geometry._rings
-
-        def recording(grid, pts, sites, reach):
-            reaches.append(reach)
-            return rings(grid, pts, sites, reach)
-
-        monkeypatch.setattr(geometry, "_rings", recording)
-        for P, sites in voronoi_oracle_cases():
-            voronoi_partition(P, sites)
-        assert max(reaches) >= 8
-
-    @pytest.mark.parametrize("case", [0, 4, 11])
-    def test_sites_come_in_argsort_order(self, case):
-        # read to the end, the rings give every site in the order of a
-        # stable argsort of d2, as voronoi_partition builds them
-        P, sites = voronoi_oracle_cases()[case]
-        pts = np.asarray(sites, dtype=float)
-        radius = geometry._RING_SPACINGS * math.sqrt(P.area / len(pts))
-        grid = _kernels.BucketGrid(pts, *_kernels.bucket_frame(pts, radius))
-        rings = geometry._rings(grid, pts, np.arange(len(pts)), 1)
-        for i, ring in zip(range(0, len(pts), 7), list(rings)[::7]):
-            d2 = ((pts - pts[i]) ** 2).sum(axis=1)
-            order = np.argsort(d2, kind="stable")
-            got = list(geometry._by_distance(grid, pts, i, ring, radius))
-            assert [j for _, j in got] == order.tolist()
-            assert [x for x, _ in got] == d2[order].tolist()
-
-    @pytest.mark.parametrize("case", [0, 4, 11])
-    def test_cells_equal_in_small_pair_chunks(self, case, monkeypatch):
-        # grid pairs come a few at a time, so a site's first ring is split
-        # between chunks and held over
-        monkeypatch.setattr(_kernels, "_PAIR_CHUNK", 97)
-        P, sites = voronoi_oracle_cases()[case]
-        part = voronoi_partition(P, sites)
-        want = argsort_voronoi_cells(P, sites)
-        assert all(np.array_equal(cell.vertices, ref) for cell, ref in zip(part.cells, want))
+    """The partition gives exactly the argsort reference cells."""
 
     @pytest.mark.parametrize("case", range(len(voronoi_oracle_cases())))
     def test_cells_equal(self, case):
@@ -962,7 +915,7 @@ def brute_force_greedy_net(candidates, existing, sep, strict):
 
 
 class TestGreedyNetOracle:
-    """The bucketed scan keeps exactly the sites of the all-pairs scan."""
+    """The windowed scan keeps exactly the sites of the all-pairs scan."""
 
     @pytest.mark.parametrize("offset", [0.0, -7.3, 1e5])
     @pytest.mark.parametrize("strict", [False, True])
@@ -978,6 +931,32 @@ class TestGreedyNetOracle:
                 got = _kernels.greedy_net(cands, existing, sep, strict)
                 want = brute_force_greedy_net(cands, existing, sep, strict)
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sep", [2.0**-30, 2.0**-33])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_window_at_the_limit_of_precision(self, sep, strict):
+        # at offset 1e5 the pitch sep/8 = 2^-36 at sep = 2^-33 is one ulp of
+        # the coordinates, so the x window's bounds x -+ 2 sep round as much
+        # as the distances do
+        idx = np.array([(i, j) for i in range(-24, 25) for j in range(-24, 25)])
+        lattice = 1e5 + (sep / 8.0) * idx.astype(float)
+        shuffled = lattice[np.random.default_rng(22).permutation(len(lattice))]
+        for cands in (lattice, shuffled):
+            for existing in (np.empty((0, 2)), cands[:3] + sep / 16.0):
+                got = _kernels.greedy_net(cands, existing, sep, strict)
+                want = brute_force_greedy_net(cands, existing, sep, strict)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_distances_that_underflow(self, strict):
+        # at sep = 2^-540 a point 4 sep away squares to below half the
+        # smallest subnormal, so its distance reads 0 and it is rejected
+        sep = 2.0**-540
+        cands = np.array([[0.0, 0.0], [4.0 * sep, 0.0], [0.0, 4.0 * sep], [2.0**-500, 0.0]])
+        for existing in (np.empty((0, 2)), np.array([[-4.0 * sep, 0.0]])):
+            got = _kernels.greedy_net(cands, existing, sep, strict)
+            assert np.array_equal(got, brute_force_greedy_net(cands, existing, sep, strict))
+            assert len(got) == len(existing) + 2
 
     @pytest.mark.parametrize("offset", [0.0, 1e5])
     @pytest.mark.parametrize("strict", [False, True])
@@ -1026,8 +1005,8 @@ class TestGreedyNetOracle:
     @pytest.mark.parametrize("strict", [False, True])
     def test_columns_stepping_by_sep(self, offset, strict):
         # lattice columns whose y steps are exactly sep, or one ulp shorter
-        # or longer: ties that each kept site meets among the candidates of
-        # its 3 x 3 buckets, and the existing points meet in the prefilter
+        # or longer: ties that each kept site and each existing point meets
+        # among the candidates of its x window
         sep = 0.25
         ys = offset + sep * np.arange(-12, 13, dtype=float)
         for step in (None, -np.inf, np.inf):
@@ -1045,7 +1024,7 @@ class TestGreedyNetOracle:
     @pytest.mark.parametrize("strict", [False, True])
     def test_interleaved_columns(self, strict):
         # lattice columns visited in shuffled order, so the candidates are
-        # not in lexicographic order: a kept site's 3 x 3 buckets hold
+        # not in lexicographic order: a kept site's x window holds
         # candidates from before it in the scan as well as after
         sep = 0.3
         idx = np.array([(i, j) for i in range(-20, 21) for j in range(-20, 21)])
@@ -1066,13 +1045,11 @@ class TestGreedyNetOracle:
 
     @pytest.mark.parametrize("offset", [0.0, -7.3, 1e5])
     def test_random_columns(self, offset):
-        # columns at random x with random y, from 1 candidate to more than a
-        # query chunk of the existing-point prefilter or a NET_BLOCK lattice
-        # block (both 4096)
+        # columns at random x with random y, from 1 candidate to 4146
         rng = np.random.default_rng(18)
         xs = offset + rng.uniform(-1.0, 1.0, size=40)
         lengths = rng.integers(1, 40, size=40)
-        lengths[7] = _kernels._QUERY_CHUNK + 50
+        lengths[7] = 4146
         cands = np.concatenate(
             [
                 np.stack([np.full(n, x), offset + rng.uniform(-1.0, 1.0, n)], axis=1)
@@ -1084,57 +1061,6 @@ class TestGreedyNetOracle:
             got = _kernels.greedy_net(cands, existing, 0.3, strict)
             want = brute_force_greedy_net(cands, existing, 0.3, strict)
             assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_limit_keeps_a_prefix(self, strict):
-        # a limit stops the scan after limit + 1 rows, existing ones counted;
-        # what it returns is the head of the unlimited result
-        sep = 0.3
-        idx = np.array([(i, j) for i in range(-24, 25) for j in range(-24, 25)])
-        lattice = (sep / 8.0) * idx.astype(float)
-        shuffled = lattice[np.random.default_rng(16).permutation(len(lattice))]
-        for cands in (lattice, shuffled):
-            for existing in (np.empty((0, 2)), cands[:3] + sep / 16.0):
-                full = _kernels.greedy_net(cands, existing, sep, strict)
-                n = len(full)
-                for limit in (0, 1, 2, 3, 4, 10, n - 2, n - 1, n, n + 5):
-                    got = _kernels.greedy_net(cands, existing, sep, strict, limit=limit)
-                    assert np.array_equal(got, full[: limit + 1])
-
-
-class TestBucketGrid:
-    """Grid queries return exactly the pairs whose keys are within reach."""
-
-    @pytest.mark.parametrize("offset", [0.0, 1e5])
-    @pytest.mark.parametrize("reach", [0, 1, 3])
-    def test_pairs_match_keys(self, offset, reach):
-        rng = np.random.default_rng(20)
-        # 400 points in one bucket give more pairs than one chunk holds
-        pts = offset + np.concatenate(
-            [rng.uniform(-2.0, 2.0, (300, 2)), rng.uniform(0.0, 0.01, (400, 2)), [[5.0, -3.0]]]
-        )
-        grid = _kernels.BucketGrid(pts, *_kernels.bucket_frame(pts, 0.3))
-        kx, ky = grid.keys(pts)
-        for queries in (pts, pts[::-7] + 0.01):
-            qkx, qky = grid.keys(queries)
-            near_x = np.abs(qkx[:, None] - kx[None, :]) <= reach
-            want = np.argwhere(near_x & (np.abs(qky[:, None] - ky[None, :]) <= reach))
-            chunks = list(grid.pairs(queries, reach))
-            got = np.concatenate([np.stack(c, axis=1) for c in chunks])
-            assert len(chunks) > 1 or len(want) <= _kernels._PAIR_CHUNK
-            assert len(got) == len(want)
-            assert np.array_equal(got[np.lexsort(got.T[::-1])], want)
-
-    def test_keys_of_a_wide_spread(self):
-        # a radius 1e-300 of the spread: every key stays below ~1e15
-        pts = np.array([[0.0, 0.0], [1.0, 1.0], [1e-300, 0.0], [0.5, 1.0]])
-        grid = _kernels.BucketGrid(pts, *_kernels.bucket_frame(pts, 1e-300))
-        kx, ky = grid.keys(pts)
-        assert kx.max() < 1.1e15 and ky.max() < 1.1e15
-        assert kx[0] == kx[2] and ky[0] == ky[2]
-        pairs = np.concatenate([np.stack(c, axis=1) for c in grid.pairs(pts)])
-        want = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2), (3, 3)]
-        assert sorted(map(tuple, pairs.tolist())) == want
 
 
 def brute_force_close_pair(pts, close):
@@ -1176,22 +1102,26 @@ def close_pair_cases():
     beyond[1, 0] = np.nextafter(np.nextafter(0.3 + tol, 1.0), 1.0)
     spread = rng.uniform(-1.0, 1.0, (200, 2))
     spread[50] = spread[49] + np.array([1e-300, 0.0])
+    lone_pair = np.delete(spread, 50, axis=0)
+    lone_pair[150] = lone_pair[3] + np.array([0.0, 0.5 * tol])
     cases += [
         (one_tol, tol, same, None),
         (beyond, tol, same, None),
         (cluster, tol, same, False),
         (np.array([[2.0, 2.0], [2.0, 2.0]]), tol, same, True),
         (np.array([[2.0, 2.0], [3.0, 2.0]]), tol, same, False),
-        # pairs 1e-300 apart in a spread of 2: every bucket holds one point
+        # pairs 1e-300 apart in a spread of 2
         (spread, tol, same, True),
         (spread, 1e-300, lambda d2: np.sqrt(d2) <= 1e-300, True),
         (np.delete(spread, 50, axis=0), 1e-300, lambda d2: np.sqrt(d2) <= 1e-300, False),
+        # one close pair, far apart in row order
+        (lone_pair, tol, same, True),
     ]
     return cases
 
 
 class TestClosePairOracle:
-    """The bucket-grid pair test agrees with the all-pairs one."""
+    """The windowed pair test agrees with the all-pairs one."""
 
     @pytest.mark.parametrize("case", range(len(close_pair_cases())))
     def test_agrees_with_all_pairs(self, case):
