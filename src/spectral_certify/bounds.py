@@ -3,8 +3,8 @@
 Scalar bounds for the Neumann Laplacian on planar convex domains: the
 Payne-Weinberger lower bound for the first nonzero eigenvalue, upper
 bounds in terms of diameter (Bessel-zero type) and of area, and a
-lower bound for partitioned domains.  Also exact spectra of rectangles
-and flat rectangular tori, used as references throughout.
+lower bound for partitioned domains.  Also the exact spectra of
+rectangles, used as references throughout.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def partition_lower(first_eigenvalues) -> float:
     return float(vals.min())
 
 
-def _bases(scale: float, length_x: float, length_y: float, count: int) -> tuple[float, float]:
-    """(big, small), the larger and smaller of (scale / L)^2 over the two
+def _bases(length_x: float, length_y: float, count: int) -> tuple[float, float]:
+    """(big, small), the larger and smaller of (pi / L)^2 over the two side
     lengths.  They must be normal doubles at most 2^1019, and so must the
     threshold _counted reaches, below 4 sqrt(big small) count, so that no
     sum in _cuts passes 2^1022: otherwise a ValueError names the lengths.
@@ -72,7 +72,7 @@ def _bases(scale: float, length_x: float, length_y: float, count: int) -> tuple[
     lx, ly = float(length_x), float(length_y)
     if not (lx > 0 and ly > 0 and count >= 1):
         raise ValueError(f"need positive lengths and a count >= 1, got {lx!r} x {ly!r} and {count}")
-    big, small = sorted((scale / lx, scale / ly), reverse=True)  # the roots, until squared
+    big, small = sorted((math.pi / lx, math.pi / ly), reverse=True)  # the roots, until squared
     if not (2.0**-511 <= small and big <= 2.0**509.5 and 4.0 * big * small * count <= 2.0**1019):
         raise ValueError(
             f"lengths {lx!r} x {ly!r}: the first {count} closed-form eigenvalues "
@@ -95,42 +95,35 @@ def _cuts(big: float, small: float, t: float, p: np.ndarray) -> np.ndarray:
     return q
 
 
-def _counted(big: float, small: float, count: int, signed: bool):
-    """A threshold t holding at least count values, its rows p, their cuts
-    and the values each row holds, each of (+-p, +-q) apart when signed.
-    t starts at the smaller of small (count - 1)^2, which the row p = 0
-    alone reaches, and 4 sqrt(big small) count / pi: the quarter ellipse
-    below it holds at least its area of lattice pairs.  Doubling covers the
-    rounding of the second, so t < 8 sqrt(big small) count / pi."""
+def _counted(big: float, small: float, count: int):
+    """A threshold t holding at least count values, its rows p and their
+    cuts.  t starts at the smaller of small (count - 1)^2, which the row
+    p = 0 alone reaches, and 4 sqrt(big small) count / pi: the quarter
+    ellipse below it holds at least its area of lattice pairs.  Doubling
+    covers the rounding of the second, so t < 8 sqrt(big small) count / pi."""
     t = min(small * float(count - 1) ** 2, 4.0 / math.pi * math.sqrt(big) * math.sqrt(small) * count)
     while True:
         # p past sqrt(t / big) + 1 has big p^2 > t whatever the rounding
         p = np.arange(int(math.sqrt(t / big)) + 2)
         q = _cuts(big, small, t, p)
-        held = (2 * q + 1).clip(0) * (1 + (p > 0)) if signed else q + 1
-        if held.sum() >= count:
-            return t, p, q, held
+        if (q + 1).sum() >= count:
+            return t, p, q
         t *= 2.0
 
 
-def _listed(scale: float, length_x: float, length_y: float, count: int, signed: bool) -> np.ndarray:
+def _listed(length_x: float, length_y: float, count: int) -> np.ndarray:
     """The count smallest lattice values, ascending: every pair at or below
     the counted threshold, listed one p-row at a time into one array that
     is sorted in place.  Addition commutes in floating point, so p runs
     along the larger base, which has the fewer rows."""
-    big, small = _bases(scale, length_x, length_y, count)
-    _, p, q, held = _counted(big, small, count, signed)
-    tail = small * np.arange(q[0] + 1) ** 2
-    if signed:
-        # q = 0 once, every other q as +q and -q
-        tail = np.repeat(tail, 2)[1:]
+    big, small = _bases(length_x, length_y, count)
+    _, p, q = _counted(big, small, count)
+    held = q + 1
+    tail = small * np.arange(held[0]) ** 2
     values = np.empty(int(held.sum()))
     at = 0
     for row, n in zip((big * p**2).tolist(), held.tolist()):
-        # a signed row p > 0 holds the row -p too
-        w = n // 2 if signed and row > 0 else n
-        np.add(row, tail[:w], out=values[at : at + w])
-        values[at + w : at + n] = values[at : at + n - w]
+        np.add(row, tail[:n], out=values[at : at + n])
         at += n
     values.sort()
     return values[:count].copy()
@@ -140,7 +133,7 @@ def rectangle_spectrum(half_width_a: float, half_width_b: float, count: int) -> 
     """First count Neumann eigenvalues of a rectangle with the given
     half-widths: pi^2 (p^2 / Lx^2 + q^2 / Ly^2) with side lengths
     Lx = 2 half_width_a, Ly = 2 half_width_b and p, q >= 0."""
-    return Spectrum(_listed(math.pi, 2.0 * half_width_a, 2.0 * half_width_b, count, signed=False))
+    return Spectrum(_listed(2.0 * half_width_a, 2.0 * half_width_b, count))
 
 
 # A certify command reads mu_k and mu_l for its report, mu_k again for the
@@ -156,8 +149,8 @@ def rectangle_eigenvalue(half_width_a: float, half_width_b: float, k: int) -> fl
     time and memory: bisecting the threshold narrows (lo, hi] around the
     answer until it holds O(sqrt k) values, which are listed and the right
     one selected."""
-    big, small = _bases(math.pi, 2.0 * half_width_a, 2.0 * half_width_b, k + 1)
-    hi, p, q_hi, _ = _counted(big, small, k + 1, signed=False)
+    big, small = _bases(2.0 * half_width_a, 2.0 * half_width_b, k + 1)
+    hi, p, q_hi = _counted(big, small, k + 1)
     lo = -1.0
     q_lo = _cuts(big, small, lo, p)
     while (q_hi - q_lo).sum() > 2 * p.size + 64:
@@ -176,9 +169,3 @@ def rectangle_eigenvalue(half_width_a: float, half_width_b: float, k: int) -> fl
     j = k - int((q_lo + 1).sum())
     return float(np.partition(values, j)[j])
 
-
-def torus_spectrum(length_x: float, length_y: float, count: int) -> Spectrum:
-    """First count eigenvalues of the flat torus with the given periods:
-    4 pi^2 (p^2 / Lx^2 + q^2 / Ly^2) with p, q ranging over all integers,
-    so each (+-p, +-q) combination contributes its own multiplicity."""
-    return Spectrum(_listed(2.0 * math.pi, length_x, length_y, count, signed=True))

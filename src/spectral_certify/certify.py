@@ -20,8 +20,8 @@ it rebuilds (grid_rebuilt); they carry no evidence of their own.
 
 The measured side works on a spectrum the caller computes once with
 reference_spectrum: quadratic_ratio_sweep tabulates the constant over
-all index pairs, and weak_chain_report traces consecutive eigenvalues
-through a box sandwich of the domain.
+all index pairs, and weak_chain_report checks each consecutive ratio
+mu_{k+1} / mu_k against a cap.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .bounds import _bases, payne_weinberger_lower, rectangle_eigenvalue, rectangle_spectrum, torus_spectrum
+from .bounds import _bases, payne_weinberger_lower, rectangle_eigenvalue, rectangle_spectrum
 from .fem import neumann_spectrum
 # the traced benchmark wraps the net names and rectangle_sandwich here
 from .geometry import (
@@ -209,7 +209,7 @@ class PartitionCertificate:
             # closed-form values leave the float range has no mu_k
             rect.polygon()
             if 1 <= k <= INDEX_LIMIT:
-                _bases(math.pi, 2.0 * rect.half_width_a, 2.0 * rect.half_width_b, k + 1)
+                _bases(2.0 * rect.half_width_a, 2.0 * rect.half_width_b, k + 1)
         except ValueError as exc:  # GeometryError is one
             raise CertificateFormatError(f"certificate field 'domain' is malformed: {exc}") from None
         return cls(
@@ -411,63 +411,18 @@ def quadratic_ratio_sweep(spec: Spectrum, k_max: int) -> SweepTable:
     return SweepTable(entries=entries, max_ratio=worst, spectrum_source=spec.source)
 
 
-def weak_chain_report(
-    domain_spectrum: Spectrum, sandwich: geometry.BoxSandwich, k_max: int, ratio_cap: float
-) -> dict:
-    """Trace mu_{k+1} against mu_k of a domain, for each 1 <= k <= k_max,
-    through a box sandwich of the domain: {k: ChainReport}, from a domain
-    spectrum of k_max + 2 or more values.
-
-    The chain runs: domain to inner box by monotonicity (factor 4 = 2^2 in
-    the plane), inner to outer box by exact scaling, consecutive
-    eigenvalues compared on the inner box against the flat torus of the
-    doubled box, then back.  Links record measured ratios against
-    reference constant 1, so holds is informational for the inequalities
-    that are only true up to constants; the comparison of mu_{k+1} with
-    ratio_cap mu_k is the gating link.  The box and torus spectra are
-    listed once, at k_max + 2 values; a listing is bit for bit the prefix
-    of a longer one, so each chain reads what a listing of k + 2 gives.
-    """
+def weak_chain_report(domain_spectrum: Spectrum, k_max: int, ratio_cap: float) -> dict:
+    """The gated link mu_{k+1} <= ratio_cap mu_k of a domain, for each
+    1 <= k <= k_max: {k: ChainReport} holding the one link
+    consecutive_ratio_capped, from a domain spectrum of k_max + 2 or more
+    values."""
     if not isinstance(k_max, (int, np.integer)) or k_max < 1:
         raise CertificationError("k_max must be an integer >= 1")
     if len(domain_spectrum) < k_max + 2:
         raise CertificationError("domain spectrum too short for the requested k_max")
-    inner, outer = sandwich.inner, sandwich.outer
-    delta = sandwich.dilation_factor
-    inner_spec = rectangle_spectrum(inner.half_width_a, inner.half_width_b, k_max + 2)
-    outer_spec = rectangle_spectrum(outer.half_width_a, outer.half_width_b, k_max + 2)
-    torus = torus_spectrum(4.0 * inner.half_width_a, 4.0 * inner.half_width_b, k_max + 2)
     chains = {}
     for k in range(1, k_max + 1):
-        mu_dom_k = domain_spectrum[k]
-        mu_dom_k1 = domain_spectrum[k + 1]
-        links = [
-            ChainLink.check("sandwich_dilation", delta, 8.0),
-            # domain monotonicity: restriction shrinks to the inner box at cost 2^2
-            ChainLink.check("domain_to_inner_box", mu_dom_k1, 4.0 * inner_spec[k + 1]),
-            # boxes are exact dilates: spectra scale by delta^2
-            ChainLink.check(
-                "inner_outer_scaling",
-                abs(inner_spec[k + 1] - delta**2 * outer_spec[k + 1]),
-                GEOMETRY_RTOL * inner_spec[k + 1],
-            ),
-            # consecutive ratio on the inner box, reference constant 1
-            ChainLink.check("inner_box_consecutive", inner_spec[k + 1], inner_spec[k]),
-            # outer box back to the domain by monotonicity
-            ChainLink.check("outer_box_to_domain", outer_spec[k], 4.0 * mu_dom_k),
-            # gating link: end-to-end consecutive-eigenvalue ratio under the cap
-            ChainLink.check("consecutive_ratio_capped", mu_dom_k1, ratio_cap * max(mu_dom_k, 0.0)),
-        ]
-        # doubled-box torus spectrum against the box spectrum, index by index;
-        # the torus repeats values with extra sign multiplicity, so equality of
-        # the two lists is not expected and the mismatch count is reported
-        mismatches = 0
-        for j in range(k + 2):
-            t, r = torus[j], inner_spec[j]
-            scale = max(r, 1.0)
-            if abs(t - r) > 1e-9 * scale:
-                mismatches += 1
-            links.append(ChainLink.check(f"torus_vs_box[{j}]", t, max(r, 0.0)))
-        links.append(ChainLink.check("torus_multiplicity_mismatches", float(mismatches), float(k + 2)))
-        chains[k] = ChainReport(links=links)
+        mu_k, mu_next = domain_spectrum[k], domain_spectrum[k + 1]
+        gate = ChainLink.check("consecutive_ratio_capped", mu_next, ratio_cap * max(mu_k, 0.0))
+        chains[k] = ChainReport(links=[gate])
     return chains

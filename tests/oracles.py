@@ -70,15 +70,15 @@ def rectangle_eigenvalue_exact(length_x: float, length_y: float, k: int) -> floa
     return math.pi**2 * float(keys[k] / (lx2 * ly2))
 
 
-def lattice_spectrum(base_x: float, base_y: float, count: int, signed: bool) -> np.ndarray:
+def lattice_spectrum(base_x: float, base_y: float, count: int) -> np.ndarray:
     """The count smallest fl(base_x p^2 + base_y q^2), ascending, sorted from
-    the whole box p, q in [0, count - 1], or [-(count - 1), count - 1] when
-    signed.  The box is enough: with small the smaller base, q = 0 .. count - 1
-    at p = 0 already gives count values at most T = fl(small (count - 1)^2).
-    Rounding is monotone, so a value at most T has fl(small q^2) and
-    fl(big p^2) at most T, which puts |p| and |q| below count (a pair outside
-    can only tie T, and ties do not change the sorted values)."""
-    n = np.arange(-(count - 1) if signed else 0, count)
+    the whole box p, q in [0, count - 1].  The box is enough: with small the
+    smaller base, q = 0 .. count - 1 at p = 0 already gives count values at
+    most T = fl(small (count - 1)^2).  Rounding is monotone, so a value at
+    most T has fl(small q^2) and fl(big p^2) at most T, which puts p and q
+    below count (a pair outside can only tie T, and ties do not change the
+    sorted values)."""
+    n = np.arange(count)
     values = base_x * n[:, None] ** 2 + base_y * n[None, :] ** 2
     return np.sort(values, axis=None)[:count]
 

@@ -16,7 +16,6 @@ from spectral_certify.bounds import (
     payne_weinberger_lower,
     rectangle_eigenvalue,
     rectangle_spectrum,
-    torus_spectrum,
 )
 from spectral_certify.spectra import Spectrum
 from oracles import lattice_spectrum
@@ -170,19 +169,13 @@ def lattice_cases():
 
 
 class TestLatticeOracle:
-    """The listings against a sort of the whole lattice box, which shares no
-    code with the counter both listings and rectangle_eigenvalue use."""
+    """The listing against a sort of the whole lattice box, which shares no
+    code with the counter the listing and rectangle_eigenvalue use."""
 
     def test_rectangle_bit_for_bit(self):
         for a, b, count in lattice_cases():
-            expected = lattice_spectrum((math.pi / (2.0 * a)) ** 2, (math.pi / (2.0 * b)) ** 2, count, False)
+            expected = lattice_spectrum((math.pi / (2.0 * a)) ** 2, (math.pi / (2.0 * b)) ** 2, count)
             assert rectangle_spectrum(a, b, count).values.tobytes() == expected.tobytes()
-
-    def test_torus_bit_for_bit(self):
-        for a, b, count in lattice_cases():
-            lx, ly = 2.0 * a, 2.0 * b
-            expected = lattice_spectrum((2.0 * math.pi / lx) ** 2, (2.0 * math.pi / ly) ** 2, count, True)
-            assert torus_spectrum(lx, ly, count).values.tobytes() == expected.tobytes()
 
 
 class TestRectangleEigenvalue:
@@ -202,36 +195,6 @@ class TestRectangleEigenvalue:
             rectangle_eigenvalue(0.0, 1.0, 3)
         with pytest.raises(ValueError):
             rectangle_eigenvalue(1.0, 1.0, -1)
-
-
-class TestTorusSpectrum:
-    def test_square_torus_multiplicities(self):
-        vals = torus_spectrum(1.0, 1.0, 6).values
-        four_pi2 = 4.0 * PI2
-        assert vals[0] == 0.0
-        assert vals[1:5] == pytest.approx(np.full(4, four_pi2), rel=1e-12)
-        assert vals[5] == pytest.approx(2.0 * four_pi2, rel=1e-12)
-
-    def test_two_by_one_torus(self):
-        vals = torus_spectrum(2.0, 1.0, 4).values
-        assert vals[1] == pytest.approx(PI2, rel=1e-12)
-        assert vals[2] == pytest.approx(PI2, rel=1e-12)
-        assert vals[3] == pytest.approx(4.0 * PI2, rel=1e-12)
-
-    def test_brute_force_lattice_oracle(self):
-        lx, ly = 2.31, 1.07
-        spec = torus_spectrum(lx, ly, 40).values
-        grid = [
-            4.0 * PI2 * (p**2 / lx**2 + q**2 / ly**2)
-            for p in range(-40, 41)
-            for q in range(-40, 41)
-        ]
-        expected = np.sort(np.array(grid))[:40]
-        assert spec == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            torus_spectrum(-1.0, 1.0, 3)
 
 
 class TestBoundsBracketEigenvalues:

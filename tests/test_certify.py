@@ -39,7 +39,6 @@ from spectral_certify.geometry import (
     inner_offset,
     maximal_separated_net,
     rectangle_from_polygon,
-    rectangle_sandwich,
     regular_polygon,
     voronoi_partition,
 )
@@ -64,8 +63,7 @@ SEARCH_CASES = [
 
 def square_chain(k, ratio_cap=100.0):
     """weak_chain_report on the unit square, from its closed-form spectrum."""
-    sandwich = rectangle_sandwich(UNIT_SQUARE.polygon())
-    return weak_chain_report(rectangle_spectrum(0.5, 0.5, k + 2), sandwich, k, ratio_cap)[k]
+    return weak_chain_report(rectangle_spectrum(0.5, 0.5, k + 2), k, ratio_cap)[k]
 
 
 def link_by_name(report, name):
@@ -621,27 +619,16 @@ class TestQuadraticRatioSweep:
 
 class TestWeakChain:
     def test_square_links(self):
+        # the one gated link, mu_2 <= 100 mu_1, and mu_2 = mu_1 on the square
         report = square_chain(1)
-        assert link_by_name(report, "sandwich_dilation").holds
-        # power-of-two dilation makes the scaling identity exact
-        assert link_by_name(report, "inner_outer_scaling").lhs == 0.0
-        assert link_by_name(report, "consecutive_ratio_capped").holds
-        assert link_by_name(report, "domain_to_inner_box").holds
-        assert link_by_name(report, "outer_box_to_domain").holds
-        # mu_2 = mu_1 on the square
-        assert link_by_name(report, "inner_box_consecutive").ratio == pytest.approx(
-            1.0, rel=1e-12
-        )
-
-    def test_torus_multiplicity_reporting(self):
-        report = square_chain(3)
-        mism = link_by_name(report, "torus_multiplicity_mismatches")
-        # doubled-box torus repeats values with sign multiplicity, so the
-        # two lists diverge from index 3 on
-        assert mism.lhs == 2.0
-        assert mism.holds
+        assert [link.name for link in report.links] == ["consecutive_ratio_capped"]
+        gate = report.links[0]
+        assert gate.holds and report.holds_all
+        assert gate.lhs == pytest.approx(PI2, rel=1e-12)
+        assert gate.rhs == pytest.approx(100.0 * PI2, rel=1e-12)
 
     def test_gating_link_fails_under_tight_cap(self):
+        # mu_3 = 2 pi^2 > 1.5 mu_2 = 1.5 pi^2
         report = square_chain(2, ratio_cap=1.5)
         gate = link_by_name(report, "consecutive_ratio_capped")
         assert not gate.holds
@@ -649,13 +636,10 @@ class TestWeakChain:
 
     def test_fem_domain_and_precomputed_spectrum(self):
         pent = regular_polygon(5)
-        sandwich = rectangle_sandwich(pent)
-        report = weak_chain_report(reference_spectrum(pent, 3, 3), sandwich, 1, 100.0)[1]
-        assert link_by_name(report, "sandwich_dilation").lhs in (1.0, 2.0, 4.0, 8.0)
+        report = weak_chain_report(reference_spectrum(pent, 3, 3), 1, 100.0)[1]
         from spectral_certify.fem import neumann_spectrum
 
-        spec = neumann_spectrum(pent, 4, 3)
-        report2 = weak_chain_report(spec, sandwich, 1, 100.0)[1]
+        report2 = weak_chain_report(neumann_spectrum(pent, 4, 3), 1, 100.0)[1]
         gate1 = link_by_name(report, "consecutive_ratio_capped")
         gate2 = link_by_name(report2, "consecutive_ratio_capped")
         assert gate2.lhs == pytest.approx(gate1.lhs, rel=1e-12)
@@ -667,7 +651,7 @@ class TestWeakChain:
     def test_short_spectrum_rejected(self):
         spec = rectangle_spectrum(0.5, 0.5, 3)
         with pytest.raises(CertificationError):
-            weak_chain_report(spec, rectangle_sandwich(UNIT_SQUARE.polygon()), 2, 100.0)
+            weak_chain_report(spec, 2, 100.0)
 
     @pytest.mark.parametrize(
         "P",
@@ -681,15 +665,13 @@ class TestWeakChain:
         ids=["square", "rect_10x1", "regular_5", "regular_256", "quadrilateral"],
     )
     def test_chains_match_per_k_listings(self, P):
-        # the box and torus spectra are listed once, at k_max + 2 values;
-        # each chain must come out as from its own listing of k + 2, and its
-        # dict as dataclasses.asdict gives its links
-        sandwich = rectangle_sandwich(P)
-        spec = rectangle_spectrum(0.7, 1.1, 12)  # any ascending spectrum of 12
-        chains = weak_chain_report(spec, sandwich, 10, 100.0)
+        # each chain is the same whatever k_max, and its dict is what
+        # dataclasses.asdict gives of its links
+        spec = reference_spectrum(P, 12, 2)
+        chains = weak_chain_report(spec, 10, 100.0)
         assert list(chains) == list(range(1, 11))
         for k, chain in chains.items():
-            alone = weak_chain_report(spec, sandwich, k, 100.0)[k]
+            alone = weak_chain_report(spec, k, 100.0)[k]
             assert json.dumps(chain.to_dict()) == json.dumps(alone.to_dict())
             links = [dataclasses.asdict(link) for link in alone.links]
             assert json.dumps(chain.to_dict()) == json.dumps({"links": links, "holds_all": alone.holds_all})

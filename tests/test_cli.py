@@ -409,6 +409,14 @@ class TestExitCodes:
         code, out, err = run(capsys, command, "--domain", "regular:6", "--levels", "2")
         assert code == EXIT_SOLVER
         assert "LU of K + M (dimension 62) failed" in out + err
+        if command == "sweep":
+            # the report stays JSON: no domain solved leaves no maximum
+            def refuse(name):
+                raise AssertionError(f"{name} is not JSON")
+
+            results = json.loads(out, parse_constant=refuse)["results"]
+            assert results["overall_max_ratio"] is None
+            assert results["ratio_cap_ok"] is False
 
 
 class TestSpectrumCommand:
@@ -751,7 +759,8 @@ class TestSweepCommand:
         assert report["results"]["domains"][0]["spectrum_source"] == "fem(4)"
 
     def test_computes_each_sandwich_once(self, capsys, monkeypatch):
-        # counted where either module would look the sandwich up
+        # counted where either module would look the sandwich up: the sweep
+        # gates only the consecutive ratio, so no domain needs one
         calls = []
         sandwich = cli.rectangle_sandwich
 
@@ -761,25 +770,30 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli, "rectangle_sandwich", counting)
         monkeypatch.setattr(certify, "rectangle_sandwich", counting)
-        # a rectangle is its own box, with dilation 1
-        for domain, sides in (("regular:6", [6]), ("square", [])):
+        for domain in ("regular:6", "square"):
             calls.clear()
-            report = run_json(capsys, "sweep", "--domain", domain, "--k-max", "5")
-            assert calls == sides
-            assert list(report["results"]["domains"][0]["chains"]) == ["1", "2", "3", "4", "5"]
+            report = run_json(capsys, "sweep", "--domain", domain, "--k-max", "5", "--levels", "3")
+            assert calls == []
+            chains = report["results"]["domains"][0]["chains"]
+            assert list(chains) == ["1", "2", "3", "4", "5"]
+            for chain in chains.values():
+                assert [link["name"] for link in chain["links"]] == ["consecutive_ratio_capped"]
+                assert chain["links"][0]["holds"] is True and chain["holds_all"] is True
 
     def test_gallery_rectangles_take_no_sandwich(self, capsys, monkeypatch):
+        # each chain is the one gated link, for k up to min(k_max, 10)
         def no_sandwich(P):
             raise AssertionError("a rectangle was given a sandwich")
 
         monkeypatch.setattr(cli, "rectangle_sandwich", no_sandwich)
         monkeypatch.setattr(certify, "rectangle_sandwich", no_sandwich)
-        for domain in ("square", "rect:2:1", "rect:10:1"):
-            report = run_json(capsys, "sweep", "--domain", domain, "--k-max", "4")
-            for chain in report["results"]["domains"][0]["chains"].values():
-                links = {link["name"]: link for link in chain["links"]}
-                assert links["sandwich_dilation"]["lhs"] == 1.0
-                assert links["inner_outer_scaling"]["lhs"] == 0.0
+        for domain, k_max in (("square", 12), ("rect:2:1", 4), ("rect:10:1", 4)):
+            report = run_json(capsys, "sweep", "--domain", domain, "--k-max", str(k_max), "--levels", "3")
+            chains = report["results"]["domains"][0]["chains"]
+            assert list(chains) == [str(k) for k in range(1, min(k_max, 10) + 1)]
+            for chain in chains.values():
+                assert [link["name"] for link in chain["links"]] == ["consecutive_ratio_capped"]
+                assert chain["links"][0]["holds"] is True and chain["holds_all"] is True
 
     def test_byte_stability_outside_timings(self, capsys):
         for domain, name in (("square", "square"), ("regular:6", "regular_6")):
