@@ -39,9 +39,6 @@ class Point2:
     x: float
     y: float
 
-    def __iter__(self):
-        return iter((self.x, self.y))
-
     @property
     def array(self):
         return np.array([self.x, self.y])

@@ -30,24 +30,19 @@ MESH_BYTES = 2**30
 @dataclass
 class TriangleMesh:
     """Conforming triangulation: vertices (V, 2), positively oriented
-    triangles (T, 3), boundary vertex flags, refinement level, mesh width."""
+    triangles (T, 3) and the mesh width."""
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary: np.ndarray
-    refinement_level: int
     h_max: float
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        self.boundary = np.asarray(self.boundary, dtype=bool)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be (V, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must be (T, 3)")
-        if self.boundary.shape != (self.vertices.shape[0],):
-            raise MeshError("boundary flags must match the vertex count")
         if self.triangles.min() < 0 or self.triangles.max() >= self.vertices.shape[0]:
             raise MeshError("triangle indices out of range")
 
@@ -110,15 +105,7 @@ def triangulate(P: ConvexPolygon) -> TriangleMesh:
     n = P.n
     verts = np.vstack([P.vertices, P.centroid[None, :]])
     tris = np.array([[i, (i + 1) % n, n] for i in range(n)], dtype=np.int64)
-    boundary = np.zeros(n + 1, dtype=bool)
-    boundary[:n] = True
-    mesh = TriangleMesh(
-        vertices=verts,
-        triangles=tris,
-        boundary=boundary,
-        refinement_level=0,
-        h_max=0.0,
-    )
+    mesh = TriangleMesh(vertices=verts, triangles=tris, h_max=0.0)
     if (mesh.signed_areas() <= 0).any():
         raise MeshError("fan triangulation produced a degenerate triangle")
     mesh.h_max = float(mesh.edge_lengths().max())
@@ -129,22 +116,14 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
     """Uniform refinement: each triangle splits into four via edge
     midpoints.  Children are similar to their parents, so the minimal
     angle is preserved and h_max halves exactly."""
-    uniq, counts, sides = _edge_counts(mesh.triangles)
+    uniq, _, sides = _edge_counts(mesh.triangles)
     mid_coords = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
     verts = np.vstack([mesh.vertices, mid_coords])
-    # a midpoint is on the boundary iff its edge belongs to one triangle only
-    boundary = np.concatenate([mesh.boundary, counts == 1])
     # columns i, j, k, mij, mjk, mki; children (i, mij, mki), (mij, j, mjk),
     # (mki, mjk, k), (mij, mjk, mki) of each parent in turn
     corners = np.concatenate([mesh.triangles, mesh.num_vertices + sides.T], axis=1)
     children = corners[:, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]].reshape(-1, 3)
-    return TriangleMesh(
-        vertices=verts,
-        triangles=children,
-        boundary=boundary,
-        refinement_level=mesh.refinement_level + 1,
-        h_max=mesh.h_max / 2.0,
-    )
+    return TriangleMesh(vertices=verts, triangles=children, h_max=mesh.h_max / 2.0)
 
 
 def check_refinement(P: ConvexPolygon, levels: int) -> int:
@@ -173,9 +152,9 @@ def check_conforming(mesh: TriangleMesh, domain: ConvexPolygon | None = None) ->
     """Structural audit of a mesh; raises MeshError on any violation.
 
     Checks positive orientation, edge conformity (every edge in one or two
-    triangles, flags consistent with the boundary), the Euler relation
-    V - E + F = 1 for a disc, and when the source polygon is supplied, the
-    exact area identity and vertex containment.
+    triangles), the Euler relation V - E + F = 1 for a disc, boundary edges
+    with as many distinct endpoints as edges, and when the source polygon is
+    supplied, the exact area identity and vertex containment.
     """
     areas = mesh.signed_areas()
     if (areas <= 0).any():
@@ -185,14 +164,15 @@ def check_conforming(mesh: TriangleMesh, domain: ConvexPolygon | None = None) ->
         raise MeshError("an edge belongs to more than two triangles")
     boundary_edges = uniq[counts == 1]
     interior_edges = uniq[counts == 2]
-    if not mesh.boundary[boundary_edges].all():
-        raise MeshError("boundary edge with an interior endpoint flag")
     num_edges = uniq.shape[0]
     euler = mesh.num_vertices - num_edges + mesh.num_triangles
     if euler != 1:
         raise MeshError(f"Euler characteristic is {euler}, expected 1 for a disc")
-    if boundary_edges.shape[0] != int(mesh.boundary.sum()):
-        raise MeshError("boundary edge count does not match boundary vertex count")
+    # a boundary edge lies in one triangle; a disc's boundary is one cycle,
+    # so its edges have exactly as many distinct endpoints as there are edges
+    ends = np.unique(boundary_edges).size
+    if ends != boundary_edges.shape[0]:
+        raise MeshError(f"{boundary_edges.shape[0]} boundary edges on {ends} vertices, not one cycle")
     h = float(mesh.edge_lengths().max())
     if not math.isclose(h, mesh.h_max, rel_tol=1e-12):
         raise MeshError(f"stored h_max {mesh.h_max!r} differs from measured {h!r}")

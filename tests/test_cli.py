@@ -966,19 +966,53 @@ class TestParser:
 
 
 class TestBenchmarkTracer:
-    def test_tracer_installs(self):
-        # the traced benchmark wraps module attributes by name, so every
-        # name it wraps must exist
+    @staticmethod
+    def run_traced(body):
+        """Run body in a fresh interpreter after installing perfbench's Tracer
+        as `tracer`; returns the completed process."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         code = (
             "import sys\n"
             f"sys.path.insert(0, {os.path.join(root, 'perfbench')!r})\n"
             "from spans import Tracer\n"
-            "Tracer().install()"
+            "tracer = Tracer()\n"
+            "tracer.install()\n" + body
         )
         env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+    def test_tracer_installs(self):
+        # the traced benchmark wraps module attributes by name, so every
+        # name it wraps must exist
+        out = self.run_traced("")
         assert out.returncode == 0, out.stderr
+
+    def test_count_hooks_read_live_fields(self):
+        # the count hooks run when an op ends and read fields of the mesh, the
+        # assembled matrices, the LU factor and the certificate, so tiny traced
+        # ops must count something on each of them
+        out = self.run_traced(
+            "import contextlib, io, json\n"
+            "from spectral_certify import cli\n"
+            "ops = [\n"
+            "    ['spectrum', '--domain', 'square', '--m', '4', '--levels', '2'],\n"
+            "    ['sweep', '--domain', 'regular:5', '--k-max', '2', '--levels', '2'],\n"
+            "    ['certify', '--domain', 'square', '--k', '4', '--l', '2'],\n"
+            "]\n"
+            "codes = []\n"
+            "for argv in ops:\n"
+            "    tracer.begin_op(argv[0])\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main(argv))\n"
+            "    tracer.end_op()\n"
+            "print(json.dumps({'codes': codes, 'summary': tracer.summary()}))"
+        )
+        assert out.returncode == 0, out.stderr
+        result = json.loads(out.stdout)
+        assert result["codes"] == [0, 0, 0]
+        summary = result["summary"]
+        for key in ("mesh.triangles", "fem.dofs", "fem.nnz", "fem.lu_fill_nnz", "certify.construct_partition.calls"):
+            assert summary.get(key, 0) > 0, key
 
 
 class TestReadme:

@@ -49,8 +49,6 @@ def reference_triangle_mesh():
     return TriangleMesh(
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
-        boundary=np.ones(3, dtype=bool),
-        refinement_level=0,
         h_max=math.sqrt(2.0),
     )
 

@@ -48,7 +48,7 @@ def _oracle_edge_counts(triangles):
 def _oracle_refine(mesh):
     """Uniform refinement one parent triangle at a time, midpoints numbered
     through a dict over the lexicographically sorted edges."""
-    uniq, counts = _oracle_edge_counts(mesh.triangles)
+    uniq, _ = _oracle_edge_counts(mesh.triangles)
     edge_index = {(int(a), int(b)): i for i, (a, b) in enumerate(uniq)}
     nv = mesh.num_vertices
     mid = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
@@ -64,22 +64,14 @@ def _oracle_refine(mesh):
         children[4 * t + 1] = (mij, j, mjk)
         children[4 * t + 2] = (mki, mjk, k)
         children[4 * t + 3] = (mij, mjk, mki)
-    return TriangleMesh(
-        vertices=verts,
-        triangles=children,
-        boundary=np.concatenate([mesh.boundary, counts == 1]),
-        refinement_level=mesh.refinement_level + 1,
-        h_max=mesh.h_max / 2.0,
-    )
+    return TriangleMesh(vertices=verts, triangles=children, h_max=mesh.h_max / 2.0)
 
 
 def _assert_same_refinement(mesh):
     got, want = refine(mesh), _oracle_refine(mesh)
     assert np.array_equal(got.vertices, want.vertices)
     assert np.array_equal(got.triangles, want.triangles)
-    assert np.array_equal(got.boundary, want.boundary)
     assert got.h_max == want.h_max
-    assert got.refinement_level == want.refinement_level
     uniq, counts, _ = _edge_counts(mesh.triangles)
     want_uniq, want_counts = _oracle_edge_counts(mesh.triangles)
     assert np.array_equal(uniq, want_uniq) and np.array_equal(counts, want_counts)
@@ -101,7 +93,7 @@ class TestRefineOracle:
         # turning the corners of a row keeps its orientation
         turns = rng.integers(0, 3, mesh.num_triangles)
         tris = np.stack([np.roll(row, r) for row, r in zip(tris, turns)])
-        shuffled = TriangleMesh(mesh.vertices, tris, mesh.boundary, 2, mesh.h_max)
+        shuffled = TriangleMesh(mesh.vertices, tris, mesh.h_max)
         for _ in range(3):
             shuffled = _assert_same_refinement(shuffled)
 
@@ -111,14 +103,13 @@ class TestCounts:
         mesh = triangulate(UNIT_SQUARE)
         assert mesh.num_vertices == 5
         assert mesh.num_triangles == 4
-        assert mesh.boundary.sum() == 4
+        assert check_conforming(mesh)["boundary_edges"] == 4
 
     @pytest.mark.parametrize("levels", [0, 1, 2, 3])
     def test_triangle_count_grows_fourfold(self, levels):
         hexa = regular_polygon(6)
         mesh = mesh_polygon(hexa, levels)
         assert mesh.num_triangles == 6 * 4**levels
-        assert mesh.refinement_level == levels
 
     def test_vertex_and_edge_recurrence(self):
         # refinement adds one vertex per edge and turns E into 2E + 3T
@@ -182,27 +173,24 @@ class TestConformity:
 
     def test_detects_flipped_triangle(self):
         mesh = mesh_polygon(UNIT_SQUARE, 1)
-        bad = TriangleMesh(
-            vertices=mesh.vertices,
-            triangles=mesh.triangles[:, ::-1],
-            boundary=mesh.boundary,
-            refinement_level=mesh.refinement_level,
-            h_max=mesh.h_max,
-        )
+        bad = TriangleMesh(vertices=mesh.vertices, triangles=mesh.triangles[:, ::-1], h_max=mesh.h_max)
         with pytest.raises(MeshError):
             check_conforming(bad)
 
     def test_detects_wrong_h_max(self):
         mesh = mesh_polygon(UNIT_SQUARE, 1)
-        bad = TriangleMesh(
-            vertices=mesh.vertices,
-            triangles=mesh.triangles,
-            boundary=mesh.boundary,
-            refinement_level=mesh.refinement_level,
-            h_max=mesh.h_max * 1.5,
-        )
+        bad = TriangleMesh(vertices=mesh.vertices, triangles=mesh.triangles, h_max=mesh.h_max * 1.5)
         with pytest.raises(MeshError):
             check_conforming(bad)
+
+    def test_detects_bowtie(self):
+        # two triangles sharing one vertex: V - E + F = 5 - 6 + 2 = 1 as for a
+        # disc, but the 6 boundary edges have only 5 distinct endpoints
+        verts = np.array([[0.0, 0.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        tris = np.array([[0, 1, 2], [0, 3, 4]])
+        bowtie = TriangleMesh(vertices=verts, triangles=tris, h_max=2.0)
+        with pytest.raises(MeshError, match="6 boundary edges on 5 vertices"):
+            check_conforming(bowtie)
 
     def test_detects_area_mismatch(self):
         mesh = mesh_polygon(UNIT_SQUARE, 1)
@@ -230,8 +218,6 @@ class TestValidation:
             TriangleMesh(
                 vertices=np.zeros((3, 2)),
                 triangles=np.array([[0, 1, 5]]),
-                boundary=np.ones(3, dtype=bool),
-                refinement_level=0,
                 h_max=1.0,
             )
 
@@ -240,7 +226,5 @@ class TestValidation:
             TriangleMesh(
                 vertices=np.zeros((3, 3)),
                 triangles=np.array([[0, 1, 2]]),
-                boundary=np.ones(3, dtype=bool),
-                refinement_level=0,
                 h_max=1.0,
             )
