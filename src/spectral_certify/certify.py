@@ -371,16 +371,6 @@ def minimal_constant(domain: Rectangle, k: int, l: int) -> float:
     return construct_partition(domain, k, l).C
 
 
-@dataclass
-class SweepTable:
-    """Measured constants mu_k / mu_l * (l/k)^2 over all index pairs; each
-    entry is the report's dict of k, l, mu_k, mu_l, ratio and provenance."""
-
-    entries: list
-    max_ratio: float
-    spectrum_source: str
-
-
 def reference_spectrum(P: ConvexPolygon, m: int, levels: int) -> Spectrum:
     """First m Neumann eigenvalues of P: closed form on rectangles, FEM at
     the given refinement level otherwise."""
@@ -390,25 +380,24 @@ def reference_spectrum(P: ConvexPolygon, m: int, levels: int) -> Spectrum:
     return neumann_spectrum(P, m, levels)
 
 
-def quadratic_ratio_sweep(spec: Spectrum, k_max: int) -> SweepTable:
-    """Tabulate the measured constant in mu_k <= C (k/l)^2 mu_l for all
-    1 <= l <= k <= k_max from a domain spectrum of k_max + 1 or more
-    values."""
+def quadratic_ratio_sweep(spec: Spectrum, k_max: int) -> list:
+    """The measured constant in mu_k <= C (k/l)^2 mu_l for all
+    1 <= l <= k <= k_max, from a domain spectrum of k_max + 1 or more
+    values: one report dict of k, l, mu_k, mu_l, ratio and provenance
+    per pair, in order of k, then l."""
     if not isinstance(k_max, (int, np.integer)) or k_max < 1:
         raise CertificationError("k_max must be an integer >= 1")
     if len(spec) < k_max + 1:
         raise CertificationError("domain spectrum too short for the requested k_max")
     entries = []
-    worst = 0.0
     for k in range(1, k_max + 1):
         for l in range(1, k + 1):
             mu_k, mu_l = spec[k], spec[l]
             ratio = (mu_k / mu_l) * (l / k) ** 2 if mu_l > 0 else math.inf
-            worst = max(worst, ratio)
             entries.append(
                 {"k": k, "l": l, "mu_k": mu_k, "mu_l": mu_l, "ratio": ratio, "provenance": spec.source}
             )
-    return SweepTable(entries=entries, max_ratio=worst, spectrum_source=spec.source)
+    return entries
 
 
 def weak_chain_report(domain_spectrum: Spectrum, k_max: int, ratio_cap: float) -> dict:

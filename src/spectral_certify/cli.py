@@ -19,7 +19,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 
@@ -260,7 +259,7 @@ def cmd_spectrum(args) -> int:
     report["results"] = {
         "domain": name,
         "mesh_h": spec.mesh_h,
-        "refinement_level": spec.refinement_level,
+        "refinement_level": args.levels,
         "solver_residual": spec.solver_residual,
         "eigenvalues": rows,
     }
@@ -353,14 +352,14 @@ def _sweep_single(name: str, P: ConvexPolygon, k_max: int, levels: int, ratio_ca
     t0 = time.perf_counter()
     # one solve serves the sweep table and every chain (they need k_max + 2)
     domain_spectrum = reference_spectrum(P, k_max + 2, levels)
-    table = quadratic_ratio_sweep(domain_spectrum, k_max)
+    entries = quadratic_ratio_sweep(domain_spectrum, k_max)
     chains = weak_chain_report(domain_spectrum, min(k_max, 10), ratio_cap)
     elapsed = time.perf_counter() - t0
     return {
         "domain": name,
-        "spectrum_source": table.spectrum_source,
-        "max_ratio": table.max_ratio,
-        "entries": table.entries,
+        "spectrum_source": domain_spectrum.source,
+        "max_ratio": max(e["ratio"] for e in entries),
+        "entries": entries,
         "chains": {k: chain.to_dict() for k, chain in chains.items()},
         "elapsed_s": elapsed,
     }
@@ -404,17 +403,6 @@ def cmd_sweep(args) -> int:
         "ratio_cap": ratio_cap,
         "ratio_cap_ok": cap_ok,
     }
-    if args.plot_dir:
-        os.makedirs(args.plot_dir, exist_ok=True)
-        for o in good:
-            path = f"{args.plot_dir}/sweep_{o['domain']}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["k", "l", "x_index_ratio", "y_measured_constant"])
-                for e in o["entries"]:
-                    writer.writerow(
-                        [e["k"], e["l"], repr(e["k"] / e["l"]), repr(e["ratio"])]
-                    )
     header = ["domain", "k", "l", "mu_k", "mu_l", "ratio", "provenance"]
     csv_rows = [
         [o["domain"], e["k"], e["l"], repr(e["mu_k"]), repr(e["mu_l"]), repr(e["ratio"]), e["provenance"]]
@@ -477,7 +465,6 @@ def _sweep_options(p):
     p.add_argument("--k-max", type=int, default=12, help="largest index (default %(default)s)")
     p.add_argument("--levels", type=int, default=4, help="uniform refinements (default %(default)s)")
     _format_option(p)
-    p.add_argument("--plot-dir", help="directory for ratio plot CSV files")
     p.add_argument(
         "--ratio-cap", type=float, default=100.0, help="largest acceptable measured constant (default %(default)s)"
     )

@@ -202,7 +202,4 @@ def neumann_spectrum(P: ConvexPolygon, m: int, levels: int) -> Spectrum:
     if abs(vals[0]) < 1e-10 * max(abs(vals).max(), 1.0):
         vals[0] = 0.0
     vals *= factor * factor
-    source = f"fem({levels})"
-    return Spectrum(
-        vals, source, mesh_h=mesh_h / factor, refinement_level=levels, solver_residual=residual
-    )
+    return Spectrum(vals, f"fem({levels})", mesh_h=mesh_h / factor, solver_residual=residual)

@@ -479,14 +479,6 @@ class Rectangle:
         ca, sa = math.cos(self.rotation), math.sin(self.rotation)
         return np.array([ca, sa]), np.array([-sa, ca])
 
-    @property
-    def area(self) -> float:
-        return 4.0 * self.half_width_a * self.half_width_b
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * math.hypot(self.half_width_a, self.half_width_b)
-
     def corners(self) -> np.ndarray:
         """The (4, 2) counterclockwise corners, unvalidated: a box out of
         the coordinate range or below its tolerances still has them."""

@@ -148,13 +148,32 @@ def mesh_polygon(P: ConvexPolygon, levels: int) -> TriangleMesh:
     return mesh
 
 
+def _one_cycle(edges: np.ndarray) -> bool:
+    """Whether the undirected edges (E, 2) form one cycle: every endpoint
+    ends two of them, and the walk along them from the first edge comes
+    back to its start after all E."""
+    neighbours = {}
+    for a, b in edges.tolist():
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    if not neighbours or any(len(n) != 2 for n in neighbours.values()):
+        return False
+    start, here = edges[0].tolist()
+    prev, steps = start, 1
+    while here != start:
+        a, b = neighbours[here]
+        prev, here = here, b if a == prev else a
+        steps += 1
+    return steps == len(edges)
+
+
 def check_conforming(mesh: TriangleMesh, domain: ConvexPolygon | None = None) -> dict:
     """Structural audit of a mesh; raises MeshError on any violation.
 
     Checks positive orientation, edge conformity (every edge in one or two
     triangles), the Euler relation V - E + F = 1 for a disc, boundary edges
-    with as many distinct endpoints as edges, and when the source polygon is
-    supplied, the exact area identity and vertex containment.
+    that form one cycle, and when the source polygon is supplied, the exact
+    area identity and vertex containment.
     """
     areas = mesh.signed_areas()
     if (areas <= 0).any():
@@ -168,10 +187,11 @@ def check_conforming(mesh: TriangleMesh, domain: ConvexPolygon | None = None) ->
     euler = mesh.num_vertices - num_edges + mesh.num_triangles
     if euler != 1:
         raise MeshError(f"Euler characteristic is {euler}, expected 1 for a disc")
-    # a boundary edge lies in one triangle; a disc's boundary is one cycle,
-    # so its edges have exactly as many distinct endpoints as there are edges
-    ends = np.unique(boundary_edges).size
-    if ends != boundary_edges.shape[0]:
+    # a boundary edge lies in one triangle, and a disc's boundary is one
+    # cycle; pieces that balance Euler together, as an annulus and a
+    # triangle, have boundaries of several
+    if not _one_cycle(boundary_edges):
+        ends = np.unique(boundary_edges).size
         raise MeshError(f"{boundary_edges.shape[0]} boundary edges on {ends} vertices, not one cycle")
     h = float(mesh.edge_lengths().max())
     if not math.isclose(h, mesh.h_max, rel_tol=1e-12):

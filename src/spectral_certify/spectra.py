@@ -20,14 +20,13 @@ class Spectrum:
     """Ascending Neumann eigenvalues with provenance.
 
     source is "closed_form" for analytic spectra, "fem(<level>)" for
-    finite-element output; mesh_h, refinement_level and solver_residual
-    are zero for closed forms.
+    finite-element output; mesh_h and solver_residual are zero for
+    closed forms.
     """
 
     values: np.ndarray
     source: str = "closed_form"
     mesh_h: float = 0.0
-    refinement_level: int = 0
     solver_residual: float = 0.0
 
     def __post_init__(self):

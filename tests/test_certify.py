@@ -99,7 +99,7 @@ class TestStripConstruction:
         # every cell spans the short side
         for cell in cert.corners:
             assert np.ptp(cell[:, 0]) == 2.0 * domain.half_width_a
-        assert areas(cert.corners).sum() == pytest.approx(domain.area, rel=1e-12)
+        assert areas(cert.corners).sum() == pytest.approx(domain.polygon().area, rel=1e-12)
 
     def test_strips_are_congruent_and_tile(self):
         # the 1 x 10 rectangle with k = 12, l = 6 takes six strips of height 10/6
@@ -127,7 +127,7 @@ class TestNetConstruction:
         net = maximal_separated_net(inner_offset(poly, R), 2.0 * R)
         cells = voronoi_partition(poly, net).cells
         assert len(cells) == len(net) > 1
-        assert sum(c.area for c in cells) == pytest.approx(domain.area, rel=1e-9)
+        assert sum(c.area for c in cells) == pytest.approx(poly.area, rel=1e-9)
 
 
 class TestGridConstruction:
@@ -159,7 +159,7 @@ class TestGridConstruction:
         cert = construct_partition(domain, k, l, 1.0)
         nx, ny = grid_shape(domain.half_width_a, domain.half_width_b, l)
         assert len(cert.corners) == nx * ny <= l
-        assert areas(cert.corners).sum() == pytest.approx(domain.area, rel=1e-12)
+        assert areas(cert.corners).sum() == pytest.approx(domain.polygon().area, rel=1e-12)
         # each corner inside the domain is shared by four cells, bit for bit
         corners = {}
         for cell in cert.corners:
@@ -588,9 +588,9 @@ class TestRoadmapPins:
 
 class TestQuadraticRatioSweep:
     def test_square_closed_form_entries(self):
-        table = quadratic_ratio_sweep(reference_spectrum(UNIT_SQUARE.polygon(), 11, 5), 10)
-        assert table.spectrum_source == "closed_form"
-        by_pair = {(e["k"], e["l"]): e["ratio"] for e in table.entries}
+        entries = quadratic_ratio_sweep(reference_spectrum(UNIT_SQUARE.polygon(), 11, 5), 10)
+        assert {e["provenance"] for e in entries} == {"closed_form"}
+        by_pair = {(e["k"], e["l"]): e["ratio"] for e in entries}
         assert len(by_pair) == 10 * 11 // 2
         for k in range(1, 11):
             assert by_pair[(k, k)] == 1.0
@@ -603,14 +603,13 @@ class TestQuadraticRatioSweep:
             for l in range(1, k + 1)
         )
         assert expected_max == pytest.approx(1.225, rel=1e-12)
-        assert table.max_ratio == pytest.approx(expected_max, rel=1e-12)
+        assert max(by_pair.values()) == pytest.approx(expected_max, rel=1e-12)
 
     def test_fem_path_on_pentagon(self):
-        table = quadratic_ratio_sweep(reference_spectrum(regular_polygon(5), 4, 3), 3)
-        assert table.spectrum_source == "fem(3)"
-        assert len(table.entries) == 6
-        assert all(np.isfinite(e["ratio"]) for e in table.entries)
-        assert table.max_ratio < 100.0
+        entries = quadratic_ratio_sweep(reference_spectrum(regular_polygon(5), 4, 3), 3)
+        assert [(e["k"], e["l"]) for e in entries] == [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+        assert {e["provenance"] for e in entries} == {"fem(3)"}
+        assert all(np.isfinite(e["ratio"]) and e["ratio"] < 100.0 for e in entries)
 
     def test_rejects_bad_k_max(self):
         with pytest.raises(CertificationError):

@@ -724,25 +724,22 @@ class TestSweepCommand:
         assert report["results"]["ratio_cap_ok"] is False
         assert report["results"]["overall_max_ratio"] > 1.0
 
-    def test_plot_dir_files(self, capsys, tmp_path):
-        plot_dir = tmp_path / "plots"
-        report = run_json(
-            capsys,
-            "sweep",
-            "--domain",
-            "rect:2:1",
-            "--k-max",
-            "4",
-            "--plot-dir",
-            str(plot_dir),
-        )
-        path = plot_dir / "sweep_rect_2x1.csv"
-        assert path.exists()
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["k", "l", "x_index_ratio", "y_measured_constant"]
-        assert len(rows) == 1 + 4 * 5 // 2
-        entry = report["results"]["domains"][0]["entries"][0]
-        assert float(rows[1][3]) == entry["ratio"]
+    def test_csv_lists_the_json_entries(self, capsys):
+        # the CSV is the sweep's one tabular output: one row per (k, l) entry,
+        # its floats printed so that they read back bit for bit
+        argv = ["sweep", "--domain", "rect:2:1", "--k-max", "4"]
+        entries = run_json(capsys, *argv)["results"]["domains"][0]["entries"]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["domain", "k", "l", "mu_k", "mu_l", "ratio", "provenance"]
+        assert len(rows) - 1 == len(entries) == 4 * 5 // 2
+        for row, entry in zip(rows[1:], entries):
+            assert row[:3] == ["rect_2x1", str(entry["k"]), str(entry["l"])]
+            assert [float(cell).hex() for cell in row[3:6]] == [
+                entry[key].hex() for key in ("mu_k", "mu_l", "ratio")
+            ]
+            assert row[6] == entry["provenance"] == "closed_form"
 
     def test_solves_each_domain_once(self, capsys, monkeypatch):
         # counted at the eigensolver, whichever module asks for the spectrum
@@ -948,7 +945,7 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
         run_json(capsys, "bounds", "--k-max", "2")
         assert "--k-max" in added
-        others = {"--m", "--levels", "--k", "--l", "--C", "--svg", "--plot-dir", "--ratio-cap"}
+        others = {"--m", "--levels", "--k", "--l", "--C", "--svg", "--ratio-cap"}
         assert not others & set(added)
 
     def test_help_names_every_command(self, capsys):

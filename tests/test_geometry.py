@@ -765,11 +765,6 @@ class TestRectangle:
         # to its distance from the origin
         assert rectangle_from_polygon(ConvexPolygon(vertices)) is None
 
-    def test_diameter_and_area(self):
-        r = Rectangle(Point2(0, 0), 1.0, 2.0, 0.1)
-        assert r.area == pytest.approx(8.0, rel=1e-15)
-        assert r.diameter == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-15)
-
 
 class TestSandwich:
     @staticmethod

@@ -192,6 +192,20 @@ class TestConformity:
         with pytest.raises(MeshError, match="6 boundary edges on 5 vertices"):
             check_conforming(bowtie)
 
+    def test_detects_annulus_with_detached_triangle(self):
+        # a square annulus of 8 triangles (V - E + F = 8 - 16 + 8 = 0) and a
+        # detached triangle (1) balance Euler as a disc does, and their 11
+        # boundary edges have 11 distinct endpoints, but lie in three cycles
+        outer = [[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]]
+        inner = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+        verts = np.array(outer + inner + [[5.0, 0.0], [6.0, 0.0], [5.0, 1.0]])
+        ring = [[i, (i + 1) % 4, 4 + (i + 1) % 4] for i in range(4)]
+        ring += [[i, 4 + (i + 1) % 4, 4 + i] for i in range(4)]
+        mesh = TriangleMesh(vertices=verts, triangles=np.array(ring + [[8, 9, 10]]), h_max=0.0)
+        mesh.h_max = float(mesh.edge_lengths().max())
+        with pytest.raises(MeshError, match="11 boundary edges on 11 vertices, not one cycle"):
+            check_conforming(mesh)
+
     def test_detects_area_mismatch(self):
         mesh = mesh_polygon(UNIT_SQUARE, 1)
         with pytest.raises(MeshError):
