@@ -229,7 +229,7 @@ class PartitionCertificate:
     def from_json(cls, text: str) -> "PartitionCertificate":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CertificateFormatError(f"certificate is not JSON: {exc}") from None
         return cls.from_dict(obj)
 

@@ -165,13 +165,17 @@ def _report_skeleton(args: argparse.Namespace, domain: str) -> dict:
     }
 
 
-def _emit(report: dict, fmt: str, csv_rows, csv_header) -> None:
+def _emit(report: dict, fmt: str, rows, header: list[str]) -> None:
+    """The report as JSON, or its table as CSV: one line for each of the
+    row dicts, its cells in header order and blank where the row has no
+    such key.  The csv module writes a float as str, which is repr, so
+    each cell reads back bit for bit."""
     if fmt == "json":
         print(json.dumps(report))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerow(header)
+        writer.writerows([row.get(h, "") for h in header] for row in rows)
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
@@ -181,7 +185,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read config file {args.config!r}: {exc}")
     if not isinstance(values, dict):
         raise UsageError("config file must hold a JSON object")
@@ -217,27 +221,30 @@ def _check_size(option: str, value: int, count: int, what: str, unit_bytes: int)
         raise UsageError(f"{option}: {value} gives {count:.3g} {what}, over budget")
 
 
+def _bound_columns(k: int, diam: float, area: float) -> dict:
+    """The closed-form bounds on mu_k: diameter and area upper bounds for
+    k >= 1, and the first-eigenvalue lower bound at k = 1."""
+    columns = {}
+    if k >= 1:
+        columns["upper_diameter"] = kroger_diameter_upper(k, diam)
+        columns["upper_area"] = kroger_area_upper(k, area)
+    if k == 1:
+        columns["lower_diameter"] = payne_weinberger_lower(diam)
+    return columns
+
+
 def _spectrum_rows(P: ConvexPolygon, spec, rect: Rectangle | None):
-    """Per-index table entries: FEM value, closed form on rectangles,
-    diameter and area upper bounds, first-eigenvalue lower bound."""
+    """Per-index table entries: FEM value, closed form on rectangles, and
+    the bound columns."""
     diam = diameter(P)
     area = P.area
     closed = rectangle_spectrum(rect.half_width_a, rect.half_width_b, len(spec)) if rect is not None else None
     rows = []
     for k in range(len(spec)):
-        row = {
-            "k": k,
-            "value": spec[k],
-            "provenance": spec.source,
-        }
+        row = {"k": k, "value": spec[k], "provenance": spec.source}
         if closed is not None:
             row["closed_form"] = closed[k]
-        if k >= 1:
-            row["upper_diameter"] = kroger_diameter_upper(k, diam)
-            row["upper_area"] = kroger_area_upper(k, area)
-        if k == 1:
-            row["lower_diameter"] = payne_weinberger_lower(diam)
-        rows.append(row)
+        rows.append({**row, **_bound_columns(k, diam, area)})
     return rows
 
 
@@ -264,8 +271,7 @@ def cmd_spectrum(args) -> int:
         "eigenvalues": rows,
     }
     header = ["k", "value", "provenance", "closed_form", "upper_diameter", "upper_area", "lower_diameter"]
-    csv_rows = [[row.get(h, "") for h in header] for row in rows]
-    _emit(report, args.format, csv_rows, header)
+    _emit(report, args.format, rows, header)
     return EXIT_OK
 
 
@@ -276,17 +282,7 @@ def cmd_bounds(args) -> int:
     name, P = parse_domain(args.domain)
     diam = diameter(P)
     area = P.area
-    rows = []
-    for k in range(1, args.k_max + 1):
-        row = {
-            "k": k,
-            "upper_diameter": kroger_diameter_upper(k, diam),
-            "upper_area": kroger_area_upper(k, area),
-            "provenance": "formula",
-        }
-        if k == 1:
-            row["lower_diameter"] = payne_weinberger_lower(diam)
-        rows.append(row)
+    rows = [{"k": k, **_bound_columns(k, diam, area), "provenance": "formula"} for k in range(1, args.k_max + 1)]
     report = _report_skeleton(args, name)
     report["results"] = {
         "domain": name,
@@ -294,9 +290,7 @@ def cmd_bounds(args) -> int:
         "area": area,
         "bounds": rows,
     }
-    header = ["k", "upper_diameter", "upper_area", "lower_diameter", "provenance"]
-    csv_rows = [[row.get(h, "") for h in header] for row in rows]
-    _emit(report, args.format, csv_rows, header)
+    _emit(report, args.format, rows, ["k", "upper_diameter", "upper_area", "lower_diameter", "provenance"])
     return EXIT_OK
 
 
@@ -339,12 +333,7 @@ def cmd_certify(args) -> int:
         drawing = svg_scene(P, cells=cert.corners, boxes=boxes)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(drawing)
-    header = ["name", "lhs", "rhs", "ratio", "holds"]
-    csv_rows = [
-        [link.name, repr(link.lhs), repr(link.rhs), repr(link.ratio), link.holds]
-        for link in chain.links
-    ]
-    _emit(report, args.format, csv_rows, header)
+    _emit(report, args.format, results["chain"]["links"], ["name", "lhs", "rhs", "ratio", "holds"])
     return EXIT_OK if cert.chain_ok else EXIT_CERTIFY
 
 
@@ -403,13 +392,8 @@ def cmd_sweep(args) -> int:
         "ratio_cap": ratio_cap,
         "ratio_cap_ok": cap_ok,
     }
-    header = ["domain", "k", "l", "mu_k", "mu_l", "ratio", "provenance"]
-    csv_rows = [
-        [o["domain"], e["k"], e["l"], repr(e["mu_k"]), repr(e["mu_l"]), repr(e["ratio"]), e["provenance"]]
-        for o in good
-        for e in o["entries"]
-    ]
-    _emit(report, args.format, csv_rows, header)
+    rows = ({"domain": o["domain"], **e} for o in good for e in o["entries"])
+    _emit(report, args.format, rows, ["domain", "k", "l", "mu_k", "mu_l", "ratio", "provenance"])
     return failure_code
 
 

@@ -661,7 +661,11 @@ def ball_packing_count(P: ConvexPolygon, centers, r: float) -> PackingCheck:
 
 def polygon_from_json(obj) -> ConvexPolygon:
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested past the interpreter's limit
+            raise GeometryError(f"polygon is not JSON: {exc}") from None
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise GeometryError("polygon JSON must be an object with a 'vertices' key")
     return ConvexPolygon(obj["vertices"])

@@ -322,7 +322,10 @@ class TestVerificationChain:
         with pytest.raises(CertificateFormatError, match="'domain' is malformed: lengths 1e-155 x 1e-144"):
             PartitionCertificate.from_dict(obj)
 
-    @pytest.mark.parametrize("text", ["{not json", "", "[1, 2", "{\"schema\": 1,}"])
+    @pytest.mark.parametrize(
+        # nested past the interpreter's recursion limit, json raises RecursionError
+        "text", ["{not json", "", "[1, 2", "{\"schema\": 1,}", pytest.param("[" * 200000, id="nested")]
+    )
     def test_text_not_json(self, text):
         # a file that cannot be read is a format error, never a failed proof
         with pytest.raises(CertificateFormatError, match="not JSON") as exc:

@@ -51,6 +51,25 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def assert_csv_is_the_rows(out, header, rows):
+    """The CSV report is the header, then one line per JSON row with each
+    cell its row's value under that key, blank where the row has none; a
+    float cell reads back to the JSON float bit for bit."""
+    lines = list(csv.reader(io.StringIO(out)))
+    assert lines[0] == header
+    assert len(lines) - 1 == len(rows)
+    for line, row in zip(lines[1:], rows):
+        assert len(line) == len(header)
+        for cell, key in zip(line, header):
+            value = row.get(key)
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):
+                assert float(cell).hex() == value.hex(), key
+            else:
+                assert cell == str(value), key
+
+
 class TestDomainParsing:
     def test_known_forms(self, tmp_path):
         path = tmp_path / "hexagon.json"
@@ -229,7 +248,10 @@ class TestExitCodes:
         code, _, err = run(capsys, "sweep", "--domain", "square", "--k-max", "190", "--levels", "1")
         assert code in (EXIT_OK, EXIT_CERTIFY), err
 
-    @pytest.mark.parametrize("text", ["3", "null", '{"vertices": {"x": 1}}'])
+    @pytest.mark.parametrize(
+        # nested past the interpreter's recursion limit, json raises RecursionError
+        "text", ["3", "null", '{"vertices": {"x": 1}}', pytest.param("[" * 2000 + "]" * 2000, id="nested")]
+    )
     def test_domain_file_not_a_polygon_object(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -466,14 +488,23 @@ class TestSpectrumCommand:
         assert "upper_diameter" in rows[1] and "lower_diameter" in rows[1]
 
     def test_json_csv_numbers_match(self, capsys):
-        args = ["spectrum", "--domain", "square", "--m", "5", "--levels", "3"]
-        report = run_json(capsys, *args)
-        code, out, _ = run(capsys, *args, "--format", "csv")
-        assert code == EXIT_OK
-        rows = list(csv.reader(io.StringIO(out)))[1:]
-        for row, entry in zip(rows, report["results"]["eigenvalues"]):
-            # repr round trip: the parsed CSV float is bit-identical
-            assert float(row[1]) == entry["value"]
+        # every table but the sweep's (see TestSweepCommand): the CSV lists
+        # the JSON rows cell by cell
+        spectrum = ["k", "value", "provenance", "closed_form", "upper_diameter", "upper_area", "lower_diameter"]
+        cases = [
+            ("spectrum --domain rect:2:1 --m 5 --levels 3", spectrum, ("eigenvalues",)),
+            ("spectrum --domain regular:6 --m 5 --levels 3", spectrum, ("eigenvalues",)),
+            ("bounds --domain regular:6 --k-max 5", ["k", "upper_diameter", "upper_area", "lower_diameter", "provenance"], ("bounds",)),
+            ("certify --domain square --k 4 --l 2", ["name", "lhs", "rhs", "ratio", "holds"], ("chain", "links")),
+            ("certify --domain regular:7 --k 4 --l 2", ["name", "lhs", "rhs", "ratio", "holds"], ("chain", "links")),
+        ]
+        for argv, header, path in cases:
+            rows = run_json(capsys, *argv.split())["results"]
+            for key in path:
+                rows = rows[key]
+            code, out, _ = run(capsys, *argv.split(), "--format", "csv")
+            assert code == EXIT_OK
+            assert_csv_is_the_rows(out, header, rows)
 
 
 class TestBoundsCommand:
@@ -725,21 +756,17 @@ class TestSweepCommand:
         assert report["results"]["overall_max_ratio"] > 1.0
 
     def test_csv_lists_the_json_entries(self, capsys):
-        # the CSV is the sweep's one tabular output: one row per (k, l) entry,
-        # its floats printed so that they read back bit for bit
-        argv = ["sweep", "--domain", "rect:2:1", "--k-max", "4"]
-        entries = run_json(capsys, *argv)["results"]["domains"][0]["entries"]
-        code, out, _ = run(capsys, *argv, "--format", "csv")
-        assert code == EXIT_OK
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["domain", "k", "l", "mu_k", "mu_l", "ratio", "provenance"]
-        assert len(rows) - 1 == len(entries) == 4 * 5 // 2
-        for row, entry in zip(rows[1:], entries):
-            assert row[:3] == ["rect_2x1", str(entry["k"]), str(entry["l"])]
-            assert [float(cell).hex() for cell in row[3:6]] == [
-                entry[key].hex() for key in ("mu_k", "mu_l", "ratio")
-            ]
-            assert row[6] == entry["provenance"] == "closed_form"
+        # the CSV is the sweep's one tabular output: one row per (k, l) entry
+        # of each domain, its floats printed so that they read back bit for bit
+        header = ["domain", "k", "l", "mu_k", "mu_l", "ratio", "provenance"]
+        for domain, name, source in (("rect:2:1", "rect_2x1", "closed_form"), ("regular:5", "regular_5", "fem(2)")):
+            argv = ["sweep", "--domain", domain, "--k-max", "4", "--levels", "2"]
+            entries = run_json(capsys, *argv)["results"]["domains"][0]["entries"]
+            assert len(entries) == 4 * 5 // 2
+            assert {entry["provenance"] for entry in entries} == {source}
+            code, out, _ = run(capsys, *argv, "--format", "csv")
+            assert code == EXIT_OK
+            assert_csv_is_the_rows(out, header, [{"domain": name, **entry} for entry in entries])
 
     def test_solves_each_domain_once(self, capsys, monkeypatch):
         # counted at the eigensolver, whichever module asks for the spectrum
@@ -831,6 +858,15 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         code, _, err = run(capsys, "bounds", "--config", str(cfg))
         assert code == EXIT_USAGE
+
+    def test_config_nested_past_the_recursion_limit(self, capsys, tmp_path):
+        # json raises RecursionError here, not JSONDecodeError
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[" * 2000 + "]" * 2000)
+        code, out, err = run(capsys, "bounds", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: cannot read config file")
 
     @pytest.mark.parametrize(
         "command, values, option",
