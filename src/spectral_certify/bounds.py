@@ -65,7 +65,7 @@ def partition_lower(first_eigenvalues) -> float:
 def _bases(length_x: float, length_y: float, count: int) -> tuple[float, float]:
     """(big, small), the larger and smaller of (pi / L)^2 over the two side
     lengths.  They must be normal doubles at most 2^1019, and so must the
-    threshold _counted reaches, below 4 sqrt(big small) count, so that no
+    threshold _bracket reaches, below 4 sqrt(big small) count, so that no
     sum in _cuts passes 2^1022: otherwise a ValueError names the lengths.
     The roots are checked before squaring: a float square past the largest
     double raises OverflowError, and a numpy one only warns."""
@@ -95,77 +95,68 @@ def _cuts(big: float, small: float, t: float, p: np.ndarray) -> np.ndarray:
     return q
 
 
-def _counted(big: float, small: float, count: int):
-    """A threshold t holding at least count values, its rows p and their
-    cuts.  t starts at the smaller of small (count - 1)^2, which the row
-    p = 0 alone reaches, and 4 sqrt(big small) count / pi: the quarter
-    ellipse below it holds at least its area of lattice pairs.  Doubling
-    covers the rounding of the second, so t < 8 sqrt(big small) count / pi."""
-    t = min(small * float(count - 1) ** 2, 4.0 / math.pi * math.sqrt(big) * math.sqrt(small) * count)
+def _bracket(big: float, small: float, k: int):
+    """Rows p and two cuts per row: at most k values lie at or below q_lo,
+    more than k at or below q_hi, and O(sqrt k) pairs between them.  The
+    upper threshold starts at the smaller of small k^2, which the row p = 0
+    alone reaches, and 4 sqrt(big small) (k + 1) / pi, as the quarter ellipse
+    below it holds at least its area of pairs; doubling covers the rounding
+    of the second, so it stays below twice that.  Bisection from the lower
+    threshold -1, which no value reaches, narrows the two thresholds."""
+    hi = min(small * float(k) ** 2, 4.0 / math.pi * math.sqrt(big) * math.sqrt(small) * (k + 1))
     while True:
-        # p past sqrt(t / big) + 1 has big p^2 > t whatever the rounding
-        p = np.arange(int(math.sqrt(t / big)) + 2)
-        q = _cuts(big, small, t, p)
-        if (q + 1).sum() >= count:
-            return t, p, q
-        t *= 2.0
+        # p past sqrt(hi / big) + 1 has big p^2 > hi whatever the rounding
+        p = np.arange(int(math.sqrt(hi / big)) + 2)
+        if ((q_hi := _cuts(big, small, hi, p)) + 1).sum() > k:
+            break
+        hi *= 2.0
+    lo, q_lo = -1.0, np.full_like(q_hi, -1)
+    while (q_hi - q_lo).sum() > 2 * p.size + 64:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if ((q_mid := _cuts(big, small, mid, p)) + 1).sum() > k:
+            hi, q_hi = mid, q_mid
+        else:
+            lo, q_lo = mid, q_mid
+    return p, q_lo, q_hi
 
 
-def _listed(length_x: float, length_y: float, count: int) -> np.ndarray:
-    """The count smallest lattice values, ascending: every pair at or below
-    the counted threshold, listed one p-row at a time into one array that
-    is sorted in place.  Addition commutes in floating point, so p runs
-    along the larger base, which has the fewer rows."""
-    big, small = _bases(length_x, length_y, count)
-    _, p, q = _counted(big, small, count)
-    held = q + 1
-    tail = small * np.arange(held[0]) ** 2
-    values = np.empty(int(held.sum()))
-    at = 0
-    for row, n in zip((big * p**2).tolist(), held.tolist()):
-        np.add(row, tail[:n], out=values[at : at + n])
-        at += n
-    values.sort()
-    return values[:count].copy()
+def _between(big: float, small: float, p: np.ndarray, q_lo: np.ndarray | int, q_hi: np.ndarray) -> np.ndarray:
+    """fl(fl(big p^2) + fl(small q^2)) for q_lo < q <= q_hi, row by row.
+    Addition commutes in floating point, so p runs along the larger base,
+    which has the fewer rows."""
+    n = q_hi - q_lo
+    q = np.arange(n.sum()) + np.repeat(q_lo + 1 - (np.cumsum(n) - n), n)
+    values = small * (q * q)
+    values += np.repeat(big * p**2, n)
+    return values
 
 
 def rectangle_spectrum(half_width_a: float, half_width_b: float, count: int) -> Spectrum:
     """First count Neumann eigenvalues of a rectangle with the given
     half-widths: pi^2 (p^2 / Lx^2 + q^2 / Ly^2) with side lengths
     Lx = 2 half_width_a, Ly = 2 half_width_b and p, q >= 0."""
-    return Spectrum(_listed(2.0 * half_width_a, 2.0 * half_width_b, count))
+    big, small = _bases(2.0 * half_width_a, 2.0 * half_width_b, count)
+    p, q_lo, q_hi = _bracket(big, small, count - 1)
+    values = _between(big, small, p, -1, q_hi)
+    values.sort()
+    # only a count-sized copy outlives the listing into Spectrum's checks
+    del p, q_lo, q_hi
+    values = values[:count].copy()
+    return Spectrum(values)
 
 
-# A certify command reads mu_k and mu_l for its report, mu_k again for the
-# constant it searches and again when it verifies the certificate from the
-# certificate's own fields; each read at k = 8388607 takes 2 ms.  The value
-# is a pure function of its arguments, so a small memo keyed by them serves
-# every read of one (a, b, k) from one evaluation; cli.main clears it when
-# the command returns.
+# A certify command reads mu_k for its report, its searched constant and its
+# verifier: about 1 ms each on the square at k = 8388607.  The value depends
+# only on the arguments, so a small memo keyed by them serves every read of
+# one (a, b, k) from one evaluation; cli.main clears it after the command.
 @functools.lru_cache(maxsize=16)
 def rectangle_eigenvalue(half_width_a: float, half_width_b: float, k: int) -> float:
     """The k-th Neumann eigenvalue of a rectangle, bit for bit
     rectangle_spectrum(half_width_a, half_width_b, k + 1)[k], in O(sqrt k)
-    time and memory: bisecting the threshold narrows (lo, hi] around the
-    answer until it holds O(sqrt k) values, which are listed and the right
-    one selected."""
+    time and memory: the values between the bracket's cuts, selected."""
     big, small = _bases(2.0 * half_width_a, 2.0 * half_width_b, k + 1)
-    hi, p, q_hi = _counted(big, small, k + 1)
-    lo = -1.0
-    q_lo = _cuts(big, small, lo, p)
-    while (q_hi - q_lo).sum() > 2 * p.size + 64:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        q_mid = _cuts(big, small, mid, p)
-        if (q_mid + 1).sum() > k:
-            hi, q_hi = mid, q_mid
-        else:
-            lo, q_lo = mid, q_mid
-    n = q_hi - q_lo
-    rows = np.repeat(p, n)
-    q = np.repeat(q_lo + 1 - (np.cumsum(n) - n), n) + np.arange(n.sum())
-    values = big * rows**2 + small * q**2
+    p, q_lo, q_hi = _bracket(big, small, k)
     j = k - int((q_lo + 1).sum())
-    return float(np.partition(values, j)[j])
-
+    return float(np.partition(_between(big, small, p, q_lo, q_hi), j)[j])

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .bounds import _bases, payne_weinberger_lower, rectangle_eigenvalue, rectangle_spectrum
+from .bounds import payne_weinberger_lower, rectangle_eigenvalue, rectangle_spectrum
 from .fem import neumann_spectrum
 # the traced benchmark wraps the net names and rectangle_sandwich here
 from .geometry import (
@@ -55,10 +55,10 @@ GEOMETRY_RTOL = 1e-9
 CERTIFICATE_SCHEMA = 3
 
 # The largest index certify takes and a certificate may state: a reader may
-# list the k + 1 closed-form values to check mu_k (the verifier counts them)
-# in 2^28 bytes at 32 bytes a value; rectangle_spectrum peaks at 32 traced
-# bytes a value, its listing and the Spectrum's own copy, plus 3.2 kB
-# (2,000,001 and 8,388,608 values of the square).
+# list the k + 1 closed-form values to check mu_k (the verifier lists only
+# O(sqrt k) of them) in 2^28 bytes at 32 bytes a value; rectangle_spectrum
+# peaks at 32 traced bytes a value, in the Spectrum checks of its listing,
+# plus 1.8 kB (2,000,001 and 8,388,608 values of the square).
 INDEX_LIMIT = 2**28 // 32 - 1
 
 # The grid is capped at GRID_CELLS cells, so a larger l gets the best grid
@@ -206,10 +206,11 @@ class PartitionCertificate:
             rect = Rectangle(center, a, b, rotation)
             # a domain no polygon may have (out of the coordinate range, or
             # flat) has no grid to rebuild, and one whose first k + 1
-            # closed-form values leave the float range has no mu_k
+            # closed-form values leave the float range has no mu_k (a mu_k
+            # found here serves the verifier from the memo)
             rect.polygon()
             if 1 <= k <= INDEX_LIMIT:
-                _bases(2.0 * rect.half_width_a, 2.0 * rect.half_width_b, k + 1)
+                rectangle_eigenvalue(rect.half_width_a, rect.half_width_b, k)
         except ValueError as exc:  # GeometryError is one
             raise CertificateFormatError(f"certificate field 'domain' is malformed: {exc}") from None
         return cls(

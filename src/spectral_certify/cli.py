@@ -358,8 +358,8 @@ def cmd_sweep(args) -> int:
     k_max, ratio_cap = args.k_max, args.ratio_cap
     if k_max < 1:
         raise UsageError("--k-max must be >= 1")
-    if not (ratio_cap > 0):
-        raise UsageError("--ratio-cap must be positive")
+    if not (math.isfinite(ratio_cap) and ratio_cap > 0):
+        raise UsageError("--ratio-cap must be positive and finite")
     domains = [parse_domain(args.domain)] if args.domain else default_gallery()
     entries = len(domains) * k_max * (k_max + 1) // 2
     _check_size("--k-max", k_max, entries, "sweep table entries", SWEEP_ENTRY_BYTES)

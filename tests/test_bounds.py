@@ -2,6 +2,7 @@
 arithmetic and brute-force lattice oracles."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -145,6 +146,9 @@ class TestRectangleSpectrum:
         vals = rectangle_spectrum(0.37, 1.92, 25).values
         assert vals[0] == 0.0
         assert (np.diff(vals) >= -1e-12).all()
+        # one value is the constant mode alone: the search's k = 0 start
+        for a, b, _ in lattice_cases():
+            assert rectangle_spectrum(a, b, 1).values.tolist() == [0.0]
 
     def test_large_count_stays_small(self):
         # the lattice is sized by Weyl's law, not by count**2 points
@@ -152,6 +156,15 @@ class TestRectangleSpectrum:
         assert vals.shape == (100_000,)
         assert (np.diff(vals) >= 0).all()
         assert np.array_equal(vals[:25], rectangle_spectrum(0.5, 0.5, 25).values)
+        # the call peaks at the 32 traced bytes a value that
+        # certify.INDEX_LIMIT budgets, plus a few kB: of the listing, only a
+        # count-sized copy reaches the Spectrum checks
+        tracemalloc.start()
+        try:
+            rectangle_spectrum(0.5, 0.5, 1_000_000)
+            assert tracemalloc.get_traced_memory()[1] <= 32 * 1_000_000 + 16384
+        finally:
+            tracemalloc.stop()
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

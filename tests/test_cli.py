@@ -45,10 +45,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_json(capsys, *argv):
+    # NaN and Infinity, which json.dumps writes by default, fail the report
     code, out, err = run(capsys, *argv)
     assert code == EXIT_OK, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=_refuse_constant)
 
 
 def assert_csv_is_the_rows(out, header, rows):
@@ -145,6 +150,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--C" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_sweep_non_finite_ratio_cap(self, capsys, tmp_path, value):
+        # an infinite cap would print "ratio_cap": Infinity, which is not JSON
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"ratio_cap": value}))
+        for flags in (["--ratio-cap", value], ["--config", str(cfg)]):
+            code, out, err = run(capsys, "sweep", "--domain", "square", "--k-max", "1", *flags)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "--ratio-cap" in err
 
     def test_bad_levels(self, capsys):
         code, _, err = run(capsys, "spectrum", "--levels", "99")
@@ -653,15 +669,15 @@ class TestCertifyCommand:
     def test_closed_form_evaluated_once(self, capsys, monkeypatch):
         # mu_k and mu_l of the report, the searched constant and the
         # verifier's own constant all read one evaluation of the square's
-        # mu_8388607 (the lattice count behind every closed form runs once)
+        # mu_8388607 (the lattice search behind every closed form runs once)
         calls = []
-        counted = bounds._counted
+        bracket = bounds._bracket
 
         def spy(*args, **kwargs):
             calls.append(args)
-            return counted(*args, **kwargs)
+            return bracket(*args, **kwargs)
 
-        monkeypatch.setattr(bounds, "_counted", spy)
+        monkeypatch.setattr(bounds, "_bracket", spy)
         bounds.rectangle_eigenvalue.cache_clear()
         report = run_json(capsys, "certify", "--domain", "square", "--k", "8388607", "--l", "8388607")
         assert len(calls) == 1
