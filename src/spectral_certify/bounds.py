@@ -4,12 +4,12 @@ Scalar bounds for the Neumann Laplacian on planar convex domains: the
 Payne-Weinberger lower bound for the first nonzero eigenvalue, upper
 bounds in terms of diameter (Bessel-zero type) and of area, and a
 lower bound for partitioned domains.  Also the exact spectra of
-rectangles, used as references throughout.
+rectangles, used as references throughout, and the exact lattice count
+that decides a rectangle certificate.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -147,11 +147,6 @@ def rectangle_spectrum(half_width_a: float, half_width_b: float, count: int) -> 
     return Spectrum(values)
 
 
-# A certify command reads mu_k for its report, its searched constant and its
-# verifier: about 1 ms each on the square at k = 8388607.  The value depends
-# only on the arguments, so a small memo keyed by them serves every read of
-# one (a, b, k) from one evaluation; cli.main clears it after the command.
-@functools.lru_cache(maxsize=16)
 def rectangle_eigenvalue(half_width_a: float, half_width_b: float, k: int) -> float:
     """The k-th Neumann eigenvalue of a rectangle, bit for bit
     rectangle_spectrum(half_width_a, half_width_b, k + 1)[k], in O(sqrt k)
@@ -160,3 +155,17 @@ def rectangle_eigenvalue(half_width_a: float, half_width_b: float, k: int) -> fl
     p, q_lo, q_hi = _bracket(big, small, k)
     j = k - int((q_lo + 1).sum())
     return float(np.partition(_between(big, small, p, q_lo, q_hi), j)[j])
+
+
+def lattice_count(x: int, y: int, t: int, stop: int) -> int:
+    """min(stop, #{p, q >= 0 : x p^2 + y q^2 <= t}) for positive integers x
+    and y and an integer t, exactly: row p ends at q = isqrt((t - x p^2) // y),
+    as isqrt(m // y) = floor(sqrt(m / y)).  Rows run along the larger
+    coefficient, which has the fewer, and stop once the count reaches stop."""
+    if x < y:
+        x, y = y, x
+    count = p = 0
+    while count < stop and (rest := t - x * p * p) >= 0:
+        count += math.isqrt(rest // y) + 1
+        p += 1
+    return min(count, stop)

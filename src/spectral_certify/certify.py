@@ -2,17 +2,18 @@
 
 A certificate witnesses mu_k <= C (k/l)^2 mu_l on a rectangle of
 half-widths a <= b by an n_x x n_y grid of l' = n_x n_y <= l congruent
-boxes of diagonal D, D^2 = (2a / n_x)^2 + (2b / n_y)^2.  Neumann
-bracketing (Courant-Hilbert) decouples the cells, so mu_l >= mu_{l'} of
-the rectangle is at least the least first nonzero eigenvalue of a cell,
-which Payne-Weinberger (1960) bounds below by pi^2 / D^2.  So the
-inequality holds with
+boxes of diagonal D, D^2 = (A / n_x)^2 + (B / n_y)^2 with A = 2a, B = 2b.
+Neumann bracketing (Courant-Hilbert) decouples the cells, so mu_l >=
+mu_{l'} of the rectangle is at least the least first nonzero eigenvalue
+of a cell, which Payne-Weinberger (1960) bounds below by pi^2 / D^2.  The
+closed form mu_k = pi^2 (p^2 / A^2 + q^2 / B^2) carries the same pi, so C
+proves the inequality exactly when
 
-    C_proved = mu_k^+ D^2 l^2 / (pi^2 k^2),
+    #{p, q >= 0 : p^2 / A^2 + q^2 / B^2 <= C k^2 / (D^2 l^2)} >= k + 1,
 
-mu_k^+ the closed-form mu_k rounded up.  The grid minimises D^2 over
-n_x n_y <= l, so C_proved is a function of (a, b, k, l) alone, and
-minimal_constant is its value.
+a count in integers (bounds.lattice_count), as a, b and C are doubles.
+The grid minimises D^2 over n_x n_y <= l, so minimal_constant, the least
+double the count accepts, is a function of (a, b, k, l) alone.
 
 The proof reads the domain, k, l and C.  The stored cells are the
 grid's corners, an echo the verifier compares bit for bit with the grid
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .bounds import payne_weinberger_lower, rectangle_eigenvalue, rectangle_spectrum
+from .bounds import lattice_count, payne_weinberger_lower, rectangle_eigenvalue, rectangle_spectrum
 from .fem import neumann_spectrum
 # the traced benchmark wraps the net names and rectangle_sandwich here
 from .geometry import (
@@ -55,14 +56,13 @@ GEOMETRY_RTOL = 1e-9
 CERTIFICATE_SCHEMA = 3
 
 # The largest index certify takes and a certificate may state: a reader may
-# list the k + 1 closed-form values to check mu_k (the verifier lists only
-# O(sqrt k) of them) in 2^28 bytes at 32 bytes a value; rectangle_spectrum
-# peaks at 32 traced bytes a value, in the Spectrum checks of its listing,
-# plus 1.8 kB (2,000,001 and 8,388,608 values of the square).
+# list the k + 1 closed-form values of mu_k (the verifier lists none) in 2^28
+# bytes at 32 bytes a value; rectangle_spectrum peaks at 32 traced bytes a value,
+# in its Spectrum checks, plus 1.8 kB (2,000,001 and 8,388,608 on the square).
 INDEX_LIMIT = 2**28 // 32 - 1
 
 # The grid is capped at GRID_CELLS cells, so a larger l gets the best grid
-# of that many and a larger C_proved.  At the cap (11184 cells) certify
+# of that many and a larger C.  At the cap (11184 cells) certify
 # --k 8388607 --l 8388607 peaks at 11.8, 11.8 and 11.1 MB traced (the
 # corner array, the rebuilt grid, the report and its JSON text; tracemalloc
 # over the command) on the square, rect:3:1 and rect:0.001:1000, inside
@@ -71,21 +71,6 @@ INDEX_LIMIT = 2**28 // 32 - 1
 PARTITION_BYTES = 2**24
 GRID_CELL_BYTES = 1500
 GRID_CELLS = PARTITION_BYTES // GRID_CELL_BYTES
-
-# mu_k^+ = (1 + MU_MARGIN) fl(mu_k), and MU_MARGIN also covers the rounding
-# of the rest of C_proved, so the double C_proved is at least the real
-# mu_k D^2 l^2 / (pi^2 k^2) of the ideal grid; no corner enters it.  With
-# u = 2^-53: the closed form fl(fl(fl(pi / 2a)^2 p^2) + fl(pi / 2b)^2 q^2)
-# carries pi's own error (< u) twice, a quotient, a square, a product (p^2,
-# q^2 are exact) and a sum, so <= 8u relative, and the k-th smallest of such
-# values is within 8u of the k-th smallest real one.  The rest, evaluated as
-# ((1 + MU_MARGIN) mu_k D^2 l^2) / (pi^2 k^2): D^2 from 2a and 2b (exact),
-# two quotients by n_x and n_y, two squares and a sum (4u); three products,
-# as 1 + MU_MARGIN, l^2 and k^2 are exact (l, k < 2^23); pi^2 from fl(pi),
-# within u/2 of pi, squared (2u); its product with k^2 and the quotient
-# (2u); <= 11u.  So 19u < 2^-48 = 32u covers both, with room for
-# second-order terms.
-MU_MARGIN = 2.0**-48
 
 
 class CertificationError(RuntimeError):
@@ -206,8 +191,7 @@ class PartitionCertificate:
             rect = Rectangle(center, a, b, rotation)
             # a domain no polygon may have (out of the coordinate range, or
             # flat) has no grid to rebuild, and one whose first k + 1
-            # closed-form values leave the float range has no mu_k (a mu_k
-            # found here serves the verifier from the memo)
+            # closed-form values leave the float range has no mu_k
             rect.polygon()
             if 1 <= k <= INDEX_LIMIT:
                 rectangle_eigenvalue(rect.half_width_a, rect.half_width_b, k)
@@ -299,21 +283,34 @@ def grid_corners(domain: Rectangle, l: int):
     return corners.reshape(-1, 4, 2), nx, ny, (2.0 * a / nx) ** 2 + (2.0 * b / ny) ** 2
 
 
-def proved_constant(domain: Rectangle, k: int, l: int, d2: float) -> float:
-    """C_proved = mu_k^+ D^2 l^2 / (pi^2 k^2) of the grid of (domain, l),
-    given its D^2 = d2 from grid_corners, and mu_k^+ the closed form
-    rounded up by MU_MARGIN."""
-    mu_k = rectangle_eigenvalue(domain.half_width_a, domain.half_width_b, k)
-    return (1.0 + MU_MARGIN) * mu_k * d2 * l**2 / (math.pi**2 * k**2)
+def _lattice_evidence(domain: Rectangle, k: int, l: int, nx: int, ny: int, C: float) -> int:
+    """min(k + 1, #{p, q >= 0 : p^2 / A^2 + q^2 / B^2 <= C k^2 / (D^2 l^2)})
+    on the n_x x n_y grid, in integers: for A : B = alpha : beta the test is
+    (p^2 beta^2 + q^2 alpha^2) E l^2 <= C (k alpha beta n_x n_y)^2 with E =
+    alpha^2 n_y^2 + beta^2 n_x^2, times C's denominator."""
+    (an, ad), (bn, bd) = (2.0 * domain.half_width_a).as_integer_ratio(), (2.0 * domain.half_width_b).as_integer_ratio()
+    cn, cd = float(C).as_integer_ratio()
+    alpha, beta = an * bd, bn * ad
+    scale = (alpha**2 * ny**2 + beta**2 * nx**2) * l**2 * cd
+    return lattice_count(beta**2 * scale, alpha**2 * scale, cn * (k * alpha * beta * nx * ny) ** 2, k + 1)
+
+
+def _least_constant(domain: Rectangle, k: int, l: int, nx: int, ny: int, d2: float) -> float:
+    """The least double C whose count reaches k + 1, from a float estimate."""
+    C = rectangle_eigenvalue(domain.half_width_a, domain.half_width_b, k) * d2 * l**2 / (math.pi**2 * k**2)
+    while _lattice_evidence(domain, k, l, nx, ny, C) <= k:
+        C = math.nextafter(C, math.inf)
+    while _lattice_evidence(domain, k, l, nx, ny, below := math.nextafter(C, 0.0)) > k:
+        C = below
+    return C
 
 
 def construct_partition(domain: Rectangle, k: int, l: int, C: float | None = None) -> PartitionCertificate:
     """Build the box-grid certificate for the quadratic bound on a
     rectangle.  The grid depends on the domain and l alone.  C is recorded,
-    or when omitted the grid's own C_proved (minimal_constant), the least
-    constant it verifies at.  The chain_ok flag records the piece count
-    only; run verify_certificate against a reference mu_l to validate the
-    full chain, C_proved <= C included."""
+    or when omitted the least double the grid's lattice count accepts
+    (minimal_constant).  The chain_ok flag records the piece count only;
+    run verify_certificate against a reference mu_l for the full chain."""
     if not (k >= l >= 1):
         raise CertificationError("need k >= l >= 1")
     a, b = domain.half_width_a, domain.half_width_b
@@ -328,7 +325,7 @@ def construct_partition(domain: Rectangle, k: int, l: int, C: float | None = Non
         domain=domain,
         k=int(k),
         l=int(l),
-        C=float(proved_constant(domain, k, l, d2) if C is None else C),
+        C=float(_least_constant(domain, k, l, nx, ny, d2) if C is None else C),
         corners=corners,
         chain_ok=corners.shape[0] <= l,
         notes=notes,
@@ -336,24 +333,26 @@ def construct_partition(domain: Rectangle, k: int, l: int, C: float | None = Non
 
 
 def verify_certificate(cert: PartitionCertificate, mu_l_reference: float) -> ChainReport:
-    """Check the 4 links of a certificate.  The piece lower bound and
-    C_proved come from (domain, k, l) alone, and the stored corners must be
-    the grid of (domain, l) bit for bit (grid_rebuilt), so they tile the
-    domain by construction.  Only the reference compares at GEOMETRY_RTOL."""
+    """Check the 4 links of a certificate.  The piece lower bound and the
+    lattice count come from (domain, k, l, C) alone, and the stored corners
+    must be the grid of (domain, l) bit for bit (grid_rebuilt), so they tile
+    the domain by construction.  Only the reference compares at GEOMETRY_RTOL."""
     check, flag = ChainLink.check, lambda name, ok: ChainLink.check(name, 0.0 if ok else 1.0, 0.0)
-    lower = proved = math.inf
-    same_grid = False
+    # an index pair out of range proves nothing
+    lower, same_grid, need, found = math.inf, False, 1, 0
     if 1 <= cert.l <= cert.k <= INDEX_LIMIT:
-        rebuilt, _, _, d2 = grid_corners(cert.domain, cert.l)
+        rebuilt, nx, ny, d2 = grid_corners(cert.domain, cert.l)
         same_grid = cert.corners.shape == rebuilt.shape and cert.corners.tobytes() == rebuilt.tobytes()
         lower = payne_weinberger_lower(math.sqrt(d2))
-        proved = proved_constant(cert.domain, cert.k, cert.l, d2)
+        need, found = cert.k + 1, _lattice_evidence(cert.domain, cert.k, cert.l, nx, ny, cert.C)
     links = [
         check("piece_count", cert.corners.shape[0], cert.l),
         # the Payne-Weinberger value of a grid box, clearing the reference
         check("lower_bound_vs_reference", lower, mu_l_reference, GEOMETRY_RTOL),
         flag("grid_rebuilt", same_grid),
-        check("concluded_inequality", proved, cert.C),
+        # k + 1 lattice points at or below C k^2 / (D^2 l^2); both sides are
+        # integers below 2^53, so their float comparison is exact
+        check("concluded_inequality", need, found),
     ]
     return ChainReport(links=links)
 
@@ -365,10 +364,9 @@ def certified_chain(cert, mu_l_reference):
 
 
 def minimal_constant(domain: Rectangle, k: int, l: int) -> float:
-    """C_proved of the box grid of (domain, l), the C construct_partition
-    records when none is given: the smallest constant its certificate
-    verifies at, as the verifier computes the same C_proved, so the
-    concluded inequality holds with equality."""
+    """The C construct_partition records when none is given: the least
+    double the lattice count of the box grid of (domain, l) accepts, so the
+    least its certificate verifies at, as the verifier makes the same count."""
     return construct_partition(domain, k, l).C
 
 

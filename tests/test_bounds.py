@@ -2,6 +2,7 @@
 arithmetic and brute-force lattice oracles."""
 
 import math
+import random
 import tracemalloc
 
 import mpmath
@@ -13,13 +14,14 @@ from spectral_certify.bounds import (
     J0_FIRST_ZERO,
     kroger_area_upper,
     kroger_diameter_upper,
+    lattice_count,
     partition_lower,
     payne_weinberger_lower,
     rectangle_eigenvalue,
     rectangle_spectrum,
 )
 from spectral_certify.spectra import Spectrum
-from oracles import lattice_spectrum
+from oracles import box_lattice_count, lattice_spectrum
 
 PI2 = math.pi**2
 J01 = float(scipy.special.jn_zeros(0, 1)[0])
@@ -208,6 +210,51 @@ class TestRectangleEigenvalue:
             rectangle_eigenvalue(0.0, 1.0, 3)
         with pytest.raises(ValueError):
             rectangle_eigenvalue(1.0, 1.0, -1)
+
+
+class TestLatticeCount:
+    """The exact counter against a test of every pair of the lattice box."""
+
+    def test_random_cases(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            x, y = rng.randint(1, 60), rng.randint(1, 60)
+            t = rng.randint(-5, 4000)
+            stop = rng.choice([10**9, rng.randint(0, 80)])
+            assert lattice_count(x, y, t, stop) == min(stop, box_lattice_count(x, y, t))
+
+    @pytest.mark.parametrize("x, y", [(3, 5), (5, 3), (7, 7), (1, 40), (40, 1)])
+    def test_threshold_on_and_below_a_lattice_value(self, x, y):
+        # (2, 3) lies on x p^2 + y q^2 = t and is counted there, not just below
+        t = x * 4 + y * 9
+        for threshold in (t, t - 1):
+            expected = box_lattice_count(x, y, threshold)
+            assert lattice_count(x, y, threshold, 10**9) == expected
+            assert lattice_count(y, x, threshold, 10**9) == expected
+        assert lattice_count(x, y, t, 10**9) > lattice_count(x, y, t - 1, 10**9)
+
+    def test_zero_and_negative_thresholds(self):
+        assert lattice_count(3, 5, 0, 10) == 1 == box_lattice_count(3, 5, 0)
+        assert lattice_count(3, 5, -1, 10) == 0 == box_lattice_count(3, 5, -1)
+
+    def test_stop_below_the_count(self):
+        full = box_lattice_count(2, 3, 500)
+        for stop in (0, 1, 7, full - 1, full, full + 1):
+            assert lattice_count(2, 3, 500, stop) == min(stop, full)
+
+    def test_huge_threshold_stops_after_one_row(self, monkeypatch):
+        # 10^400 admits about 10^400 pairs; the first row alone passes stop
+        rows = []
+        isqrt = math.isqrt
+
+        def spy(n):
+            rows.append(n)
+            return isqrt(n)
+
+        monkeypatch.setattr(math, "isqrt", spy)
+        assert lattice_count(3, 5, 10**400, 8388608) == 8388608
+        assert lattice_count(5, 3, 10**400, 25) == 25
+        assert len(rows) == 2
 
 
 class TestBoundsBracketEigenvalues:

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from spectral_certify.geometry import (
     voronoi_partition,
 )
 
-from oracles import partition_radius, report_proved_constant
+from oracles import exact_constant, partition_radius, report_proved_constant
 
 PI2 = math.pi**2
 
@@ -200,13 +201,16 @@ class TestGridConstruction:
 
     def test_turned_far_rectangle_verifies(self):
         # far from the origin the float corners of this grid understate D^2 by
-        # 9e-11 relative, far past MU_MARGIN, and their areas miss the
-        # domain's by 4e-6 relative; the proof reads neither
+        # 9e-11 relative, far past one double's rounding, and their areas miss
+        # the domain's by 4e-6 relative; the proof reads neither
         domain = Rectangle(
             Point2(-290490.07214372436, -119856.49968524654), 0.23516875155613254, 0.28672868996454287, 0.7857688320918057
         )
         cert = construct_partition(domain, 6, 3)
-        assert cert.C == 1.1651735732956905
+        assert cert.C == 1.1651735732956867
+        a, b = domain.half_width_a, domain.half_width_b
+        exact = exact_constant(a, b, 6, 3, *grid_shape(a, b, 3))
+        assert Fraction(cert.C) >= exact > Fraction(math.nextafter(cert.C, 0.0))
         mu = rectangle_spectrum(domain.half_width_a, domain.half_width_b, 4)
         assert verify_certificate(cert, mu[3]).holds_all
         clone = PartitionCertificate.from_json(cert.to_json())
@@ -372,9 +376,18 @@ class TestVerificationChain:
         tampered = PartitionCertificate.from_dict(obj)
         report, updated = certified_chain(tampered, mu_l)
         assert updated.chain_ok is report.holds_all
-        assert not report.holds_all or obj["C"] >= report_proved_constant({"certificate": obj})
+        assert not report.holds_all or Fraction(obj["C"]) >= report_proved_constant({"certificate": obj})
         if name == "k_down":
             assert not report.holds_all
+
+    @pytest.mark.parametrize("C, found", [(0.5, 3), (0.49, 1), (1e308, 3)])
+    def test_concluded_link_is_the_lattice_count(self, C, found):
+        # k = 2, l = 1 on the unit square: one cell, D^2 = 2, so C proves the
+        # inequality when k + 1 = 3 pairs have p^2 + q^2 <= 2 C; the count
+        # stops at 3, and at C = 0.49 only (0, 0) is left
+        report = verify_certificate(construct_partition(UNIT_SQUARE, 2, 1, C), PI2)
+        link = link_by_name(report, "concluded_inequality")
+        assert (link.lhs, link.rhs, link.holds) == (3.0, found, found == 3)
 
     def test_small_reference_fails_final_link(self):
         cert, mu_l = self.verifying_certificate()
@@ -513,7 +526,7 @@ class TestMinimalConstant:
     def test_square_pair(self):
         # one cell of diameter sqrt(2) and mu_2 = pi^2: C = 2 pi^2 / (4 pi^2)
         c = minimal_constant(UNIT_SQUARE, 2, 1)
-        assert 0.5 <= c <= 0.5 * (1.0 + 1e-14)
+        assert c == 0.5
         assert verify_certificate(
             construct_partition(UNIT_SQUARE, 2, 1, c), PI2
         ).holds_all
@@ -536,10 +549,10 @@ class TestMinimalConstant:
 
 
 class TestSearchOracle:
-    """minimal_constant against the report-only oracle: the constant is
-    C_proved from integer-enumerated mu_k and the cell extents, rounded up
-    by at most the margin, and the certificate verifies at it and not one
-    double below it."""
+    """minimal_constant against the exact oracle: the constant is the
+    least double at or above the rational C* = mu_k D^2 l^2 / (pi^2 k^2) of
+    the grid, and the certificate verifies at it and not one double below
+    it.  Unturned cases read n_x and n_y off the report's cells."""
 
     @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
     def test_same_constant_and_verdicts(self, case):
@@ -551,10 +564,11 @@ class TestSearchOracle:
             for C in (c, np.nextafter(c, 0.0))
         ]
         assert verdicts == [True, False]
-        cert = construct_partition(domain, k, l, c)
+        a, b = domain.half_width_a, domain.half_width_b
+        oracle = exact_constant(a, b, k, l, *grid_shape(a, b, l))
+        assert Fraction(c) >= oracle > Fraction(math.nextafter(c, 0.0))
         if domain.rotation == 0.0:
-            oracle = report_proved_constant({"certificate": cert.to_dict()})
-            assert oracle <= c <= oracle * (1.0 + 2.0**-46)
+            assert report_proved_constant({"certificate": construct_partition(domain, k, l, c).to_dict()}) == oracle
 
 
 class TestProbeCap:
@@ -587,6 +601,15 @@ class TestRoadmapPins:
         rect = rectangle_from_polygon(parse_domain(domain)[1])
         assert grid_shape(rect.half_width_a, rect.half_width_b, l) == shape
         assert round(minimal_constant(rect, k, l), 4) == C
+
+
+class TestRoadmapLeastDouble:
+    @pytest.mark.parametrize("domain, k, l, shape, C", ROADMAP_ROWS)
+    def test_least_double_at_or_above_the_exact_constant(self, domain, k, l, shape, C):
+        rect = rectangle_from_polygon(parse_domain(domain)[1])
+        c = minimal_constant(rect, k, l)
+        oracle = exact_constant(rect.half_width_a, rect.half_width_b, k, l, *shape)
+        assert Fraction(c) >= oracle > Fraction(math.nextafter(c, 0.0))
 
 
 class TestQuadraticRatioSweep:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -628,7 +629,7 @@ class TestCertifyCommand:
             k = int(rng.integers(1, 60))
             l = int(rng.integers(1, k + 1))
             report = run_json(capsys, "certify", "--domain", f"file:{path}", "--k", str(k), "--l", str(l))
-            assert report["results"]["C"] >= report_proved_constant(report["results"])
+            assert Fraction(report["results"]["C"]) >= report_proved_constant(report["results"])
 
     @pytest.mark.parametrize(
         "vertices, k, l",
@@ -666,26 +667,21 @@ class TestCertifyCommand:
         assert "sandwich" in res
         assert res["chain"]["holds_all"]
 
-    def test_closed_form_evaluated_once(self, capsys, monkeypatch):
-        # mu_k and mu_l of the report, the searched constant and the
-        # verifier's own constant all read one evaluation of the square's
-        # mu_8388607 (the lattice search behind every closed form runs once)
-        calls = []
-        bracket = bounds._bracket
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return bracket(*args, **kwargs)
-
-        monkeypatch.setattr(bounds, "_bracket", spy)
-        bounds.rectangle_eigenvalue.cache_clear()
+    def test_verifier_evaluates_no_closed_form(self, capsys, monkeypatch):
+        # the verifier decides the concluded inequality by a lattice count
+        # alone: with the lattice search behind every closed form refused,
+        # the reloaded square certificate at k = l = 8388607 verifies to the
+        # links the command reported
         report = run_json(capsys, "certify", "--domain", "square", "--k", "8388607", "--l", "8388607")
-        assert len(calls) == 1
         assert report["results"]["chain"]["holds_all"]
-        # the memo lasts one command, so the next evaluates its own
-        assert bounds.rectangle_eigenvalue.cache_info().currsize == 0
-        run_json(capsys, "certify", "--domain", "square", "--k", "8388607", "--l", "8388607")
-        assert len(calls) == 2
+        reloaded = certify.PartitionCertificate.from_dict(report["results"]["certificate"])
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a closed form was evaluated")
+
+        monkeypatch.setattr(bounds, "_bracket", refused)
+        chain = certify.verify_certificate(reloaded, report["results"]["mu_l"]).to_dict()
+        assert chain == report["results"]["chain"]
 
     def test_no_cell_polygons_or_diameters(self, capsys, monkeypatch, tmp_path):
         # the certificate is built, verified, printed, drawn and reloaded from
