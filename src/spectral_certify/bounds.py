@@ -62,7 +62,7 @@ def partition_lower(first_eigenvalues) -> float:
     return float(vals.min())
 
 
-def _bases(length_x: float, length_y: float, count: int) -> tuple[float, float]:
+def closed_form_bases(length_x: float, length_y: float, count: int) -> tuple[float, float]:
     """(big, small), the larger and smaller of (pi / L)^2 over the two side
     lengths.  They must be normal doubles at most 2^1019, and so must the
     threshold _bracket reaches, below 4 sqrt(big small) count, so that no
@@ -137,7 +137,7 @@ def rectangle_spectrum(half_width_a: float, half_width_b: float, count: int) -> 
     """First count Neumann eigenvalues of a rectangle with the given
     half-widths: pi^2 (p^2 / Lx^2 + q^2 / Ly^2) with side lengths
     Lx = 2 half_width_a, Ly = 2 half_width_b and p, q >= 0."""
-    big, small = _bases(2.0 * half_width_a, 2.0 * half_width_b, count)
+    big, small = closed_form_bases(2.0 * half_width_a, 2.0 * half_width_b, count)
     p, q_lo, q_hi = _bracket(big, small, count - 1)
     values = _between(big, small, p, -1, q_hi)
     values.sort()
@@ -151,7 +151,7 @@ def rectangle_eigenvalue(half_width_a: float, half_width_b: float, k: int) -> fl
     """The k-th Neumann eigenvalue of a rectangle, bit for bit
     rectangle_spectrum(half_width_a, half_width_b, k + 1)[k], in O(sqrt k)
     time and memory: the values between the bracket's cuts, selected."""
-    big, small = _bases(2.0 * half_width_a, 2.0 * half_width_b, k + 1)
+    big, small = closed_form_bases(2.0 * half_width_a, 2.0 * half_width_b, k + 1)
     p, q_lo, q_hi = _bracket(big, small, k)
     j = k - int((q_lo + 1).sum())
     return float(np.partition(_between(big, small, p, q_lo, q_hi), j)[j])

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .bounds import lattice_count, payne_weinberger_lower, rectangle_eigenvalue, rectangle_spectrum
+from .bounds import closed_form_bases, lattice_count, payne_weinberger_lower, rectangle_eigenvalue, rectangle_spectrum
 from .fem import neumann_spectrum
 # the traced benchmark wraps the net names and rectangle_sandwich here
 from .geometry import (
@@ -194,7 +194,7 @@ class PartitionCertificate:
             # closed-form values leave the float range has no mu_k
             rect.polygon()
             if 1 <= k <= INDEX_LIMIT:
-                rectangle_eigenvalue(rect.half_width_a, rect.half_width_b, k)
+                closed_form_bases(2.0 * rect.half_width_a, 2.0 * rect.half_width_b, k + 1)
         except ValueError as exc:  # GeometryError is one
             raise CertificateFormatError(f"certificate field 'domain' is malformed: {exc}") from None
         return cls(

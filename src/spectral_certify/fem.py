@@ -12,7 +12,7 @@ computed eigenvalue overestimates its continuous counterpart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -38,8 +38,8 @@ class EigensolverError(RuntimeError):
 
 @dataclass
 class SparseSymmetricMatrix:
-    """Symmetric matrix stored as its upper triangle in coordinate form,
-    with entries coalesced and sorted lexicographically."""
+    """Symmetric matrix in coordinate form, one entry per symmetric pair of
+    positions; from_coo keeps the upper triangle, coalesced and sorted."""
 
     dimension: int
     rows: np.ndarray
@@ -58,13 +58,15 @@ class SparseSymmetricMatrix:
         return cls(dimension, upper.row, upper.col, upper.data)
 
     def to_csr(self) -> scipy.sparse.csr_matrix:
-        """Full symmetric CSR matrix (both triangles)."""
-        upper = scipy.sparse.coo_matrix(
-            (self.data, (self.rows, self.cols)),
-            shape=(self.dimension, self.dimension),
-        ).tocsr()
-        diag = scipy.sparse.diags(upper.diagonal())
-        return (upper + upper.T - diag).tocsr()
+        """Full symmetric CSR matrix, sorted, in one COO to CSR conversion:
+        each off-diagonal entry mirrored, exact zeros dropped."""
+        off = self.rows != self.cols
+        data = np.concatenate((self.data, self.data[off]))
+        rows = np.concatenate((self.rows, self.cols[off]))
+        cols = np.concatenate((self.cols, self.rows[off]))
+        full = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(self.dimension,) * 2).tocsr()
+        full.eliminate_zeros()
+        return full
 
 
 def assemble(mesh: TriangleMesh):
@@ -91,68 +93,52 @@ def _residuals(K, M, vals, vecs):
     """Relative eigenpair residuals, safeguarded for the zero mode."""
     kx = K @ vecs
     mx = M @ vecs
-    denom = np.maximum(
-        np.linalg.norm(kx, axis=0), (1.0 + np.abs(vals)) * np.linalg.norm(mx, axis=0)
-    )
-    return np.linalg.norm(kx - mx * vals, axis=0) / denom
-
-
-def _factor(K, M):
-    """Pivot-free LU of K + M in a symmetric fill-reducing order, and the order;
-    K + M and its permuted copy die on return (the factor holds its own L, U)."""
-    # The solver stack is imported where a solve first needs it, here and in
-    # solve_smallest: certify, bounds and verify import fem but never solve.
-    # At module level scipy.sparse.csgraph would cost every process ~0.8 MiB
-    # and 6-10 ms, and scipy.sparse.linalg with the scipy.linalg it loads
-    # (LAPACK, ARPACK, SuperLU) 0.09 s and 10.3 MiB.  Names are looked up on
-    # the module at call time, so that profilers can wrap them.
-    import scipy.sparse.linalg
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    # K is PSD and M is PD, so A is SPD and elimination without pivoting is
-    # stable (Higham, Accuracy and Stability, 10.1): minimum degree on A + A^T
-    # after a bandwidth pre-order, without which MMD takes minutes on the fan
-    # meshes.
-    A = K + M
-    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
-    try:
-        lu = scipy.sparse.linalg.splu(
-            A[perm][:, perm].tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise EigensolverError(f"LU of K + M (dimension {A.shape[0]}) failed: {exc}") from exc
-    return lu, perm
+    denom = np.maximum(np.linalg.norm(kx, axis=0), (1.0 + np.abs(vals)) * np.linalg.norm(mx, axis=0))
+    mx *= vals
+    kx -= mx
+    return np.linalg.norm(kx, axis=0) / denom
 
 
 def solve_smallest(K, M, m: int):
     """Smallest m eigenvalues of K x = mu M x by shift-invert Lanczos
     (ARPACK) at shift -1, which keeps the factored operator K + M
     positive definite for the singular Neumann stiffness.  K and M are the
-    full symmetric CSR pencil _pencil builds.  K + M is factored once, by
-    pivot-free LU in a symmetric fill-reducing order; a failed
-    factorization raises EigensolverError.
+    full symmetric CSR pencil, expected in _pencil's vertex order: K + M is
+    factored once, as it arrives, by pivot-free LU in minimum degree order
+    on top of it (from a large fan mesh's natural order minimum degree takes
+    minutes), and the factor's own solve is the shift-invert operator.  A
+    failed factorization raises EigensolverError.
 
     _MAX_SWEEPS bounds the ARPACK restart iterations, and a residual above
-    _RESIDUAL_TOL raises.  Returns (values, vectors, residual), ascending.
-    Deterministic: the start vector is seeded, so runs of the same problem
-    agree bit for bit.
+    _RESIDUAL_TOL raises.  Returns (values, vectors, residual), ascending,
+    vectors in the order of K and M.  Deterministic: the start vector is
+    seeded, so runs of the same problem agree bit for bit.
     """
-    import scipy.sparse.linalg  # at the first solve; see _factor
+    # The solver stack is imported where a solve first needs it, here and in
+    # _pencil: certify, bounds and verify import fem but never solve.  At
+    # module level scipy.sparse.csgraph would cost every process ~0.8 MiB
+    # and 6-10 ms, and scipy.sparse.linalg with the scipy.linalg it loads
+    # (LAPACK, ARPACK, SuperLU) 0.09 s and 10.3 MiB.  Names are looked up on
+    # the module at call time, so that profilers can wrap them.
+    import scipy.sparse.linalg
 
     n = K.shape[0]
     if not (1 <= m <= n // 2):
         raise ValueError("need 1 <= m <= dimension/2")
-    lu, perm = _factor(K, M)
-
-    def apply_inverse(x):
-        y = np.empty_like(x)
-        y[perm] = lu.solve(x[perm])
-        return y
-
-    op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
+    # K is PSD and M is PD, so K + M is SPD and elimination without pivoting
+    # is stable (Higham, Accuracy and Stability, 10.1).  A symmetric CSR
+    # matrix is its own CSC transpose, so the sum is factored without a CSC
+    # copy, and dies once the factor (which holds its own L and U) exists.
+    try:
+        lu = scipy.sparse.linalg.splu(
+            (K + M).T,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise EigensolverError(f"LU of K + M (dimension {n}) failed: {exc}") from exc
+    op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     # not the constant vector: the operator fixes K's null vector (1-d Krylov space)
     v0 = np.random.default_rng(_START_SEED).standard_normal(n)
     try:
@@ -179,10 +165,22 @@ def solve_smallest(K, M, m: int):
 
 
 def _pencil(P: ConvexPolygon, levels: int):
-    """Mesh width and CSR K and M of P's mesh; the mesh and assembled pair die on return."""
+    """Mesh width and CSR K and M of P's mesh in the one vertex order of the
+    solve, the reverse Cuthill-McKee order of M's pattern (which K + M
+    shares): each assembled matrix is relabelled into it before its CSR
+    conversion.  The mesh dies once assembled, each assembled matrix once
+    its CSR exists."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee  # see solve_smallest
+
     mesh = mesh_polygon(P, levels)
-    stiffness, mass = assemble(mesh)
-    return mesh.h_max, stiffness.to_csr(), mass.to_csr()
+    mesh_h, (stiffness, mass) = mesh.h_max, assemble(mesh)
+    del mesh
+    order = reverse_cuthill_mckee(mass.to_csr(), symmetric_mode=True)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size, dtype=order.dtype)
+    K = replace(stiffness, rows=rank[stiffness.rows], cols=rank[stiffness.cols]).to_csr()
+    del stiffness
+    return mesh_h, K, replace(mass, rows=rank[mass.rows], cols=rank[mass.cols]).to_csr()
 
 
 def neumann_spectrum(P: ConvexPolygon, m: int, levels: int) -> Spectrum:

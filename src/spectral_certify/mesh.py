@@ -21,7 +21,7 @@ class MeshError(ValueError):
 
 
 # A P1 spectrum peaks under TRIANGLE_BYTES a triangle: 262,144 triangles peak at
-# 309 MiB of process RSS on rect:10:1 at level 8 and 262 MiB on regular:256 at level
+# 295 MiB of process RSS on rect:10:1 at level 8 and 240 MiB on regular:256 at level
 # 5, so the budget admits ~630k triangles (level 8 of a quadrilateral, 5 of a 256-gon).
 TRIANGLE_BYTES = 1700
 MESH_BYTES = 2**30

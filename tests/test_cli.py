@@ -668,18 +668,18 @@ class TestCertifyCommand:
         assert res["chain"]["holds_all"]
 
     def test_verifier_evaluates_no_closed_form(self, capsys, monkeypatch):
-        # the verifier decides the concluded inequality by a lattice count
-        # alone: with the lattice search behind every closed form refused,
-        # the reloaded square certificate at k = l = 8388607 verifies to the
-        # links the command reported
+        # the reload and the verifier decide the concluded inequality by a
+        # lattice count alone: with the lattice search behind every closed
+        # form refused, the square certificate at k = l = 8388607 reloads and
+        # verifies to the links the command reported
         report = run_json(capsys, "certify", "--domain", "square", "--k", "8388607", "--l", "8388607")
         assert report["results"]["chain"]["holds_all"]
-        reloaded = certify.PartitionCertificate.from_dict(report["results"]["certificate"])
 
         def refused(*args, **kwargs):
             raise AssertionError("a closed form was evaluated")
 
         monkeypatch.setattr(bounds, "_bracket", refused)
+        reloaded = certify.PartitionCertificate.from_dict(report["results"]["certificate"])
         chain = certify.verify_certificate(reloaded, report["results"]["mu_l"]).to_dict()
         assert chain == report["results"]["chain"]
 

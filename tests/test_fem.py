@@ -27,12 +27,13 @@ SLIVER = ConvexPolygon([[-5.0, -0.5], [5.0, -0.5], [5.0, 0.5], [-5.0, 0.5]])
 
 @pytest.fixture
 def factor_spy(monkeypatch):
-    """Records every LU factor and shift-invert operator solve_smallest
-    builds, passing both through unchanged."""
-    seen = {"lu": [], "op_inv": []}
+    """Records every matrix solve_smallest factors, its LU factor and the
+    shift-invert operator, passing each through unchanged."""
+    seen = {"factored": [], "lu": [], "op_inv": []}
     splu, eigsh = scipy.sparse.linalg.splu, scipy.sparse.linalg.eigsh
 
     def spy_splu(*args, **kwargs):
+        seen["factored"].append(args[0])
         seen["lu"].append(splu(*args, **kwargs))
         return seen["lu"][-1]
 
@@ -43,6 +44,12 @@ def factor_spy(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", spy_splu)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
     return seen
+
+
+def bandwidth(A) -> int:
+    """The largest |i - j| over the stored entries of a sparse matrix."""
+    coo = A.tocoo()
+    return int(np.abs(coo.row.astype(np.int64) - coo.col).max())
 
 
 def reference_triangle_mesh():
@@ -103,6 +110,20 @@ class TestSparseStorage:
         assert (m.rows <= m.cols).all()
         expected = np.array([[2.0, 5.5, -1.0], [5.5, 3.0, 0.5], [-1.0, 0.5, 5.0]])
         assert toarray(m) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "polygon, levels", [(UNIT_SQUARE, 2), (regular_polygon(256), 1)], ids=["square", "regular_256"]
+    )
+    def test_to_csr_is_upper_plus_transpose_minus_diagonal(self, polygon, levels):
+        # one COO to CSR conversion gives bit for bit what three sparse
+        # operations on the stored triangle give, exact zeros dropped alike
+        for mat in assemble(mesh_polygon(polygon, levels)):
+            upper = scipy.sparse.coo_matrix((mat.data, (mat.rows, mat.cols)), shape=(mat.dimension,) * 2).tocsr()
+            expected = (upper + upper.T - scipy.sparse.diags(upper.diagonal())).tocsr()
+            csr = mat.to_csr()
+            assert np.array_equal(csr.indptr, expected.indptr)
+            assert np.array_equal(csr.indices, expected.indices)
+            assert csr.data.tobytes() == expected.data.tobytes()
 
     def test_to_csr_is_symmetric(self):
         mesh = mesh_polygon(UNIT_SQUARE, 2)
@@ -206,6 +227,45 @@ class TestEigensolver:
         b = np.random.default_rng(5).standard_normal(K.shape[0])
         x = op_inv.matvec(b)
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize(
+        "polygon, levels", [(UNIT_SQUARE, 4), (regular_polygon(256), 2)], ids=["square", "regular_256"]
+    )
+    def test_pencil_in_bandwidth_order(self, polygon, levels):
+        # _pencil hands over K and M in one bandwidth-reducing vertex order
+        stiffness, mass = assemble(mesh_polygon(polygon, levels))
+        natural = stiffness.to_csr() + mass.to_csr()
+        _, K, M = fem._pencil(polygon, levels)
+        assert bandwidth(K + M) < bandwidth(natural)
+
+    def test_factors_the_pencil_as_it_arrives(self, factor_spy):
+        # solve_smallest factors K + M itself: no reordered copy
+        _, K, M = fem._pencil(SLIVER, 3)
+        solve_smallest(K, M, 4)
+        (factored,) = factor_spy["factored"]
+        expected = (K + M).tocsc()
+        assert factored.format == "csc"
+        assert np.array_equal(factored.indptr, expected.indptr)
+        assert np.array_equal(factored.indices, expected.indices)
+        assert factored.data.tobytes() == expected.data.tobytes()
+
+    def test_shift_invert_operator_is_the_factor_solve(self, factor_spy):
+        _, K, M = fem._pencil(SLIVER, 3)
+        solve_smallest(K, M, 4)
+        (lu,), (op_inv,) = factor_spy["lu"], factor_spy["op_inv"]
+        b = np.random.default_rng(7).standard_normal(K.shape[0])
+        assert op_inv.matvec(b).tobytes() == lu.solve(b).tobytes()
+
+    def test_residuals_in_place_match_the_formula(self):
+        # the residual check reuses its two products in place: same bits
+        # as |K x - mu M x| over the safeguarded scale
+        _, K, M = fem._pencil(SLIVER, 3)
+        vals, vecs, worst = solve_smallest(K, M, 4)
+        kx, mx = K @ vecs, M @ vecs
+        denom = np.maximum(np.linalg.norm(kx, axis=0), (1.0 + np.abs(vals)) * np.linalg.norm(mx, axis=0))
+        expected = np.linalg.norm(kx - mx * vals, axis=0) / denom
+        assert fem._residuals(K, M, vals, vecs).tobytes() == expected.tobytes()
+        assert worst == expected.max()
 
     @pytest.mark.parametrize("polygon", [UNIT_SQUARE, SLIVER], ids=["square", "sliver_10x1"])
     def test_fill_below_default_ordering(self, factor_spy, polygon):
