@@ -15,9 +15,11 @@ a count in integers (bounds.lattice_count), as a, b and C are doubles.
 The grid minimises D^2 over n_x n_y <= l, so minimal_constant, the least
 double the count accepts, is a function of (a, b, k, l) alone.
 
-The proof reads the domain, k, l and C.  The stored cells are the
-grid's corners, an echo the verifier compares bit for bit with the grid
-it rebuilds (grid_rebuilt); they carry no evidence of their own.
+The proof reads the domain, k, l and C alone.  A reference mu_l would
+add nothing: by the bracketing above, at most l' lattice points lie
+strictly inside p^2 / A^2 + q^2 / B^2 < 1 / D^2, so pi^2 / D^2 <= mu_l.
+The stored cells are the grid's corners, an echo the verifier compares
+bit for bit with the grid it rebuilds (grid_rebuilt).
 
 The measured side works on a spectrum the caller computes once with
 reference_spectrum: quadratic_ratio_sweep tabulates the constant over
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .bounds import closed_form_bases, lattice_count, payne_weinberger_lower, rectangle_eigenvalue, rectangle_spectrum
+from .bounds import closed_form_bases, lattice_count, rectangle_eigenvalue, rectangle_spectrum
 from .fem import neumann_spectrum
 # the traced benchmark wraps the net names and rectangle_sandwich here
 from .geometry import (
@@ -51,14 +53,13 @@ from .geometry import (
 )
 from .spectra import Spectrum
 
-GEOMETRY_RTOL = 1e-9
-
 CERTIFICATE_SCHEMA = 3
 
-# The largest index certify takes and a certificate may state: a reader may
-# list the k + 1 closed-form values of mu_k (the verifier lists none) in 2^28
-# bytes at 32 bytes a value; rectangle_spectrum peaks at 32 traced bytes a value,
-# in its Spectrum checks, plus 1.8 kB (2,000,001 and 8,388,608 on the square).
+# The largest index certify takes and a certificate may state.  Nothing lists
+# k + 1 values: mu_k and the proof's count take O(sqrt k) rows (3268 on the
+# square), so at this k certify takes 0.09-0.15 s and 63-65 MiB of RSS on the
+# square, rect:3:1 and rect:0.001:1000.  The count stays exact to k + 1 < 2^53
+# (concluded_inequality), but its time grows as sqrt k.
 INDEX_LIMIT = 2**28 // 32 - 1
 
 # The grid is capped at GRID_CELLS cells, so a larger l gets the best grid
@@ -85,7 +86,7 @@ class CertificateFormatError(ValueError):
 
 @dataclass
 class ChainLink:
-    """One verified inequality lhs <= rhs (1 + rtol); ratio = lhs / rhs."""
+    """One verified inequality lhs <= rhs; ratio = lhs / rhs."""
 
     name: str
     lhs: float
@@ -94,15 +95,10 @@ class ChainLink:
     holds: bool
 
     @classmethod
-    def check(cls, name, lhs, rhs, rtol=0.0):
-        lhs = float(lhs)
-        rhs = float(rhs)
-        if rhs > 0:
-            ratio = lhs / rhs
-        else:
-            ratio = 0.0 if lhs <= 0 else math.inf
-        holds = lhs <= rhs * (1.0 + rtol)
-        return cls(name=name, lhs=lhs, rhs=rhs, ratio=ratio, holds=bool(holds))
+    def check(cls, name, lhs, rhs):
+        lhs, rhs = float(lhs), float(rhs)
+        ratio = lhs / rhs if rhs > 0 else (0.0 if lhs <= 0 else math.inf)
+        return cls(name=name, lhs=lhs, rhs=rhs, ratio=ratio, holds=lhs <= rhs)
 
 
 @dataclass
@@ -310,7 +306,7 @@ def construct_partition(domain: Rectangle, k: int, l: int, C: float | None = Non
     rectangle.  The grid depends on the domain and l alone.  C is recorded,
     or when omitted the least double the grid's lattice count accepts
     (minimal_constant).  The chain_ok flag records the piece count only;
-    run verify_certificate against a reference mu_l for the full chain."""
+    run verify_certificate (or certified_chain) for the full chain."""
     if not (k >= l >= 1):
         raise CertificationError("need k >= l >= 1")
     a, b = domain.half_width_a, domain.half_width_b
@@ -332,34 +328,32 @@ def construct_partition(domain: Rectangle, k: int, l: int, C: float | None = Non
     )
 
 
-def verify_certificate(cert: PartitionCertificate, mu_l_reference: float) -> ChainReport:
-    """Check the 4 links of a certificate.  The piece lower bound and the
-    lattice count come from (domain, k, l, C) alone, and the stored corners
-    must be the grid of (domain, l) bit for bit (grid_rebuilt), so they tile
-    the domain by construction.  Only the reference compares at GEOMETRY_RTOL."""
-    check, flag = ChainLink.check, lambda name, ok: ChainLink.check(name, 0.0 if ok else 1.0, 0.0)
+def verify_certificate(cert: PartitionCertificate, mu_l_reference=None) -> ChainReport:
+    """Check the 3 links of a certificate from the certificate alone.  The
+    lattice count comes from (domain, k, l, C), and the stored corners must
+    be the grid of (domain, l) bit for bit (grid_rebuilt), so they tile the
+    domain by construction.  mu_l_reference is ignored: it stays only
+    because the benchmark's worker passes mu_l, and goes with the next
+    benchmark change (ROADMAP item 19)."""
     # an index pair out of range proves nothing
-    lower, same_grid, need, found = math.inf, False, 1, 0
+    same_grid, need, found = False, 1, 0
     if 1 <= cert.l <= cert.k <= INDEX_LIMIT:
-        rebuilt, nx, ny, d2 = grid_corners(cert.domain, cert.l)
+        rebuilt, nx, ny, _ = grid_corners(cert.domain, cert.l)
         same_grid = cert.corners.shape == rebuilt.shape and cert.corners.tobytes() == rebuilt.tobytes()
-        lower = payne_weinberger_lower(math.sqrt(d2))
         need, found = cert.k + 1, _lattice_evidence(cert.domain, cert.k, cert.l, nx, ny, cert.C)
     links = [
-        check("piece_count", cert.corners.shape[0], cert.l),
-        # the Payne-Weinberger value of a grid box, clearing the reference
-        check("lower_bound_vs_reference", lower, mu_l_reference, GEOMETRY_RTOL),
-        flag("grid_rebuilt", same_grid),
+        ChainLink.check("piece_count", cert.corners.shape[0], cert.l),
+        ChainLink.check("grid_rebuilt", 0.0 if same_grid else 1.0, 0.0),
         # k + 1 lattice points at or below C k^2 / (D^2 l^2); both sides are
         # integers below 2^53, so their float comparison is exact
-        check("concluded_inequality", need, found),
+        ChainLink.check("concluded_inequality", need, found),
     ]
     return ChainReport(links=links)
 
 
-def certified_chain(cert, mu_l_reference):
-    """verify_certificate plus a certificate copy with chain_ok updated."""
-    report = verify_certificate(cert, mu_l_reference)
+def certified_chain(cert):
+    """verify_certificate(cert) plus a certificate copy with chain_ok updated."""
+    report = verify_certificate(cert)
     return report, dataclasses.replace(cert, chain_ok=report.holds_all)
 
 

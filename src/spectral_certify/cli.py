@@ -312,7 +312,7 @@ def cmd_certify(args) -> int:
     t0 = time.perf_counter()
     mu_k = rectangle_eigenvalue(rect.half_width_a, rect.half_width_b, k)
     mu_l = mu_k if l == k else rectangle_eigenvalue(rect.half_width_a, rect.half_width_b, l)
-    chain, cert = certified_chain(construct_partition(rect, k, l, args.C), mu_l)
+    chain, cert = certified_chain(construct_partition(rect, k, l, args.C))
     report["timings"]["certify_s"] = time.perf_counter() - t0
     results = {
         "domain": name,
@@ -340,7 +340,9 @@ def cmd_certify(args) -> int:
 
 def _sweep_single(name: str, P: ConvexPolygon, k_max: int, levels: int, ratio_cap: float) -> dict:
     t0 = time.perf_counter()
-    # one solve serves the sweep table and every chain (they need k_max + 2)
+    # one solve serves the sweep table (k_max + 1 values) and every chain
+    # (min(k_max, 10) + 2); k_max + 2 even where both read 13, at k_max = 12:
+    # the 256-gon at level 4 solved in 445 ms for 13, 422 ms for 14 (2 vCPUs)
     domain_spectrum = reference_spectrum(P, k_max + 2, levels)
     entries = quadratic_ratio_sweep(domain_spectrum, k_max)
     chains = weak_chain_report(domain_spectrum, min(k_max, 10), ratio_cap)

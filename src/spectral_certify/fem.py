@@ -168,14 +168,16 @@ def _pencil(P: ConvexPolygon, levels: int):
     """Mesh width and CSR K and M of P's mesh in the one vertex order of the
     solve, the reverse Cuthill-McKee order of M's pattern (which K + M
     shares): each assembled matrix is relabelled into it before its CSR
-    conversion.  The mesh dies once assembled, each assembled matrix once
-    its CSR exists."""
+    conversion.  The order is read off a CSR of M's stored upper triangle U
+    (it orders U + U^T) that dies at once.  The mesh dies once assembled,
+    each assembled matrix once its CSR exists."""
     from scipy.sparse.csgraph import reverse_cuthill_mckee  # see solve_smallest
 
     mesh = mesh_polygon(P, levels)
     mesh_h, (stiffness, mass) = mesh.h_max, assemble(mesh)
     del mesh
-    order = reverse_cuthill_mckee(mass.to_csr(), symmetric_mode=True)
+    upper = (mass.data, (mass.rows, mass.cols))
+    order = reverse_cuthill_mckee(scipy.sparse.csr_matrix(upper, shape=(mass.dimension,) * 2), symmetric_mode=False)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size, dtype=order.dtype)
     K = replace(stiffness, rows=rank[stiffness.rows], cols=rank[stiffness.cols]).to_csr()

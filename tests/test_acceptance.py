@@ -161,9 +161,8 @@ def test_criterion_6_sweep_constant_and_rectangle_certificates(capsys, gallery):
             continue
         for k, l in pairs:
             c_star = minimal_constant(rect, k, l)
-            spec = rectangle_spectrum(rect.half_width_a, rect.half_width_b, k + 1)
             cert = construct_partition(rect, k, l, c_star)
-            chain = verify_certificate(cert, spec[l])
+            chain = verify_certificate(cert)
             if not chain.holds_all or len(cert.corners) > l:
                 cert_failures.append(f"{name} (k={k}, l={l})")
     cert_ok = not cert_failures
@@ -268,7 +267,7 @@ def test_criterion_10_negative_controls_and_random_domains(
     # the 1 x 2 grid of the unit square at k = 4, l = 2; mu_2 = pi^2
     c_star = minimal_constant(UNIT_SQUARE, 4, 2)
     cert = construct_partition(UNIT_SQUARE, 4, 2, c_star)
-    assert verify_certificate(cert, PI2).holds_all
+    assert verify_certificate(cert).holds_all
 
     def lower_c(obj):
         obj["C"] = float(np.nextafter(obj["C"], 0.0))
@@ -305,7 +304,7 @@ def test_criterion_10_negative_controls_and_random_domains(
     for corrupt in corruptions:
         obj = json.loads(cert.to_json())
         corrupt(obj)
-        detected += not verify_certificate(PartitionCertificate.from_dict(obj), PI2).holds_all
+        detected += not verify_certificate(PartitionCertificate.from_dict(obj)).holds_all
     corruption_ok = detected == len(corruptions)
 
     rng = np.random.default_rng(99)

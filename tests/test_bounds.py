@@ -158,9 +158,8 @@ class TestRectangleSpectrum:
         assert vals.shape == (100_000,)
         assert (np.diff(vals) >= 0).all()
         assert np.array_equal(vals[:25], rectangle_spectrum(0.5, 0.5, 25).values)
-        # the call peaks at the 32 traced bytes a value that
-        # certify.INDEX_LIMIT budgets, plus a few kB: of the listing, only a
-        # count-sized copy reaches the Spectrum checks
+        # the call peaks at 32 traced bytes a value, plus a few kB: of the
+        # listing, only a count-sized copy reaches the Spectrum checks
         tracemalloc.start()
         try:
             rectangle_spectrum(0.5, 0.5, 1_000_000)

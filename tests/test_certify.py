@@ -25,6 +25,7 @@ from spectral_certify.certify import (
     PartitionCertificate,
     certified_chain,
     construct_partition,
+    grid_corners,
     grid_shape,
     minimal_constant,
     quadratic_ratio_sweep,
@@ -80,8 +81,8 @@ def areas(corners):
 
 
 def piece_bound(cert):
-    """The Payne-Weinberger value of a grid box, as the verifier reports it."""
-    return link_by_name(verify_certificate(cert, math.inf), "lower_bound_vs_reference").lhs
+    """The Payne-Weinberger value of a box of the certificate's grid."""
+    return payne_weinberger_lower(math.sqrt(grid_corners(cert.domain, cert.l)[3]))
 
 
 class TestStripConstruction:
@@ -90,7 +91,7 @@ class TestStripConstruction:
     def test_identity_indices_single_cell(self):
         cert = construct_partition(UNIT_SQUARE, 1, 1, 8.0)
         assert cert.corners.shape == (1, 4, 2)
-        report = verify_certificate(cert, PI2)
+        report = verify_certificate(cert)
         assert report.holds_all
 
     def test_long_thin_rectangle_strip_postconditions(self):
@@ -151,7 +152,7 @@ class TestGridConstruction:
         monkeypatch.setattr(certify, "grid_shape", counted)
         cert = construct_partition(UNIT_SQUARE, 24, 24, C)
         assert searches == [24]
-        assert verify_certificate(cert, rectangle_spectrum(0.5, 0.5, 25)[24]).links
+        assert verify_certificate(cert).links
         assert searches == [24, 24]
 
     @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
@@ -211,10 +212,9 @@ class TestGridConstruction:
         a, b = domain.half_width_a, domain.half_width_b
         exact = exact_constant(a, b, 6, 3, *grid_shape(a, b, 3))
         assert Fraction(cert.C) >= exact > Fraction(math.nextafter(cert.C, 0.0))
-        mu = rectangle_spectrum(domain.half_width_a, domain.half_width_b, 4)
-        assert verify_certificate(cert, mu[3]).holds_all
+        assert verify_certificate(cert).holds_all
         clone = PartitionCertificate.from_json(cert.to_json())
-        assert verify_certificate(clone, mu[3]).holds_all
+        assert verify_certificate(clone).holds_all
 
     def test_far_cells_are_polygons(self):
         # the grid cells of a unit square 800,000 units off the origin pass
@@ -241,20 +241,19 @@ class TestVerificationChain:
     @staticmethod
     def verifying_certificate():
         c_star = minimal_constant(UNIT_SQUARE, 2, 1)
-        cert = construct_partition(UNIT_SQUARE, 2, 1, c_star)
-        return cert, PI2
+        return construct_partition(UNIT_SQUARE, 2, 1, c_star)
 
     def test_round_trip_preserves_verification(self):
-        cert, mu_l = self.verifying_certificate()
-        report = verify_certificate(cert, mu_l)
+        cert = self.verifying_certificate()
+        report = verify_certificate(cert)
         assert report.holds_all
         clone = PartitionCertificate.from_json(cert.to_json())
-        report2 = verify_certificate(clone, mu_l)
+        report2 = verify_certificate(clone)
         assert [l.holds for l in report2.links] == [l.holds for l in report.links]
         assert report2.holds_all
 
     def test_schema_guard(self):
-        cert, _ = self.verifying_certificate()
+        cert = self.verifying_certificate()
         obj = json.loads(cert.to_json())
         # schemas 1 and 2 (with l_prime and lower_bound) are not read either
         for schema in (1, 2, 99):
@@ -292,7 +291,7 @@ class TestVerificationChain:
         ],
     )
     def test_malformed_field_named(self, field, mutate):
-        cert, _ = self.verifying_certificate()
+        cert = self.verifying_certificate()
         obj = json.loads(cert.to_json())
         mutate(obj)
         with pytest.raises(CertificateFormatError, match=field):
@@ -312,7 +311,7 @@ class TestVerificationChain:
     def test_malformed_cells_named(self, mutate):
         # the cells are JSON numbers of shape (N, 4, 2), N >= 1, read in one
         # array; no cell is validated as a polygon
-        cert, _ = self.verifying_certificate()
+        cert = self.verifying_certificate()
         obj = json.loads(cert.to_json())
         mutate(obj)
         with pytest.raises(CertificateFormatError, match="'cells' is malformed"):
@@ -370,11 +369,11 @@ class TestVerificationChain:
     def test_any_corruption_flips_the_chain(self, name, mutate):
         # a tampered certificate fails a link, or states a constant no
         # smaller than the one its own grid proves, by the report oracle
-        cert, mu_l = self.verifying_certificate()
+        cert = self.verifying_certificate()
         obj = json.loads(cert.to_json())
         mutate(obj)
         tampered = PartitionCertificate.from_dict(obj)
-        report, updated = certified_chain(tampered, mu_l)
+        report, updated = certified_chain(tampered)
         assert updated.chain_ok is report.holds_all
         assert not report.holds_all or Fraction(obj["C"]) >= report_proved_constant({"certificate": obj})
         if name == "k_down":
@@ -385,26 +384,32 @@ class TestVerificationChain:
         # k = 2, l = 1 on the unit square: one cell, D^2 = 2, so C proves the
         # inequality when k + 1 = 3 pairs have p^2 + q^2 <= 2 C; the count
         # stops at 3, and at C = 0.49 only (0, 0) is left
-        report = verify_certificate(construct_partition(UNIT_SQUARE, 2, 1, C), PI2)
+        report = verify_certificate(construct_partition(UNIT_SQUARE, 2, 1, C))
         link = link_by_name(report, "concluded_inequality")
         assert (link.lhs, link.rhs, link.holds) == (3.0, found, found == 3)
 
-    def test_small_reference_fails_final_link(self):
-        cert, mu_l = self.verifying_certificate()
-        report = verify_certificate(cert, mu_l / 20.0)
-        assert not link_by_name(report, "lower_bound_vs_reference").holds
-        assert not report.holds_all
+    @pytest.mark.parametrize("C", [None, 0.5])
+    @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
+    def test_links_read_the_certificate_alone(self, case, C):
+        # the verifier takes no reference eigenvalue: a second argument of
+        # any value gives the links it gives with none, and so does the
+        # certificate reloaded from its JSON
+        domain, k, l = SEARCH_CASES[case]
+        cert = construct_partition(domain, k, l, C)
+        links = verify_certificate(cert).to_dict()
+        assert links["holds_all"] is (C is None or C >= minimal_constant(domain, k, l))
+        mu_l = rectangle_spectrum(domain.half_width_a, domain.half_width_b, l + 1)[l]
+        for reference in (mu_l, 0.0, math.inf, math.nan):
+            assert verify_certificate(cert, reference).to_dict() == links
+        assert verify_certificate(PartitionCertificate.from_json(cert.to_json())).to_dict() == links
 
     def test_certified_chain_confirms_good_certificate(self):
-        cert, mu_l = self.verifying_certificate()
-        report, updated = certified_chain(cert, mu_l)
+        report, updated = certified_chain(self.verifying_certificate())
         assert report.holds_all
         assert updated.chain_ok is True
 
     def test_report_serializes(self):
-        cert, mu_l = self.verifying_certificate()
-        report = verify_certificate(cert, mu_l)
-        d = report.to_dict()
+        d = verify_certificate(self.verifying_certificate()).to_dict()
         assert d["holds_all"] is True
         assert all(set(l) >= {"name", "lhs", "rhs", "ratio", "holds"} for l in d["links"])
 
@@ -475,15 +480,14 @@ class TestCertificateFuzz:
     @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
     def test_rejected(self, case, corruption):
         domain, k, l = SEARCH_CASES[case]
-        spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
         cert = construct_partition(domain, k, l, minimal_constant(domain, k, l))
-        assert verify_certificate(cert, spec[l]).holds_all
+        assert verify_certificate(cert).holds_all
         obj = _fuzzed(cert.to_dict(), corruption)
         if corruption == "no_cells":
             with pytest.raises(CertificateFormatError, match="'cells' is malformed"):
                 PartitionCertificate.from_dict(obj)
             return
-        report = verify_certificate(PartitionCertificate.from_dict(obj), spec[l])
+        report = verify_certificate(PartitionCertificate.from_dict(obj))
         assert not report.holds_all
         failing = {link.name for link in report.links if not link.holds}
         if corruption != "lower_C":
@@ -502,14 +506,12 @@ class TestCertificateFuzz:
         cert = construct_partition(domain, k, l)
         obj = cert.to_dict()
         obj["cells"] = transposed_cells(cert)
-        spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
-        report = verify_certificate(PartitionCertificate.from_dict(obj), spec[l])
+        report = verify_certificate(PartitionCertificate.from_dict(obj))
         assert [link.name for link in report.links if not link.holds] == ["grid_rebuilt"]
 
     def test_concluded_inequality_alone_fails_at_a_small_constant(self):
         domain, k, l = SEARCH_CASES[1]
-        spec = rectangle_spectrum(5.0, 5.0, k + 1)
-        report = verify_certificate(construct_partition(domain, k, l, 0.5), spec[l])
+        report = verify_certificate(construct_partition(domain, k, l, 0.5))
         assert [link.name for link in report.links if not link.holds] == ["concluded_inequality"]
 
     @pytest.mark.parametrize("k, l", [(0, 0), (3, 5), (certify.INDEX_LIMIT + 1, 1), (10**30, 10**29)])
@@ -517,7 +519,7 @@ class TestCertificateFuzz:
         cert = construct_partition(UNIT_SQUARE, 24, 24, 3.0)
         obj = cert.to_dict()
         obj["k"], obj["l"] = k, l
-        report = verify_certificate(PartitionCertificate.from_dict(obj), PI2)
+        report = verify_certificate(PartitionCertificate.from_dict(obj))
         failing = {link.name for link in report.links if not link.holds}
         assert {"grid_rebuilt", "concluded_inequality"} <= failing
 
@@ -527,14 +529,12 @@ class TestMinimalConstant:
         # one cell of diameter sqrt(2) and mu_2 = pi^2: C = 2 pi^2 / (4 pi^2)
         c = minimal_constant(UNIT_SQUARE, 2, 1)
         assert c == 0.5
-        assert verify_certificate(
-            construct_partition(UNIT_SQUARE, 2, 1, c), PI2
-        ).holds_all
+        assert verify_certificate(construct_partition(UNIT_SQUARE, 2, 1, c)).holds_all
 
     def test_halving_below_minimum_fails(self):
         c = minimal_constant(UNIT_SQUARE, 2, 1)
         weak = construct_partition(UNIT_SQUARE, 2, 1, c / 2.0)
-        assert not verify_certificate(weak, PI2).holds_all
+        assert not verify_certificate(weak).holds_all
 
     def test_long_rectangle_needs_double_the_constant(self):
         # one 1 x 10 cell: D^2 = 101 and mu_2 = 4 pi^2 / 100, so C = 1.01,
@@ -557,10 +557,9 @@ class TestSearchOracle:
     @pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
     def test_same_constant_and_verdicts(self, case):
         domain, k, l = SEARCH_CASES[case]
-        spec = rectangle_spectrum(domain.half_width_a, domain.half_width_b, k + 1)
         c = minimal_constant(domain, k, l)
         verdicts = [
-            verify_certificate(construct_partition(domain, k, l, C), spec[l]).holds_all
+            verify_certificate(construct_partition(domain, k, l, C)).holds_all
             for C in (c, np.nextafter(c, 0.0))
         ]
         assert verdicts == [True, False]
@@ -706,7 +705,6 @@ class TestChainLink:
     def test_inequality_semantics(self):
         assert ChainLink.check("x", 1.0, 1.0).holds
         assert not ChainLink.check("x", 1.0 + 1e-12, 1.0).holds
-        assert ChainLink.check("x", 1.0 + 1e-12, 1.0, rtol=1e-9).holds
         link = ChainLink.check("x", 3.0, 4.0)
         assert link.ratio == pytest.approx(0.75, rel=1e-15)
 

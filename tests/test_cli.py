@@ -19,7 +19,6 @@ import pytest
 
 import spectral_certify
 from spectral_certify import bounds, certify, cli, fem, geometry, mesh
-from spectral_certify.bounds import rectangle_spectrum
 from spectral_certify.cli import (
     EXIT_CERTIFY,
     EXIT_OK,
@@ -580,7 +579,6 @@ class TestCertifyCommand:
         assert list(res["certificate"]) == ["schema", "domain", "k", "l", "C", "cells", "chain_ok", "notes"]
         assert [link["name"] for link in res["chain"]["links"]] == [
             "piece_count",
-            "lower_bound_vs_reference",
             "grid_rebuilt",
             "concluded_inequality",
         ]
@@ -657,7 +655,7 @@ class TestCertifyCommand:
         unit = run_json(capsys, "certify", "--k", str(k), "--l", str(l))["results"]["C"]
         assert res["C"] == pytest.approx(unit, rel=1e-9)
         reloaded = certify.PartitionCertificate.from_dict(res["certificate"])
-        assert certify.verify_certificate(reloaded, res["mu_l"]).to_dict() == res["chain"]
+        assert certify.verify_certificate(reloaded).to_dict() == res["chain"]
 
     def test_off_centre_rhombus_uses_sandwich(self, capsys, tmp_path):
         # a small rhombus far from the origin is not taken for a square
@@ -680,7 +678,7 @@ class TestCertifyCommand:
 
         monkeypatch.setattr(bounds, "_bracket", refused)
         reloaded = certify.PartitionCertificate.from_dict(report["results"]["certificate"])
-        chain = certify.verify_certificate(reloaded, report["results"]["mu_l"]).to_dict()
+        chain = certify.verify_certificate(reloaded).to_dict()
         assert chain == report["results"]["chain"]
 
     def test_no_cell_polygons_or_diameters(self, capsys, monkeypatch, tmp_path):
@@ -698,7 +696,7 @@ class TestCertifyCommand:
             assert code in (EXIT_OK, EXIT_CERTIFY), err
             res = json.loads(out)["results"]
             reloaded = certify.PartitionCertificate.from_json(json.dumps(res["certificate"]))
-            assert certify.verify_certificate(reloaded, res["mu_l"]).to_dict() == res["chain"]
+            assert certify.verify_certificate(reloaded).to_dict() == res["chain"]
 
     def test_tiny_non_rectangles_run(self):
         # the sandwich is built on a copy of the domain scaled by a power of
@@ -723,7 +721,7 @@ class TestCertifyCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["name", "lhs", "rhs", "ratio", "holds"]
         names = [r[0] for r in rows[1:]]
-        assert "piece_count" in names and "lower_bound_vs_reference" in names
+        assert names == ["piece_count", "grid_rebuilt", "concluded_inequality"]
 
 
 class TestSweepCommand:
@@ -960,7 +958,7 @@ class TestImport:
             "for _, text in reports:\n"
             "    results = json.loads(text)['results']\n"
             "    cert = PartitionCertificate.from_json(json.dumps(results['certificate']))\n"
-            "    assert verify_certificate(cert, results['mu_l']).to_dict() == results['chain']\n"
+            "    assert verify_certificate(cert).to_dict() == results['chain']\n"
             "loaded()\n"
             "assert run('spectrum', '--levels', '2')[0] == 0\n"
             "loaded()"
@@ -1069,10 +1067,11 @@ class TestReadme:
         namespace = {}
         exec(compile(block, "README.md", "exec"), namespace)
         # the example certifies k = 4, l = 2 on the unit square at the grid's
-        # constant, and verifies against mu_2
+        # constant, and verifies it from the certificate alone
         cert = namespace["cert"]
         assert (cert.k, cert.l, cert.C) == (4, 2, namespace["C"])
-        assert namespace["mu"][2] == rectangle_spectrum(0.5, 0.5, 3)[2] == pytest.approx(math.pi**2)
+        links = namespace["report"].links
+        assert [link.name for link in links] == ["piece_count", "grid_rebuilt", "concluded_inequality"]
         assert namespace["report"].holds_all
 
 

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from spectral_certify import _kernels, fem
@@ -237,6 +238,25 @@ class TestEigensolver:
         natural = stiffness.to_csr() + mass.to_csr()
         _, K, M = fem._pencil(polygon, levels)
         assert bandwidth(K + M) < bandwidth(natural)
+
+    @pytest.mark.parametrize(
+        "polygon, levels", [(UNIT_SQUARE, 4), (regular_polygon(256), 2)], ids=["square", "regular_256"]
+    )
+    def test_pencil_order_is_that_of_the_full_pattern(self, monkeypatch, polygon, levels):
+        # the order _pencil reads off M's upper triangle is the reverse
+        # Cuthill-McKee order of the full symmetric M
+        orders = []
+        rcm = scipy.sparse.csgraph.reverse_cuthill_mckee
+
+        def recorded(graph, symmetric_mode=False):
+            orders.append(rcm(graph, symmetric_mode=symmetric_mode))
+            return orders[-1]
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", recorded)
+        fem._pencil(polygon, levels)
+        _, mass = assemble(mesh_polygon(polygon, levels))
+        (order,) = orders
+        assert np.array_equal(order, rcm(mass.to_csr(), symmetric_mode=True))
 
     def test_factors_the_pencil_as_it_arrives(self, factor_spy):
         # solve_smallest factors K + M itself: no reordered copy
